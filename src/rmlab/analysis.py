@@ -28,6 +28,7 @@ from .errors import (
 from .commutant import (
     SubalgebraBasis,
     fixed_subalgebra,
+    hermitian_probe,
     operator_matrix,
     relative_commutant_L,
     relative_commutant_M,
@@ -329,18 +330,9 @@ class ReductionResult:
         return self.spec.blocks
 
 
-def _hermitian_probe(basis_mats, rng) -> np.ndarray:
-    herm = []
-    for b in basis_mats:
-        herm.append((b + b.conj().T) / 2.0)
-        herm.append((b - b.conj().T) / 2.0j)
-    coeffs = rng.standard_normal(len(herm))
-    return sum(c * h for c, h in zip(coeffs, herm))
-
-
 def _split_projection(m: SubalgebraBasis, rng) -> np.ndarray:
     """A proper projection inside a non-scalar algebra span."""
-    g = _hermitian_probe([b.matrix for b in m.basis], rng)
+    g = hermitian_probe([b.matrix for b in m.basis], rng)
     clusters = eig_normal(g)
     if len(clusters) < 2:
         raise InternalConsistencyError(
@@ -497,7 +489,7 @@ def _family4_canonical(q: complex) -> np.ndarray:
 
 def _try_family4(r: RMatrix, fixed: SubalgebraBasis, tol: float,
                  rng) -> Dim2Classification | None:
-    g = _hermitian_probe([b.matrix for b in fixed.basis], rng)
+    g = hermitian_probe([b.matrix for b in fixed.basis], rng)
     clusters = eig_normal(g)
     rank_one = [cl.projection for cl in clusters if cl.multiplicity == 1]
     for p in rank_one:

@@ -14,20 +14,13 @@ words are ordered shortlex with letter order 1 < -1 < 2 < -2 < ...
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError
 from .rmatrix import RMatrix, flip_conjugate, make_flip
-from .tensor import (
-    AlgebraElement,
-    embed,
-    frobenius_norm,
-    identity_element,
-    normalized_trace,
-    shift,
-)
+from .tensor import AlgebraElement, frobenius_norm, pad_left, pad_right
 
 __all__ = [
     "BraidWord",
@@ -107,28 +100,70 @@ class BraidWord:
         return BraidWord(n, self.letters + other.letters)
 
 
-def _generator(r: RMatrix, gen: int, exp: int) -> AlgebraElement:
-    """b_gen^exp at its minimal level gen + 1."""
+def _letter(r: RMatrix, gen: int, exp: int) -> np.ndarray:
+    """b_gen^exp as a raw matrix at its minimal level gen + 1."""
     m = r.matrix if exp > 0 else r.matrix.conj().T
-    return shift(AlgebraElement(r.d, 2, m), gen - 1)
+    return pad_left(m, r.d, gen - 1)
 
 
-def _partial_product(r: RMatrix, letters) -> AlgebraElement:
+def _step(d: int, prod: np.ndarray, level: int, gen: int,
+          letter: np.ndarray):
+    """prod @ letter at the larger of the two levels, with the new level.
+
+    ``prod`` lives at ``level`` and ``letter`` is b_gen^(+-1) at its
+    minimal level gen + 1; the lower one is padded on the right.
+    """
+    top = max(level, gen + 1)
+    return (pad_right(prod, d, top - level)
+            @ pad_right(letter, d, top - gen - 1)), top
+
+
+def _product(r: RMatrix, letters):
     """Product of represented letters at the minimal running level."""
-    prod = identity_element(r.d, 0)
+    prod, level = np.eye(1, dtype=complex), 0
     for gen, exp in letters:
-        g = _generator(r, gen, exp)
-        level = max(prod.level, g.level)
-        prod = AlgebraElement(
-            r.d, level, embed(prod, level).matrix @ embed(g, level).matrix
-        )
-    return prod
+        prod, level = _step(r.d, prod, level, gen, _letter(r, gen, exp))
+    return prod, level
+
+
+def word_walk(r: RMatrix, strands: int, max_len: int):
+    """Yield (letters, product) for every nonempty freely reduced word.
+
+    Words use generators below ``strands`` and have length at most
+    ``max_len``; they come depth-first in letter order
+    1 < -1 < 2 < -2 < ..., each word right after its prefix.  The
+    product is the represented word at its minimal level (the largest
+    generator plus one), extended by one step from its prefix.
+    """
+    alphabet = [(gen, exp) for gen in range(1, strands) for exp in (+1, -1)]
+    mats = {letter: _letter(r, *letter) for letter in alphabet}
+    word: list = []
+    stack = [(np.eye(1, dtype=complex), 0, iter(alphabet))]
+    while stack:
+        prod, level, todo = stack[-1]
+        letter = next(todo, None)
+        if letter is None:
+            stack.pop()
+            if word:
+                word.pop()
+            continue
+        gen, exp = letter
+        if word and word[-1] == (gen, -exp):
+            continue
+        new, top = _step(r.d, prod, level, gen, mats[letter])
+        word.append(letter)
+        yield tuple(word), new
+        if len(word) < max_len:
+            stack.append((new, top, iter(alphabet)))
+        else:
+            word.pop()
 
 
 def represent(r: RMatrix, word: BraidWord) -> AlgebraElement:
     """The represented word as a level-``strands`` algebra element."""
-    prod = _partial_product(r, word.letters)
-    return embed(prod, word.strands)
+    prod, level = _product(r, word.letters)
+    return AlgebraElement(r.d, word.strands,
+                          pad_right(prod, r.d, word.strands - level))
 
 
 def character(r: RMatrix, word: BraidWord) -> complex:
@@ -140,14 +175,13 @@ def character(r: RMatrix, word: BraidWord) -> complex:
     """
     if not word.letters:
         return 1.0 + 0.0j
-    head, last = word.letters[:-1], word.letters[-1]
-    prod = _partial_product(r, head)
-    g = _generator(r, *last)
-    level = max(prod.level, g.level)
-    a = embed(prod, level).matrix
-    b = embed(g, level).matrix
+    (gen, exp), d = word.letters[-1], r.d
+    prod, level = _product(r, word.letters[:-1])
+    top = max(level, gen + 1)
+    a = pad_right(prod, d, top - level)
+    b = pad_right(_letter(r, gen, exp), d, top - gen - 1)
     # tr(AB) without the product matrix.
-    return complex(np.sum(a * b.T)) / r.d ** level
+    return complex(np.sum(a * b.T)) / d ** top
 
 
 def underlying_permutation(word: BraidWord) -> tuple:
@@ -188,8 +222,8 @@ def intertwiner_Y(r: RMatrix, n: int, tol: float = 1e-10) -> AlgebraElement:
     y = represent(frf, delta).matrix @ represent(flip, delta).matrix
     out = AlgebraElement(r.d, n, y)
     for k in range(1, n):
-        gr = embed(_generator(r, k, +1), n).matrix
-        gf = embed(_generator(frf, k, +1), n).matrix
+        gr = pad_right(_letter(r, k, +1), r.d, n - k - 1)
+        gf = pad_right(_letter(frf, k, +1), r.d, n - k - 1)
         resid = frobenius_norm(y @ gr @ y.conj().T - gf)
         if resid > tol:
             raise InternalConsistencyError(
@@ -283,49 +317,18 @@ def characters_equal(r: RMatrix, s: RMatrix, max_strands: int = 4,
     """
     if max_strands < 2 or max_len < 1:
         raise DomainError("need max_strands >= 2 and max_len >= 1")
-    order = []
-    for gen in range(1, max_strands):
-        order.append((gen, +1))
-        order.append((gen, -1))
-    rank = {letter: i for i, letter in enumerate(order)}
-
-    best: tuple | None = None  # (len, rank-tuple, ints, deviation)
-    checked = 0
-
-    def visit(word, depth, prod_r, prod_s):
-        nonlocal best, checked
-        for letter in order:
-            if word and (word[-1][0], -word[-1][1]) == letter:
-                continue
-            gen, exp = letter
-            gr = _generator(r, gen, exp)
-            gs = _generator(s, gen, exp)
-            lr = max(prod_r.level, gr.level)
-            ls = max(prod_s.level, gs.level)
-            pr = AlgebraElement(
-                r.d, lr, embed(prod_r, lr).matrix @ embed(gr, lr).matrix
-            )
-            ps = AlgebraElement(
-                s.d, ls, embed(prod_s, ls).matrix @ embed(gs, ls).matrix
-            )
-            checked += 1
-            dev = abs(normalized_trace(pr) - normalized_trace(ps))
-            if dev > tol:
-                new_word = word + [letter]
-                key = (len(new_word), tuple(rank[l] for l in new_word))
-                if best is None or key < (best[0], best[1]):
-                    best = (
-                        key[0], key[1],
-                        tuple(g * e for g, e in new_word), dev,
-                    )
-            if depth + 1 < max_len:
-                word.append(letter)
-                visit(word, depth + 1, pr, ps)
-                word.pop()
-
-    visit([], 0, identity_element(r.d, 0), identity_element(s.d, 0))
-    if best is None:
-        return CharacterComparison(True, None, 0.0, checked,
-                                   max_strands, max_len, tol)
-    return CharacterComparison(False, best[2], best[3], checked,
-                               max_strands, max_len, tol)
+    # The walk meets words of one length in shortlex order, so the
+    # first deviating word of the least length is the witness.
+    witness, deviation, checked = None, 0.0, 0
+    for (word, pr), (_, ps) in zip(word_walk(r, max_strands, max_len),
+                                   word_walk(s, max_strands, max_len)):
+        checked += 1
+        dev = abs(complex(np.trace(pr)) / pr.shape[0]
+                  - complex(np.trace(ps)) / ps.shape[0])
+        if dev > tol and (witness is None or len(word) < len(witness)):
+            witness, deviation = word, dev
+    return CharacterComparison(
+        witness is None,
+        None if witness is None else tuple(g * e for g, e in witness),
+        deviation, checked, max_strands, max_len, tol,
+    )

@@ -14,7 +14,6 @@ the RMLAB_SEED environment variable, else 0).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -54,7 +53,7 @@ from .rmatrix import (
     make_trivial,
     is_trivial,
 )
-from .search import find_solution, fingerprint
+from .search import find_solution, fingerprint, ordered_map
 from .serialize import load_solution, solution_to_dict
 
 EXIT_OK = 0
@@ -63,10 +62,14 @@ EXIT_INPUT = 2
 
 
 def _default_seed() -> int:
+    """The integer in RMLAB_SEED; 0 when it is unset or empty."""
+    text = os.environ.get("RMLAB_SEED") or "0"
     try:
-        return int(os.environ.get("RMLAB_SEED", "0"))
-    except ValueError:
-        return 0
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(
+            f"RMLAB_SEED must be an integer, got {text!r}"
+        ) from exc
 
 
 def parse_phase(text: str) -> complex:
@@ -358,22 +361,9 @@ def _table9_row(family: int, samples: int, seed: int):
             "[1]; non-ergodic; fixed 2,4,8,16", ok, hits)
 
 
-def _table9_row_packed(packed):
-    return _table9_row(*packed)
-
-
-def _table9_rows(samples: int, seed: int, jobs: int = 1):
-    args = [(family, samples, seed) for family in (1, 2, 3, 4)]
-    if jobs <= 1:
-        return [_table9_row(*a) for a in args]
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(jobs, len(args))
-    ) as pool:
-        return list(pool.map(_table9_row_packed, args))
-
-
 def cmd_table9(args) -> int:
-    rows = _table9_rows(args.samples, args.seed, jobs=args.jobs)
+    tasks = [(family, args.samples, args.seed) for family in (1, 2, 3, 4)]
+    rows = list(ordered_map(_table9_row, tasks, args.jobs))
     lines = [
         "| family | draws | expected | structure | classified |",
         "| --- | --- | --- | --- | --- |",
@@ -472,9 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

@@ -31,6 +31,7 @@ from .errors import (
     InternalConsistencyError,
     ShapeError,
 )
+from .braid import word_walk
 from .rmatrix import RMatrix
 from .tensor import (
     AlgebraElement,
@@ -39,9 +40,11 @@ from .tensor import (
     embed,
     expectation_to_level,
     frobenius_norm,
-    identity_element,
     kron,
-    shift,
+    pad_left,
+    pad_right,
+    shifted_product,
+    trace_out_last,
 )
 
 __all__ = [
@@ -129,22 +132,14 @@ def word_ordered(r: RMatrix, n: int) -> np.ndarray:
     """phi^(n-1)(R) ... phi(R) R as a level n + 1 matrix."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    x = r.as_element()
-    acc = np.eye(r.d ** (n + 1), dtype=complex)
-    for k in range(n - 1, -1, -1):
-        acc = acc @ embed(shift(x, k), n + 1).matrix
-    return acc
+    return shifted_product(r.matrix, r.d, 2, n + 1, range(n - 1, -1, -1))
 
 
 def word_product(r: RMatrix, n: int) -> np.ndarray:
     """R phi(R) ... phi^(n-1)(R) as a level n + 1 matrix."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    x = r.as_element()
-    acc = np.eye(r.d ** (n + 1), dtype=complex)
-    for k in range(n):
-        acc = acc @ embed(shift(x, k), n + 1).matrix
-    return acc
+    return shifted_product(r.matrix, r.d, 2, n + 1, range(n))
 
 
 def apply_endo(r: RMatrix, x: AlgebraElement) -> AlgebraElement:
@@ -193,9 +188,6 @@ class SubalgebraBasis:
         return np.stack(
             [b.matrix.reshape(-1) * scale for b in self.basis], axis=1
         )
-
-    def contains(self, matrix, tol: float = 1e-9) -> bool:
-        return self.residual(matrix) <= tol
 
     def residual(self, matrix) -> float:
         """Relative distance from the span (0 for members)."""
@@ -343,44 +335,15 @@ def relative_commutant_L(r: RMatrix, n: int, max_strands: int = 4,
         schedule.append(nxt)
 
     dim = d ** n
-    gens = []
-    for gen in range(1, max_strands):
-        gens.append((gen, +1))
-        gens.append((gen, -1))
-
     records = []  # (max_generator, length, expectation vector)
-
-    def expect_vec(prod: AlgebraElement) -> np.ndarray:
-        if prod.level >= n:
-            out = expectation_to_level(prod, n)
-        else:
-            out = embed(prod, n)
-        return out.matrix.reshape(-1)
-
-    gen_cache: dict = {}
-
-    def gen_element(gen, exp):
-        key = (gen, exp)
-        if key not in gen_cache:
-            m = r.matrix if exp > 0 else r.matrix.conj().T
-            gen_cache[key] = shift(AlgebraElement(d, 2, m), gen - 1)
-        return gen_cache[key]
-
-    def visit(last, depth, maxgen, prod):
-        for gen, exp in gens:
-            if last == (gen, -exp):
-                continue
-            g = gen_element(gen, exp)
-            level = max(prod.level, g.level)
-            new = AlgebraElement(
-                d, level, embed(prod, level).matrix @ embed(g, level).matrix
-            )
-            mg = max(maxgen, gen)
-            records.append((mg, depth + 1, expect_vec(new)))
-            if depth + 1 < max_len:
-                visit((gen, exp), depth + 1, mg, new)
-
-    visit(None, 0, 0, identity_element(d, 0))
+    for word, prod in word_walk(r, max_strands, max_len):
+        maxgen = max(gen for gen, _ in word)
+        # The product sits at level maxgen + 1: E_n below it, padding
+        # above it.
+        prod = pad_right(prod, d, max(n - maxgen - 1, 0))
+        for _ in range(maxgen + 1 - n):
+            prod = trace_out_last(prod, d) / d
+        records.append((maxgen, len(word), prod.reshape(-1)))
     identity_vec = np.eye(dim, dtype=complex).reshape(-1)
 
     dims = []
@@ -430,8 +393,8 @@ def braid_image_commutant(r: RMatrix, n: int, seed: int = 0
         dim = d ** n
         cols = np.eye(dim * dim, dtype=complex) / math.sqrt(dim)
         return _basis_from_columns(d, n, cols, seed=seed)
-    x = r.as_element()
-    images = [embed(shift(x, k), n).matrix for k in range(n - 1)]
+    images = [pad_right(pad_left(r.matrix, d, k), d, n - k - 2)
+              for k in range(n - 1)]
 
     def defect(y):
         return np.vstack([y @ g - g @ y for g in images])
@@ -439,6 +402,19 @@ def braid_image_commutant(r: RMatrix, n: int, seed: int = 0
     t = operator_matrix(defect, d, n)
     cols = nullspace(t)
     return _basis_from_columns(d, n, cols, seed=seed)
+
+
+def hermitian_probe(mats, rng) -> np.ndarray:
+    """A random real combination of the Hermitian and skew parts of mats.
+
+    Draws one standard normal coefficient per part from ``rng``.
+    """
+    herm = []
+    for b in mats:
+        herm.append((b + b.conj().T) / 2.0)
+        herm.append((b - b.conj().T) / 2.0j)
+    coeffs = rng.standard_normal(len(herm))
+    return sum(c * h for c, h in zip(coeffs, herm))
 
 
 def _check_algebra(mats, cols, tol: float = 1e-9) -> None:
@@ -509,16 +485,10 @@ def wedderburn_decompose(span, tol: float = 1e-9, seed: int = 0,
     center = [(cols @ center_coords[:, i]).reshape(dim, dim)
               for i in range(m_dim)]
 
-    hermitian = []
-    for z in center:
-        hermitian.append((z + z.conj().T) / 2.0)
-        hermitian.append((z - z.conj().T) / 2.0j)
-
     rng = np.random.default_rng(seed)
     last_error = ""
     for attempt in range(max_retries):
-        coeffs = rng.standard_normal(len(hermitian))
-        g = sum(c * h for c, h in zip(coeffs, hermitian))
+        g = hermitian_probe(center, rng)
         clusters = eig_normal(g)
         if len(clusters) != m_dim:
             last_error = (

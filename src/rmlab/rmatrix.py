@@ -35,6 +35,7 @@ from .tensor import (
     is_unitary,
     kron,
     shift,
+    shifted_product,
 )
 
 __all__ = [
@@ -420,16 +421,10 @@ def cabling_power(r: RMatrix, n: int) -> RMatrix:
         )
     if n == 1:
         return _derive(r.matrix, d, f"cable({r.label}, 1)")
-    x = r.as_element()
-    # R_n = R phi(R) ... phi^(n-1)(R) at level n + 1.
-    rn = np.eye(d ** (n + 1), dtype=complex)
-    for k in range(n):
-        rn = rn @ embed(shift(x, k), n + 1).matrix
-    rn_el = AlgebraElement(d, n + 1, rn)
+    # R_n = R phi(R) ... phi^(n-1)(R) at level n + 1, then
     # phi^(n-1)(R_n) ... phi(R_n) R_n at level 2n.
-    acc = np.eye(d ** (2 * n), dtype=complex)
-    for k in range(n - 1, -1, -1):
-        acc = acc @ embed(shift(rn_el, k), 2 * n).matrix
+    rn = shifted_product(r.matrix, d, 2, n + 1, range(n))
+    acc = shifted_product(rn, d, n + 1, 2 * n, range(n - 1, -1, -1))
     return _derive(acc, d ** n, f"cable({r.label}, {n})")
 
 

@@ -19,6 +19,7 @@ best objective it reached.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +30,7 @@ import scipy.optimize
 from .braid import BraidWord, character
 from .errors import DomainError, ShapeError, VerificationError
 from .rmatrix import RMatrix, verify
-from .tensor import partial_trace_left
+from .tensor import partial_trace_left, trace_out_first, trace_out_last
 
 __all__ = [
     "Fingerprint",
@@ -85,16 +86,6 @@ def _objective_value(u: np.ndarray, d: int) -> float:
     return float(np.vdot(delta, delta).real)
 
 
-def _trace_out_last(m: np.ndarray, d: int) -> np.ndarray:
-    n = d * d
-    return np.einsum("sbtb->st", m.reshape(n, d, n, d))
-
-
-def _trace_out_first(m: np.ndarray, d: int) -> np.ndarray:
-    n = d * d
-    return np.einsum("asat->st", m.reshape(d, n, d, n))
-
-
 def ybe_euclidean_gradient(u: np.ndarray, d: int | None = None
                            ) -> np.ndarray:
     """Gradient G with d(objective) = 2 Re <G, dU> (Frobenius pairing).
@@ -110,7 +101,7 @@ def ybe_euclidean_gradient(u: np.ndarray, d: int | None = None
     delta_h = (a @ b @ a - b @ a @ b).conj().T
     m_a = b @ a @ delta_h + delta_h @ a @ b - b @ delta_h @ b
     m_b = a @ delta_h @ a - a @ b @ delta_h - delta_h @ b @ a
-    return (_trace_out_last(m_a, d) + _trace_out_first(m_b, d)).conj().T
+    return (trace_out_last(m_a, d) + trace_out_first(m_b, d)).conj().T
 
 
 def ybe_objective(u: np.ndarray, d: int | None = None):
@@ -250,6 +241,22 @@ def search_unitary_solution(d: int, seed: int = 0,
     return SearchRun(value <= target, value, steps, grad_norm, u)
 
 
+def ordered_map(fn, args: list, jobs: int = 1):
+    """``fn(*a)`` for each tuple ``a`` in ``args``, in order.
+
+    With ``jobs`` <= 1 (or at most one task) this is a lazy serial
+    ``starmap``, so a consumer that stops early skips the rest.
+    Otherwise the tasks run in a process pool of at most ``jobs``
+    workers and the results come back as a list in task order.
+    """
+    if jobs <= 1 or len(args) <= 1:
+        return itertools.starmap(fn, args)
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=min(jobs, len(args))
+    ) as pool:
+        return list(pool.map(fn, *zip(*args)))
+
+
 def find_solution(d: int, restarts: int = 16, seed: int = 0,
                   max_iterations: int = 2000,
                   target_residual: float = 1e-8,
@@ -270,8 +277,10 @@ def find_solution(d: int, restarts: int = 16, seed: int = 0,
     objectives = []
     used = 0
     solution = None
-    for k, run in _restart_runs(d, restarts, seed, max_iterations,
-                                target_residual, jobs):
+    args = [(d, seed + k, max_iterations, target_residual)
+            for k in range(restarts)]
+    runs = ordered_map(search_unitary_solution, args, jobs)
+    for k, run in enumerate(runs):
         used = k + 1
         objectives.append(run.objective)
         if best is None or run.objective < best.objective:
@@ -289,35 +298,6 @@ def find_solution(d: int, restarts: int = 16, seed: int = 0,
     return SearchResult(
         solution is not None, solution, best, used, tuple(objectives)
     )
-
-
-def _restart_args(d, restarts, seed, max_iterations, target_residual):
-    return [
-        (d, seed + k, max_iterations, target_residual)
-        for k in range(restarts)
-    ]
-
-
-def _run_restart(packed) -> SearchRun:
-    d, seed, max_iterations, target_residual = packed
-    return search_unitary_solution(
-        d, seed=seed, max_iterations=max_iterations,
-        target_residual=target_residual,
-    )
-
-
-def _restart_runs(d, restarts, seed, max_iterations, target_residual,
-                  jobs):
-    args = _restart_args(d, restarts, seed, max_iterations,
-                         target_residual)
-    if jobs <= 1 or restarts <= 1:
-        for k, packed in enumerate(args):
-            yield k, _run_restart(packed)
-        return
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(jobs, restarts)
-    ) as pool:
-        yield from enumerate(pool.map(_run_restart, args))
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,11 @@ def solution_to_dict(r: RMatrix) -> dict:
 def solution_from_dict(data: dict, tol: float = DEFAULT_TOL) -> RMatrix:
     if not isinstance(data, dict) or "d" not in data or "entries" not in data:
         raise ParseError("not a solution document (need 'd' and 'entries')")
+    d = data["d"]
+    # bool is an int subclass, but JSON true is not a dimension.
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise ParseError(f"'d' must be an integer >= 1, got {d!r}")
     try:
-        d = int(data["d"])
         pairs = data["entries"]
         flat = np.array(
             [complex(float(re), float(im)) for re, im in pairs],

@@ -10,8 +10,11 @@ d^n x d^n arrays.  Conventions, used consistently everywhere:
 * ``shift(x, k)`` prepends k identity slots on the left (the canonical
   endomorphism direction), ``embed(x, n)`` appends identity slots on
   the right (the trace-compatible inclusion).
-* All traces are normalized: trace / dimension.  Unnormalized traces
-  never cross a module boundary.
+* All traces on :class:`AlgebraElement` are normalized: trace /
+  dimension.  The raw-array kernels below them (``pad_left``,
+  ``pad_right``, ``shifted_product``, ``trace_out_first``,
+  ``trace_out_last``) take plain ndarrays plus d and are unnormalized;
+  inner loops use them so that no per-step element is built.
 
 Levels are tracked explicitly through :class:`AlgebraElement` so that
 mixing incompatible levels is an error rather than a silent reshape.
@@ -103,6 +106,29 @@ def kron(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+def pad_right(m: np.ndarray, d: int, k: int) -> np.ndarray:
+    """Raw ``embed``: tensor k identity slots of dimension d on the right."""
+    return m if k == 0 else kron(m, np.eye(d ** k, dtype=complex))
+
+
+def pad_left(m: np.ndarray, d: int, k: int) -> np.ndarray:
+    """Raw ``shift``: tensor k identity slots of dimension d on the left."""
+    return m if k == 0 else kron(np.eye(d ** k, dtype=complex), m)
+
+
+def shifted_product(m: np.ndarray, d: int, m_level: int, level: int,
+                    ks) -> np.ndarray:
+    """Product of shift(m, k) embedded at ``level``, over k in ``ks``.
+
+    ``m`` is a raw matrix at level ``m_level``; the factors multiply in
+    the order of ``ks``, starting from the identity.
+    """
+    acc = np.eye(d ** level, dtype=complex)
+    for k in ks:
+        acc = acc @ pad_right(pad_left(m, d, k), d, level - m_level - k)
+    return acc
+
+
 def embed(x: AlgebraElement, target_level: int) -> AlgebraElement:
     """Include x into level ``target_level`` by tensoring identity on the right.
 
@@ -115,8 +141,9 @@ def embed(x: AlgebraElement, target_level: int) -> AlgebraElement:
         )
     if target_level == x.level:
         return x
-    pad = np.eye(x.d ** (target_level - x.level), dtype=complex)
-    return AlgebraElement(x.d, target_level, kron(x.matrix, pad))
+    return AlgebraElement(
+        x.d, target_level, pad_right(x.matrix, x.d, target_level - x.level)
+    )
 
 
 def shift(x: AlgebraElement, k: int = 1) -> AlgebraElement:
@@ -125,8 +152,7 @@ def shift(x: AlgebraElement, k: int = 1) -> AlgebraElement:
         raise LevelError(f"shift steps must be >= 0, got {k}")
     if k == 0:
         return x
-    pad = np.eye(x.d ** k, dtype=complex)
-    return AlgebraElement(x.d, x.level + k, kron(pad, x.matrix))
+    return AlgebraElement(x.d, x.level + k, pad_left(x.matrix, x.d, k))
 
 
 def normalized_trace(x: AlgebraElement) -> complex:
@@ -134,24 +160,32 @@ def normalized_trace(x: AlgebraElement) -> complex:
     return complex(np.trace(x.matrix)) / x.dim
 
 
+def trace_out_first(m: np.ndarray, d: int) -> np.ndarray:
+    """Unnormalized partial trace of a raw matrix over its first slot."""
+    s = m.shape[0] // d
+    return np.einsum("asat->st", m.reshape(d, s, d, s))
+
+
+def trace_out_last(m: np.ndarray, d: int) -> np.ndarray:
+    """Unnormalized partial trace of a raw matrix over its last slot."""
+    s = m.shape[0] // d
+    return np.einsum("sbtb->st", m.reshape(s, d, s, d))
+
+
 def partial_trace_left(x: AlgebraElement) -> AlgebraElement:
     """Normalized partial trace over slot 1, landing one level down."""
     if x.level < 1:
         raise LevelError("partial trace needs at least one slot")
-    d, s = x.d, x.d ** (x.level - 1)
-    m = x.matrix.reshape(d, s, d, s)
-    out = np.einsum("asat->st", m) / d
-    return AlgebraElement(d, x.level - 1, out)
+    return AlgebraElement(x.d, x.level - 1,
+                          trace_out_first(x.matrix, x.d) / x.d)
 
 
 def partial_trace_right(x: AlgebraElement) -> AlgebraElement:
     """Normalized partial trace over the last slot."""
     if x.level < 1:
         raise LevelError("partial trace needs at least one slot")
-    d, s = x.d, x.d ** (x.level - 1)
-    m = x.matrix.reshape(s, d, s, d)
-    out = np.einsum("sbtb->st", m) / d
-    return AlgebraElement(d, x.level - 1, out)
+    return AlgebraElement(x.d, x.level - 1,
+                          trace_out_last(x.matrix, x.d) / x.d)
 
 
 def expectation_to_level(x: AlgebraElement, n: int) -> AlgebraElement:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rmlab
 from rmlab import (
@@ -194,3 +196,26 @@ def test_quasifree_conjugation_preserves_characters():
     for ints in ([1], [1, 2], [1, 1], [2, 1, 2]):
         w = BraidWord.from_ints(ints, strands=3)
         assert character(r, w) == pytest.approx(character(s, w), abs=1e-11)
+
+
+SIGNED_LETTERS = st.sampled_from([1, -1, 2, -2, 3, -3])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(["r2", "r3", "r4", "box21", "simple3", "nfmix"]),
+    v=st.lists(SIGNED_LETTERS, max_size=3),
+    w=st.lists(SIGNED_LETTERS, min_size=1, max_size=4),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_characters_are_class_functions(name, v, w, seed):
+    r = rmlab.builtin(name)
+    word = BraidWord.from_ints(w, strands=4)
+    outer = BraidWord.from_ints(v, strands=4)
+    conj = outer.concat(word).concat(outer.inverse())
+    assert character(r, conj) == pytest.approx(character(r, word),
+                                               abs=1e-10)
+    u = rmlab.haar_unitary(r.d, np.random.default_rng(seed))
+    cmp = characters_equal(r, rmlab.quasifree_conjugate(r, u),
+                           max_strands=3, max_len=3)
+    assert cmp.equal, cmp.witness

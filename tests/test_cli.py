@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -251,3 +253,40 @@ def test_seed_env_default(capsys, monkeypatch, tmp_path):
     )
     assert code == 0
     assert json.loads(a.read_text())["seed"] == 11
+
+
+@pytest.mark.parametrize("d,entries", [
+    (-1, [[1, 0]]),
+    (2.5, rmlab.solution_to_dict(rmlab.make_flip(2))["entries"]),
+])
+def test_verify_bad_dimension_is_exit_2(capsys, tmp_path, d, entries):
+    path = tmp_path / "bad-d.json"
+    path.write_text(json.dumps({"d": d, "entries": entries}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "Traceback" not in err
+
+
+def test_bad_seed_env_is_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("RMLAB_SEED", "abc")
+    code, out, err = run(capsys, "verify", "--builtin", "flip", "--d", "2")
+    assert code == 2
+    assert out == ""
+    assert "RMLAB_SEED" in err and "Traceback" not in err
+
+
+def test_bad_input_from_the_shell_prints_no_traceback(tmp_path):
+    path = tmp_path / "neg-d.json"
+    path.write_text(json.dumps({"d": -1, "entries": [[1, 0]]}))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, seed in (([str(path)], "0"), (["--builtin", "flip"], "abc")):
+        env["RMLAB_SEED"] = seed
+        proc = subprocess.run(
+            [sys.executable, "-m", "rmlab.cli", "verify", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("input error: ")

@@ -98,3 +98,23 @@ def test_loose_tolerance_can_accept_perturbation(tmp_path):
         load_solution(str(path), tol=1e-14)
     back = load_solution(str(path), tol=1e-10)
     assert back.d == 2
+
+
+def _flip2_doc(d):
+    doc = solution_to_dict(rmlab.make_flip(2))
+    doc["d"] = d
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    {"d": -1, "entries": [[1, 0]]},
+    {"d": 0, "entries": []},
+    {"d": True, "entries": [[1, 0]]},
+    _flip2_doc(2.5),
+    _flip2_doc(2.0),
+    _flip2_doc("2"),
+    _flip2_doc(None),
+])
+def test_dimension_must_be_a_json_integer_at_least_one(doc):
+    with pytest.raises(ParseError, match="'d' must be an integer >= 1"):
+        solution_from_dict(doc)
