@@ -35,6 +35,7 @@ from .commutant import (
     relative_commutant_N,
 )
 from .rmatrix import (
+    DENSE_ENTRY_CAP,
     NormalFormSpec,
     RMatrix,
     is_involutive,
@@ -43,13 +44,14 @@ from .rmatrix import (
     verify,
 )
 from .tensor import (
-    AlgebraElement,
     eig_normal,
     frobenius_norm,
     operator_norm_estimate,
     partial_trace_left,
     partial_trace_right,
     shift,
+    trace_out_first,
+    trace_out_last,
 )
 
 __all__ = [
@@ -540,11 +542,9 @@ def _diag_seed_vectors(r: RMatrix) -> list:
             seeds.append(np.asarray(vec, dtype=complex) / n)
 
     m = operator_matrix(
-        lambda x: partial_trace_left(
-            AlgebraElement(
-                d, 2, r.matrix @ np.kron(x, np.eye(d)) @ r.matrix.conj().T
-            )
-        ).matrix,
+        lambda x: trace_out_first(
+            r.matrix @ np.kron(x, np.eye(d)) @ r.matrix.conj().T, d
+        ) / d,
         d, 1,
     )
     _, vecs = np.linalg.eig(m)
@@ -561,8 +561,8 @@ def _diag_seed_vectors(r: RMatrix) -> list:
     except RmlabError:
         pass
     for cl in eig_normal(r.matrix @ r.matrix):
-        for side in (partial_trace_left, partial_trace_right):
-            reduced = side(AlgebraElement(d, 2, cl.projection)).matrix
+        for side in (trace_out_first, trace_out_last):
+            reduced = side(cl.projection, d) / d
             ev, evec = np.linalg.eigh(reduced)
             push(evec[:, int(np.argmax(ev))])
     return seeds
@@ -676,8 +676,10 @@ def classify_dim2(r: RMatrix, tol: float = 1e-8, seed: int = 0
 
 
 def _feasible_fixed_cap(d: int, cap: int) -> int:
+    """Highest fixed-point level up to ``cap`` (at least 1) whose
+    operator, with d^(4n+2) entries, fits within ``DENSE_ENTRY_CAP``."""
     n = 1
-    while d ** (2 * (n + 1)) <= 4096 and n + 1 <= cap:
+    while n + 1 <= cap and d ** (4 * (n + 1) + 2) <= DENSE_ENTRY_CAP:
         n += 1
     return n
 

@@ -11,15 +11,17 @@ solution R, all as explicit Hilbert-Schmidt-orthonormal bases:
   grown over an escalating (strands, length) schedule.
 
 All subspace computations reduce to SVD null spaces with a relative
-cutoff of 1e-9 on singular values.  Block structure (the Wedderburn
-profile) is detected with a seeded randomized center construction and
-reported as a sorted tuple of full matrix block sizes; detection can
-fail on degenerate draws, in which case the profile is left unresolved
-rather than guessed.
+cutoff of 1e-9 on singular values, and each result keeps only the
+orthonormal columns of its null space.  Block structure (the Wedderburn
+profile) is detected on first read, with a seeded randomized center
+construction, and reported as a sorted tuple of full matrix block
+sizes; detection can fail on degenerate draws, in which case the
+profile is left unresolved rather than guessed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -38,7 +40,6 @@ from .tensor import (
     as_complex_matrix,
     eig_normal,
     embed,
-    expectation_to_level,
     frobenius_norm,
     kron,
     pad_left,
@@ -160,43 +161,55 @@ def apply_endo(r: RMatrix, x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(r.d, k + 1, out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubalgebraBasis:
     """Hilbert-Schmidt-orthonormal basis of a unital *-subalgebra of F^level.
 
+    ``columns`` holds the l2-orthonormal row-major vectorizations of
+    the basis, read-only; the elements (``basis``) and the block
+    profile are derived from it on first read and then cached.
     ``block_profile`` is the sorted tuple of matrix block sizes of the
     algebra (so the squares sum to the dimension), or None when the
-    randomized detection could not resolve it.  ``converged`` is False
-    only for truncation-based computations that hit their budget.
+    randomized detection, seeded with ``seed``, could not resolve it.
+    ``converged`` is False only for truncation-based computations that
+    hit their budget.
     """
 
     d: int
     level: int
-    basis: tuple
-    block_profile: tuple | None
+    columns: np.ndarray = field(repr=False)
+    seed: int = 0
     converged: bool = True
-    meta: dict = field(default_factory=dict, compare=False)
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.columns.setflags(write=False)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return self.columns.shape[1]
 
     def span_columns(self) -> np.ndarray:
         """l2-orthonormal vectorizations of the basis, as columns."""
-        dim = self.d ** self.level
-        scale = 1.0 / math.sqrt(dim)
-        return np.stack(
-            [b.matrix.reshape(-1) * scale for b in self.basis], axis=1
-        )
+        return self.columns
 
-    def residual(self, matrix) -> float:
-        """Relative distance from the span (0 for members)."""
-        v = as_complex_matrix(matrix).reshape(-1)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            return 0.0
-        q = self.span_columns()
-        return float(np.linalg.norm(v - q @ (q.conj().T @ v)) / norm)
+    def _matrices(self) -> list:
+        dim = self.d ** self.level
+        scale = math.sqrt(dim)
+        return [self.columns[:, i].reshape(dim, dim) * scale
+                for i in range(self.dimension)]
+
+    @functools.cached_property
+    def basis(self) -> tuple:
+        return tuple(AlgebraElement(self.d, self.level, m)
+                     for m in self._matrices())
+
+    @functools.cached_property
+    def block_profile(self) -> tuple | None:
+        try:
+            return wedderburn_decompose(self._matrices(), seed=self.seed)
+        except (DomainError, DegeneracyError):
+            return None
 
     def profile_text(self) -> str:
         return profile_string(self.block_profile)
@@ -216,21 +229,6 @@ def profile_string(profile) -> str:
     return " (+) ".join(parts) if parts else "0"
 
 
-def _basis_from_columns(d: int, level: int, cols: np.ndarray,
-                        seed: int = 0, converged: bool = True,
-                        meta: dict | None = None) -> SubalgebraBasis:
-    dim = d ** level
-    scale = math.sqrt(dim)
-    mats = [cols[:, i].reshape(dim, dim) * scale for i in range(cols.shape[1])]
-    elements = tuple(AlgebraElement(d, level, m) for m in mats)
-    try:
-        profile = wedderburn_decompose(mats, seed=seed)
-    except (DomainError, DegeneracyError):
-        profile = None
-    return SubalgebraBasis(d, level, elements, profile, converged,
-                           meta or {})
-
-
 def relative_commutant_M(r: RMatrix, n: int, seed: int = 0
                          ) -> SubalgebraBasis:
     """Level-n relative commutant M_{R,n}.
@@ -247,7 +245,7 @@ def relative_commutant_M(r: RMatrix, n: int, seed: int = 0
 
     t = operator_matrix(defect, d, n)
     cols = nullspace(t)
-    return _basis_from_columns(d, n, cols, seed=seed)
+    return SubalgebraBasis(d, n, cols, seed)
 
 
 def fixed_subalgebra(r: RMatrix, n: int, seed: int = 0) -> SubalgebraBasis:
@@ -262,7 +260,7 @@ def fixed_subalgebra(r: RMatrix, n: int, seed: int = 0) -> SubalgebraBasis:
 
     t = operator_matrix(defect, d, n)
     cols = nullspace(t)
-    return _basis_from_columns(d, n, cols, seed=seed)
+    return SubalgebraBasis(d, n, cols, seed)
 
 
 def relative_commutant_N(r: RMatrix, n: int, seed: int = 0
@@ -286,12 +284,7 @@ def relative_commutant_N(r: RMatrix, n: int, seed: int = 0
     # Isometry onto the right-padded copy: vec(x (x) 1) / sqrt(d).
     e_op = operator_matrix(lambda x: kron(x, eye_d), d, n) / math.sqrt(d)
     # Compression back down: vec-level matrix of the right partial trace.
-    comp = operator_matrix(
-        lambda z: expectation_to_level(
-            AlgebraElement(d, n + 1, z), n
-        ).matrix,
-        d, n + 1,
-    )
+    comp = operator_matrix(lambda z: trace_out_last(z, d) / d, d, n + 1)
 
     q = np.eye(dim * dim, dtype=complex)
     max_rounds = dim * dim + 1
@@ -307,7 +300,7 @@ def relative_commutant_N(r: RMatrix, n: int, seed: int = 0
         q = q @ keep
     else:
         raise InternalConsistencyError("stabilization did not terminate")
-    return _basis_from_columns(d, n, q, seed=seed)
+    return SubalgebraBasis(d, n, q, seed)
 
 
 def relative_commutant_L(r: RMatrix, n: int, max_strands: int = 4,
@@ -358,9 +351,6 @@ def relative_commutant_L(r: RMatrix, n: int, max_strands: int = 4,
             converged = True
             break
 
-    m, length = chosen
-    rows = [identity_vec]
-    rows += [v for mg, ln, v in records if mg <= m - 1 and ln <= length]
     basis_cols = _row_space_basis(np.stack(rows))
 
     # Close the truncated span under multiplication; products of
@@ -377,8 +367,8 @@ def relative_commutant_L(r: RMatrix, n: int, max_strands: int = 4,
             break
         basis_cols = new_cols
 
-    return _basis_from_columns(
-        d, n, basis_cols, seed=seed, converged=converged,
+    return SubalgebraBasis(
+        d, n, basis_cols, seed, converged,
         meta={"schedule": tuple(schedule), "dims": tuple(dims),
               "chosen": chosen},
     )
@@ -391,8 +381,7 @@ def braid_image_commutant(r: RMatrix, n: int, seed: int = 0
     if n < 2:
         # B_1 is trivial; everything commutes.
         dim = d ** n
-        cols = np.eye(dim * dim, dtype=complex) / math.sqrt(dim)
-        return _basis_from_columns(d, n, cols, seed=seed)
+        return SubalgebraBasis(d, n, np.eye(dim * dim, dtype=complex), seed)
     images = [pad_right(pad_left(r.matrix, d, k), d, n - k - 2)
               for k in range(n - 1)]
 
@@ -401,7 +390,7 @@ def braid_image_commutant(r: RMatrix, n: int, seed: int = 0
 
     t = operator_matrix(defect, d, n)
     cols = nullspace(t)
-    return _basis_from_columns(d, n, cols, seed=seed)
+    return SubalgebraBasis(d, n, cols, seed)
 
 
 def hermitian_probe(mats, rng) -> np.ndarray:
@@ -475,9 +464,7 @@ def wedderburn_decompose(span, tol: float = 1e-9, seed: int = 0,
     rows = []
     for b in basis:
         block = np.stack(
-            [(cols[:, i].reshape(dim, dim) @ b
-              - b @ cols[:, i].reshape(dim, dim)).reshape(-1)
-             for i in range(k)], axis=1,
+            [(c @ b - b @ c).reshape(-1) for c in basis], axis=1,
         )
         rows.append(block)
     center_coords = nullspace(np.vstack(rows))

@@ -65,10 +65,9 @@ DEFAULT_TOL = 1e-10
 #: Residual agreement required between the two verification routes.
 ROUTE_AGREEMENT_TOL = 1e-12
 
-#: Cabling guard: refuse to build matrices with local dimension d^n
-#: above this (the level-2n dense intermediate is (d^n)^2-dimensional,
-#: about 268 MB of complex entries at the cap).
-CABLING_DIM_CAP = 64
+#: Dense-size guard: the most complex entries one dense matrix built
+#: from a solution may hold (2^24 entries, about 268 MB).
+DENSE_ENTRY_CAP = 2 ** 24
 
 
 @functools.lru_cache(maxsize=None)
@@ -410,14 +409,16 @@ def cabling_power(r: RMatrix, n: int) -> RMatrix:
     one is the identity on row-major indices, so the level-2n matrix is
     reinterpreted directly at local dimension d^n and re-verified.
 
-    Raises a resource error when d^n exceeds the documented cap.
+    Raises a resource error when the level-2n matrix, with d^(4n)
+    entries, exceeds ``DENSE_ENTRY_CAP``.
     """
     if n < 1:
         raise DomainError(f"cabling power must be >= 1, got {n}")
     d = r.d
-    if d ** n > CABLING_DIM_CAP:
+    if d ** (4 * n) > DENSE_ENTRY_CAP:
         raise ResourceError(
-            f"cabling power d^n = {d ** n} exceeds the cap {CABLING_DIM_CAP}"
+            f"cabling power needs d^(4n) = {d ** (4 * n)} entries, "
+            f"above the cap {DENSE_ENTRY_CAP}"
         )
     if n == 1:
         return _derive(r.matrix, d, f"cable({r.label}, 1)")

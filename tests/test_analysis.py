@@ -276,3 +276,14 @@ def test_analyze_d3_smoke():
     assert report.ergodic.ergodic
     assert not report.irreducible
     assert report.exact_index[0] == 9.0
+
+
+@pytest.mark.parametrize("d,levels", [(2, 4), (3, 3), (4, 2), (6, 1)])
+def test_fixed_levels_fit_the_dense_cap(d, levels):
+    # The level-n fixed-point operator has d^(4n+2) entries.
+    from rmlab.analysis import _feasible_fixed_cap
+    from rmlab.rmatrix import DENSE_ENTRY_CAP
+
+    assert _feasible_fixed_cap(d, 4) == levels
+    assert d ** (4 * levels + 2) <= DENSE_ENTRY_CAP
+    assert _feasible_fixed_cap(2, 6) == 5

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rmlab
+import rmlab.commutant
 from rmlab import (
     AlgebraElement,
     apply_endo,
     braid_image_commutant,
+    classify_dim2,
     fixed_subalgebra,
     nullspace,
     profile_string,
@@ -213,3 +217,75 @@ def test_level_validation():
         relative_commutant_M(rmlab.builtin("r2"), 0)
     with pytest.raises(DomainError):
         fixed_subalgebra(rmlab.builtin("r2"), -1)
+
+
+def test_dimension_and_basis_never_run_block_detection(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("block detection ran")
+
+    monkeypatch.setattr(rmlab.commutant, "wedderburn_decompose", refuse)
+    f = fixed_subalgebra(rmlab.builtin("trivial2"), 2)
+    assert f.dimension == 16
+    assert len(f.basis) == 16
+    assert classify_dim2(rmlab.builtin("r4")).family == 4
+
+
+@pytest.mark.parametrize("name", ["r2", "r4", "box21"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize(
+    "build", [relative_commutant_M, relative_commutant_N, fixed_subalgebra]
+)
+def test_block_profile_is_detected_once_on_first_read(monkeypatch, name,
+                                                      n, build):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return wedderburn_decompose(*args, **kwargs)
+
+    monkeypatch.setattr(rmlab.commutant, "wedderburn_decompose", counted)
+    b = build(rmlab.builtin(name), n, seed=7)
+    assert calls == []
+    profile = b.block_profile
+    assert b.block_profile == profile
+    assert calls == [{"seed": 7}]
+    assert profile == wedderburn_decompose(b.basis, seed=7)
+
+
+@pytest.mark.parametrize("b", [
+    relative_commutant_M(rmlab.builtin("r2"), 2),
+    relative_commutant_N(rmlab.builtin("uf"), 1),
+    relative_commutant_L(rmlab.builtin("box21"), 1),
+    braid_image_commutant(rmlab.builtin("r2"), 1),
+], ids=["M", "N", "L", "braid"])
+def test_span_columns_are_read_only_and_orthonormal(b):
+    cols = b.span_columns()
+    assert cols.shape == (b.d ** (2 * b.level), b.dimension)
+    assert not cols.flags.writeable
+    with pytest.raises(ValueError):
+        cols[0, 0] = 1.0
+    assert np.allclose(cols.conj().T @ cols, np.eye(b.dimension),
+                       atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(["r2", "r3", "r4", "box21", "simple3", "nfmix"]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_level_one_profiles_survive_quasifree_conjugation(name, seed):
+    r = rmlab.builtin(name)
+    u = rmlab.haar_unitary(r.d, np.random.default_rng(seed))
+    s = rmlab.quasifree_conjugate(r, u)
+    dims = []
+    for build in (
+        lambda x: relative_commutant_L(x, 1, max_strands=3, max_len=4),
+        lambda x: relative_commutant_M(x, 1),
+        lambda x: relative_commutant_N(x, 1),
+    ):
+        before, after = build(r), build(s)
+        assert before.block_profile is not None
+        assert before.block_profile == after.block_profile
+        assert before.dimension == after.dimension
+        dims.append(before.dimension)
+    assert dims == sorted(dims)
