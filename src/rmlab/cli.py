@@ -14,6 +14,7 @@ the RMLAB_SEED environment variable, else 0).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -61,15 +62,15 @@ EXIT_VERDICT = 1
 EXIT_INPUT = 2
 
 
-def _default_seed() -> int:
-    """The integer in RMLAB_SEED; 0 when it is unset or empty."""
-    text = os.environ.get("RMLAB_SEED") or "0"
+def _int_at_least(low: int, name: str, text: str) -> int:
+    """``text`` as an integer >= ``low``; anything else is an input error."""
     try:
-        return int(text)
-    except ValueError as exc:
-        raise ParseError(
-            f"RMLAB_SEED must be an integer, got {text!r}"
-        ) from exc
+        value = int(text)
+    except ValueError:
+        value = low - 1
+    if value < low:
+        raise ParseError(f"{name} must be an integer >= {low}, got {text!r}")
+    return value
 
 
 def parse_phase(text: str) -> complex:
@@ -116,7 +117,7 @@ def parse_word(text: str) -> BraidWord:
 
 def _build_builtin(args) -> RMatrix:
     name = args.builtin
-    d = args.d or 2
+    d = 2 if args.d is None else args.d
     if name == "trivial":
         q = parse_phase(args.q) if args.q else 1.0 + 0.0j
         return make_trivial(d, q)
@@ -404,7 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "structure reports, classification, and search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed_default = _default_seed()
+    # An empty or unset RMLAB_SEED means 0.
+    seed_default = _int_at_least(0, "RMLAB_SEED",
+                                 os.environ.get("RMLAB_SEED") or "0")
+    seed = functools.partial(_int_at_least, 0, "--seed")
 
     p = sub.add_parser("verify", help="check a solution and print residuals")
     _add_input_options(p)
@@ -414,14 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p)
     p.add_argument("--n-cap", type=int, default=2, dest="n_cap")
     p.add_argument("--fixed-cap", type=int, default=4, dest="fixed_cap")
-    p.add_argument("--seed", type=int, default=seed_default)
+    p.add_argument("--seed", type=seed, default=seed_default)
     p.add_argument("--format", choices=("md", "json"), default="md")
     p.add_argument("-o", "--out", help="write to file instead of stdout")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("classify2", help="d = 2 family classification")
     _add_input_options(p)
-    p.add_argument("--seed", type=int, default=seed_default)
+    p.add_argument("--seed", type=seed, default=seed_default)
     p.set_defaults(func=cmd_classify2)
 
     p = sub.add_parser("character", help="character of a braid word")
@@ -440,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="optimize for new solutions")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--seed", type=int, default=seed_default)
+    p.add_argument("--seed", type=seed, default=seed_default)
     p.add_argument("--max-iterations", type=int, default=2000,
                    dest="max_iterations")
     p.add_argument("--target", type=float, default=1e-8,
@@ -451,10 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("table9", help="reproduce the d = 2 family table")
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", default=20,
+                   type=functools.partial(_int_at_least, 1, "--samples"))
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel row workers")
-    p.add_argument("--seed", type=int, default=seed_default)
+    p.add_argument("--seed", type=seed, default=seed_default)
     p.add_argument("-o", "--out", help="write to file instead of stdout")
     p.set_defaults(func=cmd_table9)
 

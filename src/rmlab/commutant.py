@@ -7,16 +7,17 @@ solution R, all as explicit Hilbert-Schmidt-orthonormal bases:
   word phi^{n-1}(R) ... R.
 * N: the largest subalgebra carried into its own right-padded copy by
   conjugation with that word composed with the shift.
-* L: the trace-compatible expectations of represented braid words,
-  grown over an escalating (strands, length) schedule.
+* L: the algebra generated by E_n(A_m), the trace-preserving
+  expectation onto F^n of the algebra A_m generated by the m-strand
+  braid generator images; :func:`generated_algebra` closes both.
 
-All subspace computations reduce to SVD null spaces with a relative
-cutoff of 1e-9 on singular values, and each result keeps only the
-orthonormal columns of its null space.  Block structure (the Wedderburn
-profile) is detected on first read, with a seeded randomized center
-construction, and reported as a sorted tuple of full matrix block
-sizes; detection can fail on degenerate draws, in which case the
-profile is left unresolved rather than guessed.
+Subspaces are SVD null or row spaces with a relative cutoff of 1e-9 on
+singular values, kept as orthonormal columns, and dense operators are
+checked against ``DENSE_ENTRY_CAP`` before they are built.  Block
+structure (the Wedderburn profile) is detected on first read, with a
+seeded randomized center construction, and reported as a sorted tuple
+of full matrix block sizes; detection can fail on degenerate draws, in
+which case the profile is left unresolved rather than guessed.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from .errors import (
     InternalConsistencyError,
     ShapeError,
 )
-from .braid import word_walk
-from .rmatrix import RMatrix
+from .rmatrix import RMatrix, require_dense
 from .tensor import (
     AlgebraElement,
     as_complex_matrix,
@@ -54,6 +54,7 @@ __all__ = [
     "relative_commutant_M",
     "relative_commutant_N",
     "relative_commutant_L",
+    "generated_algebra",
     "fixed_subalgebra",
     "braid_image_commutant",
     "wedderburn_decompose",
@@ -237,6 +238,7 @@ def relative_commutant_M(r: RMatrix, n: int, seed: int = 0
     level n + 1: u* (x (x) 1) u = 1 (x) x.
     """
     d = r.d
+    require_dense(d ** (4 * n + 2), f"the level-{n} M operator")
     u = word_ordered(r, n)
     eye_d = np.eye(d, dtype=complex)
 
@@ -251,6 +253,7 @@ def relative_commutant_M(r: RMatrix, n: int, seed: int = 0
 def fixed_subalgebra(r: RMatrix, n: int, seed: int = 0) -> SubalgebraBasis:
     """Fixed points of the canonical endomorphism inside F^n."""
     d = r.d
+    require_dense(d ** (4 * n + 2), f"the level-{n} fixed-point operator")
     u = word_product(r, n)
     eye_d = np.eye(d, dtype=complex)
 
@@ -273,9 +276,9 @@ def relative_commutant_N(r: RMatrix, n: int, seed: int = 0
     automatically a unital *-subalgebra.
     """
     d = r.d
+    require_dense(d ** (4 * n + 2), f"the level-{n} N operator")
     u = word_ordered(r, n)
     dim = d ** n
-    big = d ** (n + 1)
     eye_d = np.eye(d, dtype=complex)
 
     t_op = operator_matrix(
@@ -303,75 +306,59 @@ def relative_commutant_N(r: RMatrix, n: int, seed: int = 0
     return SubalgebraBasis(d, n, q, seed)
 
 
-def relative_commutant_L(r: RMatrix, n: int, max_strands: int = 4,
-                         max_len: int = 6, seed: int = 0
-                         ) -> SubalgebraBasis:
-    """Span of level-n expectations of represented braid words.
+def generated_algebra(mats) -> np.ndarray:
+    """l2-orthonormal columns spanning the unital algebra generated by
+    ``mats``, a stack of D x D matrices; columns are row-major vectors.
 
-    Words are enumerated over an escalating schedule starting at
-    (n + 1 strands, length 4), growing both budgets in lockstep (the
-    length keeps growing alone once the strand cap binds).  The span is
-    accepted when its dimension is unchanged for two consecutive
-    schedule steps; otherwise it is returned with ``converged=False``.
-    The result is closed under multiplication before block detection.
+    Closes span{1} under right multiplication: each round multiplies the
+    frontier by every matrix in one batched matmul, projects the basis
+    out twice, and keeps the residual's row space as the next frontier.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    dim = mats.shape[-1]
+    basis = frontier = np.eye(dim).reshape(-1, 1) / math.sqrt(dim)
+    while frontier.shape[1]:
+        width = basis.shape[1] + frontier.shape[1] * len(mats)
+        require_dense(dim * dim * width, "the generated algebra")
+        rows = frontier.T.reshape(-1, 1, dim, dim) @ mats
+        rows = rows.reshape(-1, dim * dim)
+        for _ in range(2):
+            rows = rows - (rows @ basis.conj()) @ basis.T
+        frontier = _row_space_basis(rows)
+        basis = np.hstack([basis, frontier])
+    return basis
+
+
+def _generator_images(r: RMatrix, m: int) -> list:
+    """The m-strand braid generator images at level m."""
+    return [pad_right(pad_left(r.matrix, r.d, k), r.d, m - k - 2)
+            for k in range(m - 1)]
+
+
+def relative_commutant_L(r: RMatrix, n: int, max_strands: int = 4,
+                         seed: int = 0) -> SubalgebraBasis:
+    """The algebra generated by E_n(A_m) at the largest strand count m.
+
+    m runs from max(n, 2) to max(max_strands, n); ``meta["dims"]`` holds
+    dim E_n(A_m) for each m, and the result is ``converged`` when the
+    last two agree (a single strand count never is).
     """
     d = r.d
-    if max_strands < 2:
-        raise DomainError("need max_strands >= 2")
-    start_strands = min(n + 1, max_strands)
-    schedule = [(start_strands, 4)]
-    while schedule[-1] != (max_strands, max_len):
-        m, length = schedule[-1]
-        nxt = (min(m + 1, max_strands), min(length + 1, max_len))
-        if nxt == schedule[-1]:
-            break
-        schedule.append(nxt)
-
-    dim = d ** n
-    records = []  # (max_generator, length, expectation vector)
-    for word, prod in word_walk(r, max_strands, max_len):
-        maxgen = max(gen for gen, _ in word)
-        # The product sits at level maxgen + 1: E_n below it, padding
-        # above it.
-        prod = pad_right(prod, d, max(n - maxgen - 1, 0))
-        for _ in range(maxgen + 1 - n):
-            prod = trace_out_last(prod, d) / d
-        records.append((maxgen, len(word), prod.reshape(-1)))
-    identity_vec = np.eye(dim, dtype=complex).reshape(-1)
-
+    if n < 1 or max_strands < 2:
+        raise DomainError("need n >= 1 and max_strands >= 2")
     dims = []
-    chosen = schedule[-1]
-    converged = False
-    for step_idx, (m, length) in enumerate(schedule):
-        rows = [identity_vec]
-        rows += [v for mg, ln, v in records if mg <= m - 1 and ln <= length]
-        dims.append(_rank(np.stack(rows)))
-        if step_idx >= 2 and dims[-1] == dims[-2] == dims[-3]:
-            chosen = (m, length)
-            converged = True
-            break
-
-    basis_cols = _row_space_basis(np.stack(rows))
-
-    # Close the truncated span under multiplication; products of
-    # expectations stay inside the true algebra, so this only improves
-    # the truncation.
-    scale = math.sqrt(dim)
-    for _ in range(dim * dim):
-        mats = [basis_cols[:, i].reshape(dim, dim) * scale
-                for i in range(basis_cols.shape[1])]
-        extra = [(a @ b).reshape(-1) for a in mats for b in mats]
-        stacked = np.vstack([basis_cols.T, np.stack(extra)])
-        new_cols = _row_space_basis(stacked)
-        if new_cols.shape[1] == basis_cols.shape[1]:
-            break
-        basis_cols = new_cols
-
-    return SubalgebraBasis(
-        d, n, basis_cols, seed, converged,
-        meta={"schedule": tuple(schedule), "dims": tuple(dims),
-              "chosen": chosen},
-    )
+    for m in range(max(n, 2), max(max_strands, n) + 1):
+        # E_n traces out the last m - n slots with the normalized trace.
+        rest, size = d ** (m - n), d ** m
+        expect = _row_space_basis(np.stack([
+            trace_out_last(col.reshape(size, size), rest).reshape(-1) / rest
+            for col in generated_algebra(_generator_images(r, m)).T
+        ]))
+        dims.append(expect.shape[1])
+    gens = expect.T.reshape(-1, d ** n, d ** n) * math.sqrt(d ** n)
+    return SubalgebraBasis(d, n, generated_algebra(gens), seed,
+                           converged=len(dims) > 1 and dims[-1] == dims[-2],
+                           meta={"dims": tuple(dims)})
 
 
 def braid_image_commutant(r: RMatrix, n: int, seed: int = 0
@@ -382,8 +369,8 @@ def braid_image_commutant(r: RMatrix, n: int, seed: int = 0
         # B_1 is trivial; everything commutes.
         dim = d ** n
         return SubalgebraBasis(d, n, np.eye(dim * dim, dtype=complex), seed)
-    images = [pad_right(pad_left(r.matrix, d, k), d, n - k - 2)
-              for k in range(n - 1)]
+    require_dense((n - 1) * d ** (4 * n), f"the level-{n} braid operator")
+    images = _generator_images(r, n)
 
     def defect(y):
         return np.vstack([y @ g - g @ y for g in images])

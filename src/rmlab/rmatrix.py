@@ -54,6 +54,7 @@ __all__ = [
     "tensor_product",
     "box_sum",
     "cabling_power",
+    "require_dense",
     "is_involutive",
     "is_trivial",
     "flip_matrix",
@@ -68,6 +69,14 @@ ROUTE_AGREEMENT_TOL = 1e-12
 #: Dense-size guard: the most complex entries one dense matrix built
 #: from a solution may hold (2^24 entries, about 268 MB).
 DENSE_ENTRY_CAP = 2 ** 24
+
+
+def require_dense(entries: int, what: str) -> None:
+    """Refuse, before allocation, a dense array above ``DENSE_ENTRY_CAP``."""
+    if entries > DENSE_ENTRY_CAP:
+        raise ResourceError(
+            f"{what} needs {entries} entries, above the cap {DENSE_ENTRY_CAP}"
+        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -415,11 +424,7 @@ def cabling_power(r: RMatrix, n: int) -> RMatrix:
     if n < 1:
         raise DomainError(f"cabling power must be >= 1, got {n}")
     d = r.d
-    if d ** (4 * n) > DENSE_ENTRY_CAP:
-        raise ResourceError(
-            f"cabling power needs d^(4n) = {d ** (4 * n)} entries, "
-            f"above the cap {DENSE_ENTRY_CAP}"
-        )
+    require_dense(d ** (4 * n), "cabling power")
     if n == 1:
         return _derive(r.matrix, d, f"cable({r.label}, 1)")
     # R_n = R phi(R) ... phi^(n-1)(R) at level n + 1, then

@@ -290,3 +290,26 @@ def test_bad_input_from_the_shell_prints_no_traceback(tmp_path):
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("input error: ")
+
+
+@pytest.mark.parametrize("argv,seed", [
+    (["verify", "--builtin", "flip", "--d", "0"], ""),
+    (["verify", "--builtin", "trivial", "--d", "0"], ""),
+    (["search", "--seed", "-1", "--restarts", "1",
+      "--max-iterations", "1"], ""),
+    (["search", "--restarts", "1", "--max-iterations", "1"], "-1"),
+    (["table9", "--samples", "-2"], ""),
+    (["table9", "--samples", "0"], ""),
+], ids=["flip-d0", "trivial-d0", "seed-flag", "seed-env", "samples-neg",
+        "samples-zero"])
+def test_out_of_range_integers_from_the_shell_are_exit_2(argv, seed):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, RMLAB_SEED=seed)
+    proc = subprocess.run(
+        [sys.executable, "-m", "rmlab.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error: ")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import rmlab
 import rmlab.commutant
+import rmlab.rmatrix
 from rmlab import (
     AlgebraElement,
     apply_endo,
@@ -20,8 +21,13 @@ from rmlab import (
     relative_commutant_N,
     wedderburn_decompose,
 )
-from rmlab.commutant import operator_matrix
-from rmlab.errors import DomainError
+from rmlab.commutant import (
+    _generator_images,
+    generated_algebra,
+    operator_matrix,
+)
+from rmlab.errors import DomainError, ResourceError
+from rmlab.rmatrix import require_dense
 
 RNG = np.random.default_rng(31)
 
@@ -279,7 +285,7 @@ def test_level_one_profiles_survive_quasifree_conjugation(name, seed):
     s = rmlab.quasifree_conjugate(r, u)
     dims = []
     for build in (
-        lambda x: relative_commutant_L(x, 1, max_strands=3, max_len=4),
+        lambda x: relative_commutant_L(x, 1, max_strands=3),
         lambda x: relative_commutant_M(x, 1),
         lambda x: relative_commutant_N(x, 1),
     ):
@@ -289,3 +295,141 @@ def test_level_one_profiles_survive_quasifree_conjugation(name, seed):
         assert before.dimension == after.dimension
         dims.append(before.dimension)
     assert dims == sorted(dims)
+
+
+@pytest.mark.parametrize("name,m,dim", [
+    # Schur-Weyl: the flip generates the image of C[S_m], whose
+    # dimension sums f_lambda^2 over partitions with at most d rows.
+    ("flip2", 3, 5),
+    ("flip2", 4, 14),
+    ("flip3", 4, 23),
+    ("trivial2", 4, 1),
+])
+def test_generated_algebra_schur_weyl_dimensions(name, m, dim):
+    r = rmlab.builtin(name)
+    cols = generated_algebra(_generator_images(r, m))
+    assert cols.shape == (r.d ** (2 * m), dim)
+
+
+@pytest.mark.parametrize("name,m", [
+    ("r2", 3), ("r3", 3), ("box21", 3), ("nfmix", 4), ("simple3", 3),
+])
+def test_generated_algebra_is_the_closed_span_of_its_generators(name, m):
+    gens = _generator_images(rmlab.builtin(name), m)
+    cols = generated_algebra(gens)
+    size = gens[0].shape[0]
+    assert np.allclose(cols.conj().T @ cols, np.eye(cols.shape[1]),
+                       atol=1e-12)
+    proj = cols @ cols.conj().T
+
+    def inside(x):
+        v = x.reshape(-1) / np.linalg.norm(x)
+        return np.linalg.norm(proj @ v - v) <= 1e-9
+
+    assert inside(np.eye(size))
+    assert all(inside(g) for g in gens)
+    mats = [cols[:, i].reshape(size, size) for i in range(cols.shape[1])]
+    assert all(inside(a @ b) for a in mats for b in mats)
+
+
+def test_generated_algebra_of_random_matrices_is_everything():
+    mats = RNG.standard_normal((2, 3, 3)) + 1j * RNG.standard_normal((2, 3, 3))
+    assert generated_algebra(mats).shape == (9, 9)
+
+
+# (dimension, profile, converged, meta["dims"]) of L for every builtin
+# but diag3, whose 639-dimensional A_4 takes seconds to close.
+L_TABLE = {
+    ("box21", 1): (2, (1, 1), True, (2, 2, 2)),
+    ("box21", 2): (6, (1, 1, 2), False, (2, 5, 6)),
+    ("flip2", 1): (1, (1,), True, (1, 1, 1)),
+    ("flip2", 2): (2, (1, 1), True, (2, 2, 2)),
+    ("flip3", 1): (1, (1,), True, (1, 1, 1)),
+    ("flip3", 2): (2, (1, 1), True, (2, 2, 2)),
+    ("nfmix", 1): (2, (1, 1), True, (2, 2, 2)),
+    ("nfmix", 2): (6, (1, 1, 2), True, (2, 6, 6)),
+    ("r2", 1): (2, (1, 1), True, (2, 2, 2)),
+    ("r2", 2): (6, (1, 1, 2), True, (4, 6, 6)),
+    ("r2sym", 1): (2, (1, 1), True, (2, 2, 2)),
+    ("r2sym", 2): (6, (1, 1, 2), True, (4, 6, 6)),
+    ("r3", 1): (1, (1,), True, (1, 1, 1)),
+    ("r3", 2): (3, (1, 1, 1), True, (3, 3, 3)),
+    ("r3special", 1): (1, (1,), True, (1, 1, 1)),
+    ("r3special", 2): (2, (1, 1), True, (2, 2, 2)),
+    ("r4", 1): (1, (1,), True, (1, 1, 1)),
+    ("r4", 2): (2, (1, 1), True, (2, 2, 2)),
+    ("simple3", 1): (2, (1, 1), True, (2, 2, 2)),
+    ("simple3", 2): (6, (1, 1, 2), True, (3, 6, 6)),
+    ("trivial2", 1): (1, (1,), True, (1, 1, 1)),
+    ("trivial2", 2): (1, (1,), True, (1, 1, 1)),
+    ("uf", 1): (2, (1, 1), True, (2, 2, 2)),
+    ("uf", 2): (6, (1, 1, 2), True, (4, 6, 6)),
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(L_TABLE))
+def test_l_pinned_table(name, n):
+    l = relative_commutant_L(rmlab.builtin(name), n)
+    assert (l.dimension, l.block_profile, l.converged,
+            l.meta["dims"]) == L_TABLE[name, n]
+
+
+def test_l_with_one_strand_count_is_not_converged():
+    l = relative_commutant_L(rmlab.builtin("r2"), 3, max_strands=3)
+    assert l.meta["dims"] == (l.dimension,)
+    assert not l.converged
+
+
+def test_require_dense_reads_the_cap_at_call_time(monkeypatch):
+    require_dense(2 ** 24, "x")
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 10)
+    require_dense(10, "x")
+    with pytest.raises(ResourceError, match="the thing needs 11 entries"):
+        require_dense(11, "the thing")
+
+
+@pytest.mark.parametrize(
+    "build", [relative_commutant_M, relative_commutant_N, fixed_subalgebra]
+)
+def test_operators_refuse_before_building(monkeypatch, build):
+    def refuse(*args, **kwargs):
+        raise AssertionError("operator was built")
+
+    r = rmlab.builtin("r2")
+    # Each level-1 operator has d^(4n + 2) = 64 entries.
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 63)
+    monkeypatch.setattr(rmlab.commutant, "operator_matrix", refuse)
+    with pytest.raises(ResourceError):
+        build(r, 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 64)
+    assert build(r, 1).dimension >= 1
+
+
+def test_braid_image_commutant_refuses_before_building(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("operator was built")
+
+    r = rmlab.builtin("r2")
+    # (n - 1) * d^(4n) entries at n = 3.
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 2 * 2 ** 12 - 1)
+    monkeypatch.setattr(rmlab.commutant, "operator_matrix", refuse)
+    with pytest.raises(ResourceError):
+        braid_image_commutant(r, 3)
+    monkeypatch.undo()
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 2 * 2 ** 12)
+    assert braid_image_commutant(r, 3).dimension >= 1
+
+
+def test_generated_algebra_refuses_before_each_round(monkeypatch):
+    gens = _generator_images(rmlab.make_flip(2), 3)
+    # Round one: the unit and its two products, 3 columns of 64.
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 3 * 64 - 1)
+    with pytest.raises(ResourceError):
+        generated_algebra(gens)
+    # Round two needs 3 + 2 * 2 columns, which the cap refuses.
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 3 * 64)
+    with pytest.raises(ResourceError):
+        generated_algebra(gens)
+    with pytest.raises(ResourceError):
+        relative_commutant_L(rmlab.make_flip(2), 1, max_strands=3)
