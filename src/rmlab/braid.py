@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError
-from .rmatrix import RMatrix, flip_conjugate, make_flip
+from .rmatrix import RMatrix, flip_conjugate, make_flip, require_dense
 from .tensor import AlgebraElement, frobenius_norm, pad_left, pad_right
 
 __all__ = [
@@ -317,6 +317,12 @@ def characters_equal(r: RMatrix, s: RMatrix, max_strands: int = 4,
     """
     if max_strands < 2 or max_len < 1:
         raise DomainError("need max_strands >= 2 and max_len >= 1")
+    # k (k - 1)^(l - 1) words of each length l; with k >= 4 letters, 64
+    # lengths already exceed the cap, so the power stops there.
+    k = 2 * (max_strands - 1)
+    words = 2 * max_len if k == 2 else (
+        k * ((k - 1) ** min(max_len, 64) - 1) // (k - 2))
+    require_dense(words, "the freely reduced word walk")
     # The walk meets words of one length in shortlex order, so the
     # first deviating word of the least length is the witness.
     witness, deviation, checked = None, 0.0, 0

@@ -11,6 +11,12 @@ solution R, all as explicit Hilbert-Schmidt-orthonormal bases:
   expectation onto F^n of the algebra A_m generated by the m-strand
   braid generator images; :func:`generated_algebra` closes both.
 
+Fixed points, braid-image commutants and Wedderburn centers are all
+commutants, computed by one kernel, :func:`commutant_of`.  In
+particular x in F^n is fixed iff x (x) 1 commutes with the word
+u = R phi(R) ... phi^(n-1)(R); writing u = sum u_ij (x) e_ij over the
+last slot, the fixed points are the commutant {u_ij}'.
+
 Subspaces are SVD null or row spaces with a relative cutoff of 1e-9 on
 singular values, kept as orthonormal columns, and dense operators are
 checked against ``DENSE_ENTRY_CAP`` before they are built.  Block
@@ -41,7 +47,6 @@ from .tensor import (
     eig_normal,
     embed,
     frobenius_norm,
-    kron,
     pad_left,
     pad_right,
     shifted_product,
@@ -57,6 +62,7 @@ __all__ = [
     "generated_algebra",
     "fixed_subalgebra",
     "braid_image_commutant",
+    "commutant_of",
     "wedderburn_decompose",
     "profile_string",
     "nullspace",
@@ -92,13 +98,6 @@ def nullspace(a: np.ndarray, rtol: float = NULLSPACE_RTOL) -> np.ndarray:
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     rank = int(np.sum(s > _svd_cutoff(s, rtol)))
     return vh[rank:].conj().T
-
-
-def _rank(rows: np.ndarray, rtol: float = NULLSPACE_RTOL) -> int:
-    if rows.size == 0:
-        return 0
-    s = np.linalg.svd(rows, compute_uv=False)
-    return int(np.sum(s > _svd_cutoff(s, rtol)))
 
 
 def _row_space_basis(rows: np.ndarray, rtol: float = NULLSPACE_RTOL
@@ -240,30 +239,21 @@ def relative_commutant_M(r: RMatrix, n: int, seed: int = 0
     d = r.d
     require_dense(d ** (4 * n + 2), f"the level-{n} M operator")
     u = word_ordered(r, n)
-    eye_d = np.eye(d, dtype=complex)
-
-    def defect(x):
-        return u.conj().T @ kron(x, eye_d) @ u - kron(eye_d, x)
-
-    t = operator_matrix(defect, d, n)
-    cols = nullspace(t)
-    return SubalgebraBasis(d, n, cols, seed)
+    t = operator_matrix(
+        lambda x: u.conj().T @ pad_right(x, d, 1) @ u - pad_left(x, d, 1),
+        d, n)
+    return SubalgebraBasis(d, n, nullspace(t), seed)
 
 
 def fixed_subalgebra(r: RMatrix, n: int, seed: int = 0) -> SubalgebraBasis:
-    """Fixed points of the canonical endomorphism inside F^n."""
+    """Fixed points of the canonical endomorphism in F^n: the commutant
+    of the last-slot blocks u_ij of R phi(R) ... phi^(n-1)(R)."""
     d = r.d
     require_dense(d ** (4 * n + 2), f"the level-{n} fixed-point operator")
-    u = word_product(r, n)
-    eye_d = np.eye(d, dtype=complex)
-
-    def defect(x):
-        big = kron(x, eye_d)
-        return u @ big @ u.conj().T - big
-
-    t = operator_matrix(defect, d, n)
-    cols = nullspace(t)
-    return SubalgebraBasis(d, n, cols, seed)
+    dim = d ** n
+    u = word_product(r, n).reshape(dim, d, dim, d)
+    blocks = u.transpose(1, 3, 0, 2).reshape(d * d, dim, dim)
+    return SubalgebraBasis(d, n, commutant_of(blocks), seed)
 
 
 def relative_commutant_N(r: RMatrix, n: int, seed: int = 0
@@ -279,25 +269,18 @@ def relative_commutant_N(r: RMatrix, n: int, seed: int = 0
     require_dense(d ** (4 * n + 2), f"the level-{n} N operator")
     u = word_ordered(r, n)
     dim = d ** n
-    eye_d = np.eye(d, dtype=complex)
-
-    t_op = operator_matrix(
-        lambda x: u @ kron(eye_d, x) @ u.conj().T, d, n
-    )
-    # Isometry onto the right-padded copy: vec(x (x) 1) / sqrt(d).
-    e_op = operator_matrix(lambda x: kron(x, eye_d), d, n) / math.sqrt(d)
-    # Compression back down: vec-level matrix of the right partial trace.
-    comp = operator_matrix(lambda z: trace_out_last(z, d) / d, d, n + 1)
-
+    t_op = operator_matrix(lambda x: u @ pad_left(x, d, 1) @ u.conj().T, d, n)
     q = np.eye(dim * dim, dtype=complex)
-    max_rounds = dim * dim + 1
-    for _ in range(max_rounds):
+    for _ in range(dim * dim + 1):
         tq = t_op @ q
-        outside = tq - e_op @ (e_op.conj().T @ tq)
-        compressed = comp @ tq
+        # Each column z of tq compresses to E(z) = tr_last(z) / d; the
+        # part outside the padded copy is z - E(z) (x) 1.
+        images = tq.T.reshape(-1, dim * d, dim * d)
+        compressed = trace_out_last(images, d) / d
+        outside = tq - pad_right(compressed, d, 1).reshape(len(images), -1).T
+        compressed = compressed.reshape(len(images), -1).T
         drift = compressed - q @ (q.conj().T @ compressed)
-        constraints = np.vstack([outside, drift])
-        keep = nullspace(constraints)
+        keep = nullspace(np.vstack([outside, drift]))
         if keep.shape[1] == q.shape[1]:
             break
         q = q @ keep
@@ -329,10 +312,11 @@ def generated_algebra(mats) -> np.ndarray:
     return basis
 
 
-def _generator_images(r: RMatrix, m: int) -> list:
-    """The m-strand braid generator images at level m."""
-    return [pad_right(pad_left(r.matrix, r.d, k), r.d, m - k - 2)
-            for k in range(m - 1)]
+def _generator_images(r: RMatrix, m: int) -> np.ndarray:
+    """The m-strand braid generator images at level m, as a stack."""
+    size = r.d ** m
+    return np.array([pad_right(pad_left(r.matrix, r.d, k), r.d, m - k - 2)
+                     for k in range(m - 1)]).reshape(-1, size, size)
 
 
 def relative_commutant_L(r: RMatrix, n: int, max_strands: int = 4,
@@ -363,21 +347,32 @@ def relative_commutant_L(r: RMatrix, n: int, max_strands: int = 4,
 
 def braid_image_commutant(r: RMatrix, n: int, seed: int = 0
                           ) -> SubalgebraBasis:
-    """Commutant of the represented braid generators inside F^n."""
+    """Commutant of the braid generator images in F^n (all of it if n < 2)."""
     d = r.d
-    if n < 2:
-        # B_1 is trivial; everything commutes.
-        dim = d ** n
-        return SubalgebraBasis(d, n, np.eye(dim * dim, dtype=complex), seed)
     require_dense((n - 1) * d ** (4 * n), f"the level-{n} braid operator")
-    images = _generator_images(r, n)
+    return SubalgebraBasis(d, n, commutant_of(_generator_images(r, n)), seed)
 
-    def defect(y):
-        return np.vstack([y @ g - g @ y for g in images])
 
-    t = operator_matrix(defect, d, n)
-    cols = nullspace(t)
-    return SubalgebraBasis(d, n, cols, seed)
+def commutant_of(mats, span=None) -> np.ndarray:
+    """Orthonormal coordinates of {x in span : x m = m x for all m in mats}.
+
+    ``mats`` and ``span`` are stacks of D x D matrices.  The default span,
+    the matrix units, gives the row-major columns ``SubalgebraBasis``
+    stores.  One preallocated array holds the commutator rows of every m;
+    its null space is the result, so an empty ``mats`` gives everything.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    dim = mats.shape[-1]
+    width = dim * dim if span is None else len(span)
+    rows = np.empty((len(mats) * dim * dim, width), dtype=complex)
+    for k, m in enumerate(mats):
+        block = rows[k * dim * dim:(k + 1) * dim * dim]
+        if span is None:
+            # Row-major vec(x m - m x) = (1 (x) m^T - m (x) 1) vec(x).
+            np.subtract(pad_left(m.T, dim, 1), pad_right(m, dim, 1), out=block)
+        else:
+            block[:] = (span @ m - m @ span).reshape(width, -1).T
+    return nullspace(rows)
 
 
 def hermitian_probe(mats, rng) -> np.ndarray:
@@ -429,12 +424,7 @@ def wedderburn_decompose(span, tol: float = 1e-9, seed: int = 0,
 
     Returns the block sizes as a sorted tuple, e.g. (1, 1, 2).
     """
-    mats = []
-    for item in span:
-        if isinstance(item, AlgebraElement):
-            mats.append(np.asarray(item.matrix, dtype=complex))
-        else:
-            mats.append(as_complex_matrix(item))
+    mats = [as_complex_matrix(getattr(x, "matrix", x)) for x in span]
     if not mats:
         raise DomainError("empty span")
     dim = mats[0].shape[0]
@@ -446,15 +436,8 @@ def wedderburn_decompose(span, tol: float = 1e-9, seed: int = 0,
     basis = [cols[:, i].reshape(dim, dim) for i in range(k)]
     _check_algebra(basis, cols, tol=tol)
 
-    # Center: z with [z, b] = 0 for every basis element, solved in
-    # span coordinates.
-    rows = []
-    for b in basis:
-        block = np.stack(
-            [(c @ b - b @ c).reshape(-1) for c in basis], axis=1,
-        )
-        rows.append(block)
-    center_coords = nullspace(np.vstack(rows))
+    # Center: the commutant of the algebra inside its own span.
+    center_coords = commutant_of(basis, span=np.array(basis))
     m_dim = center_coords.shape[1]
     center = [(cols @ center_coords[:, i]).reshape(dim, dim)
               for i in range(m_dim)]
@@ -475,7 +458,7 @@ def wedderburn_decompose(span, tol: float = 1e-9, seed: int = 0,
         for cl in clusters:
             p = cl.projection
             compressed = np.stack([(p @ b @ p).reshape(-1) for b in basis])
-            rank = _rank(compressed)
+            rank = _row_space_basis(compressed).shape[1]
             size = math.sqrt(rank)
             if abs(size - round(size)) > 1e-6 or round(size) < 1:
                 last_error = f"non-square block dimension {rank}"

@@ -151,10 +151,13 @@ def verify(matrix, d: int | None = None, tol: float = DEFAULT_TOL,
 
     Raises
     ------
+    DomainError     unless 0 <= tol < inf (NaN would pass any residual).
     ShapeError      if the matrix is not d^2 x d^2 for some integer d.
     VerificationError  if either residual exceeds ``tol``; the error
         carries both residuals.
     """
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"need a tolerance 0 <= tol < inf, got {tol}")
     r = as_complex_matrix(matrix)
     n = r.shape[0]
     side = math.isqrt(n)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import concurrent.futures
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,6 +200,8 @@ def search_unitary_solution(d: int, seed: int = 0,
         raise DomainError(f"need d >= 2, got {d}")
     if max_iterations < 1:
         raise DomainError(f"need max_iterations >= 1, got {max_iterations}")
+    if not 0.0 < target_residual < math.inf:
+        raise DomainError(f"target_residual {target_residual} not in (0, inf)")
     rng = np.random.default_rng(seed)
     if initial is None:
         u = haar_unitary(d * d, rng)
@@ -244,16 +247,15 @@ def search_unitary_solution(d: int, seed: int = 0,
 def ordered_map(fn, args: list, jobs: int = 1):
     """``fn(*a)`` for each tuple ``a`` in ``args``, in order.
 
-    With ``jobs`` <= 1 (or at most one task) this is a lazy serial
-    ``starmap``, so a consumer that stops early skips the rest.
-    Otherwise the tasks run in a process pool of at most ``jobs``
-    workers and the results come back as a list in task order.
+    The pool gets min(jobs, tasks, CPUs) workers.  With at most one,
+    this is a lazy serial ``starmap``, so a consumer that stops early
+    skips the rest; otherwise the results come back as a list in task
+    order.
     """
-    if jobs <= 1 or len(args) <= 1:
+    workers = min(jobs, len(args), os.cpu_count() or 1)
+    if workers <= 1:
         return itertools.starmap(fn, args)
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(jobs, len(args))
-    ) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*args)))
 
 

@@ -14,7 +14,8 @@ d^n x d^n arrays.  Conventions, used consistently everywhere:
   dimension.  The raw-array kernels below them (``pad_left``,
   ``pad_right``, ``shifted_product``, ``trace_out_first``,
   ``trace_out_last``) take plain ndarrays plus d and are unnormalized;
-  inner loops use them so that no per-step element is built.
+  inner loops use them so that no per-step element is built.  The pads
+  and partial traces treat leading axes as a batch of matrices.
 
 Levels are tracked explicitly through :class:`AlgebraElement` so that
 mixing incompatible levels is an error rather than a silent reshape.
@@ -162,14 +163,14 @@ def normalized_trace(x: AlgebraElement) -> complex:
 
 def trace_out_first(m: np.ndarray, d: int) -> np.ndarray:
     """Unnormalized partial trace of a raw matrix over its first slot."""
-    s = m.shape[0] // d
-    return np.einsum("asat->st", m.reshape(d, s, d, s))
+    s = m.shape[-1] // d
+    return np.einsum("...asat->...st", m.reshape(*m.shape[:-2], d, s, d, s))
 
 
 def trace_out_last(m: np.ndarray, d: int) -> np.ndarray:
     """Unnormalized partial trace of a raw matrix over its last slot."""
-    s = m.shape[0] // d
-    return np.einsum("sbtb->st", m.reshape(s, d, s, d))
+    s = m.shape[-1] // d
+    return np.einsum("...sbtb->...st", m.reshape(*m.shape[:-2], s, d, s, d))
 
 
 def partial_trace_left(x: AlgebraElement) -> AlgebraElement:

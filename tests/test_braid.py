@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rmlab
+import rmlab.braid
+import rmlab.rmatrix
 from rmlab import (
     BraidWord,
     CycleType,
@@ -18,7 +20,7 @@ from rmlab import (
     thoma_character,
     underlying_permutation,
 )
-from rmlab.errors import DomainError
+from rmlab.errors import DomainError, ResourceError
 
 RNG = np.random.default_rng(4242)
 
@@ -185,6 +187,30 @@ def test_characters_differ_with_witness():
     assert abs(
         character(rmlab.make_flip(2), w) - character(rmlab.builtin("r2"), w)
     ) == pytest.approx(cmp.deviation, rel=1e-6)
+
+
+@pytest.mark.parametrize("strands,length,words", [
+    (4, 6, 23436), (2, 5, 10), (3, 5, 484), (5, 1, 8),
+])
+def test_characters_equal_counts_words_before_walking(monkeypatch, strands,
+                                                      length, words):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the walk started")
+
+    r = rmlab.builtin("r2")
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", words - 1)
+    monkeypatch.setattr(rmlab.braid, "word_walk", refuse)
+    with pytest.raises(ResourceError, match=f"needs {words} entries"):
+        characters_equal(r, r, max_strands=strands, max_len=length)
+    # Far past any cap, the count stays cheap and still refuses.
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 2 ** 24)
+    for strands_, length_ in ((6, 12), (3, 10 ** 12), (2, 10 ** 12)):
+        with pytest.raises(ResourceError):
+            characters_equal(r, r, max_strands=strands_, max_len=length_)
+    monkeypatch.undo()
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", words)
+    cmp = characters_equal(r, r, max_strands=strands, max_len=length)
+    assert cmp.equal and cmp.words_checked == words
 
 
 def test_quasifree_conjugation_preserves_characters():

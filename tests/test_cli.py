@@ -70,6 +70,30 @@ def test_verify_tampered_file_fails(capsys, tmp_path):
     assert out.startswith("FAIL ")
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_tolerance_outside_zero_to_infinity_is_exit_2(capsys, tmp_path,
+                                                      command, tol):
+    # The all-ones matrix has unitarity residual 15.1; with --tol nan
+    # it used to verify, and analyze went on to analyze it.
+    doc = rmlab.solution_to_dict(rmlab.make_flip(2))
+    doc["entries"] = [[1.0, 0.0]] * 16
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path), f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "tolerance" in err
+
+
+def test_search_target_nan_is_exit_2(capsys):
+    code, out, err = run(capsys, "search", "--restarts", "1",
+                         "--target=nan")
+    assert code == 2
+    assert out == ""
+    assert "target_residual" in err
+
+
 def test_verify_unreadable_input_is_exit_2(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{oops")

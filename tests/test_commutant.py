@@ -23,6 +23,8 @@ from rmlab import (
 )
 from rmlab.commutant import (
     _generator_images,
+    _row_space_basis,
+    commutant_of,
     generated_algebra,
     operator_matrix,
 )
@@ -399,6 +401,7 @@ def test_operators_refuse_before_building(monkeypatch, build):
     # Each level-1 operator has d^(4n + 2) = 64 entries.
     monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 63)
     monkeypatch.setattr(rmlab.commutant, "operator_matrix", refuse)
+    monkeypatch.setattr(rmlab.commutant, "commutant_of", refuse)
     with pytest.raises(ResourceError):
         build(r, 1)
     monkeypatch.undo()
@@ -413,7 +416,7 @@ def test_braid_image_commutant_refuses_before_building(monkeypatch):
     r = rmlab.builtin("r2")
     # (n - 1) * d^(4n) entries at n = 3.
     monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 2 * 2 ** 12 - 1)
-    monkeypatch.setattr(rmlab.commutant, "operator_matrix", refuse)
+    monkeypatch.setattr(rmlab.commutant, "commutant_of", refuse)
     with pytest.raises(ResourceError):
         braid_image_commutant(r, 3)
     monkeypatch.undo()
@@ -433,3 +436,80 @@ def test_generated_algebra_refuses_before_each_round(monkeypatch):
         generated_algebra(gens)
     with pytest.raises(ResourceError):
         relative_commutant_L(rmlab.make_flip(2), 1, max_strands=3)
+
+
+@pytest.mark.parametrize("name,n,dim", [
+    ("flip2", 2, 10), ("flip2", 3, 20), ("flip3", 3, 165),
+])
+def test_commutant_of_schur_weyl_dimensions(name, n, dim):
+    # The flip images span S_n acting on (C^d)^(x) n, whose commutant is
+    # the symmetric tensors in M_d^(x) n: C(d^2 + n - 1, n) dimensions.
+    r = rmlab.builtin(name)
+    cols = commutant_of(_generator_images(r, n))
+    assert cols.shape == (r.d ** (2 * n), dim)
+
+
+@pytest.mark.parametrize("dim,count", [(2, 2), (3, 2), (8, 3)])
+def test_commutant_of_random_matrices_is_the_scalars(dim, count):
+    rng = np.random.default_rng(dim)
+    mats = (rng.standard_normal((count, dim, dim))
+            + 1j * rng.standard_normal((count, dim, dim)))
+    cols = commutant_of(mats)
+    assert cols.shape == (dim * dim, 1)
+    unit = np.eye(dim).reshape(-1) / np.sqrt(dim)
+    assert abs(abs(np.vdot(unit, cols[:, 0])) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 9])
+def test_commutant_of_nothing_is_everything(dim):
+    cols = commutant_of(np.zeros((0, dim, dim)))
+    assert np.array_equal(cols, np.eye(dim * dim))
+
+
+@pytest.mark.parametrize("name,n", [
+    ("r2", 2), ("r2", 3), ("r4", 3), ("nfmix", 3), ("box21", 2),
+    ("flip3", 2), ("simple3", 3),
+])
+def test_commutant_of_matches_the_operator_build(name, n):
+    # The per-matrix-unit operator the braid commutant used to build.
+    images = _generator_images(rmlab.builtin(name), n)
+    t = operator_matrix(lambda y: np.vstack([y @ g - g @ y for g in images]),
+                        rmlab.builtin(name).d, n)
+    assert commutant_of(images).tobytes() == nullspace(t).tobytes()
+
+
+@pytest.mark.parametrize("build", [relative_commutant_M, relative_commutant_N,
+                                   relative_commutant_L])
+@pytest.mark.parametrize("name,n", [("r2", 2), ("box21", 1), ("flip3", 1),
+                                    ("simple3", 2), ("trivial2", 2)])
+def test_center_equals_the_double_loop_reference(build, name, n):
+    b = build(rmlab.builtin(name), n)
+    mats = b._matrices()
+    dim = mats[0].shape[0]
+    cols = _row_space_basis(np.stack([m.reshape(-1) for m in mats]))
+    basis = [cols[:, i].reshape(dim, dim) for i in range(cols.shape[1])]
+    rows = []
+    for m in basis:
+        rows.append(np.stack([(c @ m - m @ c).reshape(-1) for c in basis],
+                             axis=1))
+    want = nullspace(np.vstack(rows))
+    got = commutant_of(basis, span=np.array(basis))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["r2", "r4", "box21", "simple3", "nfmix"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_fixed_points_commute_with_the_word_blocks(name, n):
+    r = rmlab.builtin(name)
+    d, dim = r.d, r.d ** n
+    u = rmlab.commutant.word_product(r, n)
+    f = fixed_subalgebra(r, n)
+    for el in f.basis:
+        big = np.kron(el.matrix, np.eye(d))
+        assert np.linalg.norm(u @ big - big @ u) <= 1e-10
+    # Nothing is missed: the fixed points are the whole null space of
+    # the defect x -> u (x (x) 1) u* - x (x) 1.
+    pad = np.eye(d)
+    t = operator_matrix(
+        lambda x: u @ np.kron(x, pad) @ u.conj().T - np.kron(x, pad), d, n)
+    assert nullspace(t).shape == (dim * dim, f.dimension)

@@ -45,6 +45,15 @@ def test_verify_rejects_nonunitary():
         verify(np.eye(4) * 2.0, 2)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_verify_refuses_a_tolerance_outside_zero_to_infinity(tol):
+    # A NaN tolerance used to pass every residual, so the all-ones
+    # matrix (unitarity residual 15.1) verified.
+    for matrix in (np.ones((4, 4)), flip_matrix(2)):
+        with pytest.raises(DomainError, match="tolerance"):
+            verify(matrix, 2, tol=tol)
+
+
 def test_verify_rejects_unitary_nonsolution():
     u = haar(4)
     # a generic unitary does not satisfy the braid relation

@@ -1,5 +1,8 @@
 """Riemannian search over U(d^2) and fingerprint invariants."""
 
+import concurrent.futures
+import os
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from rmlab import (
     ybe_objective,
 )
 from rmlab.errors import DomainError, ShapeError
+from rmlab.search import ordered_map
 
 RNG = np.random.default_rng(99)
 
@@ -87,6 +91,45 @@ def test_search_validates_arguments():
         search_unitary_solution(1)
     with pytest.raises(DomainError):
         search_unitary_solution(2, max_iterations=0)
+
+
+@pytest.mark.parametrize("target", [float("nan"), 0.0, -1e-8, float("inf")])
+def test_search_refuses_a_target_that_is_not_finite_and_positive(target):
+    # A NaN target never converges, so every restart would run out
+    # its iteration budget.
+    with pytest.raises(DomainError, match="target_residual"):
+        search_unitary_solution(2, max_iterations=1, target_residual=target)
+
+
+def test_ordered_map_caps_the_pool_at_tasks_and_cpus(monkeypatch):
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    args = [(k, 2) for k in range(5)]
+    want = [k * k for k in range(5)]
+    for jobs in (5, 2, 64):
+        assert list(ordered_map(pow, args, jobs)) == want
+    assert list(ordered_map(pow, args[:2], 5)) == want[:2]
+    assert seen == [3, 2, 3, 2]
+    # One usable CPU (or an unknown count) maps serially, with no pool.
+    for cpus in (1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert list(ordered_map(pow, args, 5)) == want
+    assert seen == [3, 2, 3, 2]
 
 
 def test_search_started_at_a_solution_stops_immediately():
