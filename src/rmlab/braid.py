@@ -14,13 +14,21 @@ words are ordered shortlex with letter order 1 < -1 < 2 < -2 < ...
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InternalConsistencyError
 from .rmatrix import RMatrix, flip_conjugate, make_flip, require_dense
-from .tensor import AlgebraElement, frobenius_norm, pad_left, pad_right
+from .tensor import (
+    AlgebraElement,
+    frobenius_norm,
+    pad_left,
+    pad_right,
+    trace_out_last,
+)
 
 __all__ = [
     "BraidWord",
@@ -106,39 +114,66 @@ def _letter(r: RMatrix, gen: int, exp: int) -> np.ndarray:
     return pad_left(m, r.d, gen - 1)
 
 
-def _step(d: int, prod: np.ndarray, level: int, gen: int,
-          letter: np.ndarray):
-    """prod @ letter at the larger of the two levels, with the new level.
-
-    ``prod`` lives at ``level`` and ``letter`` is b_gen^(+-1) at its
-    minimal level gen + 1; the lower one is padded on the right.
-    """
-    top = max(level, gen + 1)
-    return (pad_right(prod, d, top - level)
-            @ pad_right(letter, d, top - gen - 1)), top
-
-
 def _product(r: RMatrix, letters):
-    """Product of represented letters at the minimal running level."""
+    """Product of represented letters at the minimal running level.
+
+    At each step the lower of the running product and the letter is
+    padded on the right to the larger of their levels.
+    """
     prod, level = np.eye(1, dtype=complex), 0
     for gen, exp in letters:
-        prod, level = _step(r.d, prod, level, gen, _letter(r, gen, exp))
+        top = max(level, gen + 1)
+        letter = pad_right(_letter(r, gen, exp), r.d, top - gen - 1)
+        prod, level = pad_right(prod, r.d, top - level) @ letter, top
     return prod, level
 
 
-def word_walk(r: RMatrix, strands: int, max_len: int):
+def _letter_table(r: RMatrix, strands: int):
+    """Every letter b_gen^(+-1) with gen < ``strands``, padded once per level.
+
+    Returns the alphabet in letter order 1 < -1 < 2 < -2 < ..., a dict
+    (letter, level) -> the letter padded on the right to that level,
+    for gen + 1 <= level <= ``strands``, and per level l the rows of
+    the one-letter fold.  For a prefix P at level l and a letter b at
+    its level t = max(l, gen + 1), tr((P (x) 1) b) / d^t is
+    tr(P E_l(b)) / d^l, with E_l the normalized partial trace down to
+    level l; the rows stack E_l(b) over the alphabet as a (k, d^(2l))
+    array, so that ``rows @ vec(P^T) / d^l`` gives every character at
+    once.  At levels l >= gen + 1, E_l(b) is b itself, and the dict's
+    padded letters are views of those rows.
+    """
+    d = r.d
+    alphabet = [(gen, exp) for gen in range(1, strands) for exp in (+1, -1)]
+    rows = [np.empty((len(alphabet), d ** (2 * level)), dtype=complex)
+            for level in range(strands + 1)]
+    padded = {}
+    for i, (gen, exp) in enumerate(alphabet):
+        m = _letter(r, gen, exp)
+        for level in range(gen + 1, strands + 1):
+            b = pad_right(m, d, level - gen - 1)
+            rows[level][i] = b.reshape(-1)
+            padded[(gen, exp), level] = rows[level][i].reshape(b.shape)
+        for level in range(gen, -1, -1):
+            m = trace_out_last(m, d) / d
+            rows[level][i] = m.reshape(-1)
+    return alphabet, padded, rows
+
+
+def word_walk(r: RMatrix, strands: int, max_len: int, table=None):
     """Yield (letters, product) for every nonempty freely reduced word.
 
     Words use generators below ``strands`` and have length at most
     ``max_len``; they come depth-first in letter order
     1 < -1 < 2 < -2 < ..., each word right after its prefix.  The
     product is the represented word at its minimal level (the largest
-    generator plus one), extended by one step from its prefix.
+    generator plus one), extended by one step from its prefix: the
+    prefix is padded only when the level rises, and the letter comes
+    already padded from ``table``, the result of
+    ``_letter_table(r, strands)`` (built here when not given).
     """
-    alphabet = [(gen, exp) for gen in range(1, strands) for exp in (+1, -1)]
-    mats = {letter: _letter(r, *letter) for letter in alphabet}
+    alphabet, padded, _ = table or _letter_table(r, strands)
     word: list = []
-    stack = [(np.eye(1, dtype=complex), 0, iter(alphabet))]
+    stack = [(np.eye(1, dtype=complex), 0, iter(alphabet))] if max_len else []
     while stack:
         prod, level, todo = stack[-1]
         letter = next(todo, None)
@@ -150,7 +185,8 @@ def word_walk(r: RMatrix, strands: int, max_len: int):
         gen, exp = letter
         if word and word[-1] == (gen, -exp):
             continue
-        new, top = _step(r.d, prod, level, gen, mats[letter])
+        top = max(level, gen + 1)
+        new = pad_right(prod, r.d, top - level) @ padded[letter, top]
         word.append(letter)
         yield tuple(word), new
         if len(word) < max_len:
@@ -313,28 +349,69 @@ def characters_equal(r: RMatrix, s: RMatrix, max_strands: int = 4,
     ``max_strands`` and length at most ``max_len``.  If any word's
     character values differ by more than ``tol``, the shortlex-smallest
     such word is reported as the witness (letter order
-    1 < -1 < 2 < -2 < ...).  Equality is only up to this truncation.
+    1 < -1 < 2 < -2 < ...) and ``deviation`` is its difference;
+    otherwise ``deviation`` is the largest difference over all words
+    compared.  Equality is only up to this truncation.
+
+    Products are formed only for words shorter than ``max_len``.  The
+    full-length words extend a prefix P of length ``max_len - 1`` by
+    one letter b, and tr((P (x) 1) b) = tr(P Tr_last(b)), so all of
+    P's extensions are read off one matrix-vector product with the
+    letters' partial traces, built once per input and level by
+    ``_letter_table``.
+
+    Raises ``DomainError`` unless 0 <= tol < inf, and
+    ``ResourceError`` before walking when the word count is above the
+    dense cap.
     """
     if max_strands < 2 or max_len < 1:
         raise DomainError("need max_strands >= 2 and max_len >= 1")
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"need a tolerance 0 <= tol < inf, got {tol}")
     # k (k - 1)^(l - 1) words of each length l; with k >= 4 letters, 64
     # lengths already exceed the cap, so the power stops there.
     k = 2 * (max_strands - 1)
     words = 2 * max_len if k == 2 else (
         k * ((k - 1) ** min(max_len, 64) - 1) // (k - 2))
     require_dense(words, "the freely reduced word walk")
-    # The walk meets words of one length in shortlex order, so the
-    # first deviating word of the least length is the witness.
-    witness, deviation, checked = None, 0.0, 0
-    for (word, pr), (_, ps) in zip(word_walk(r, max_strands, max_len),
-                                   word_walk(s, max_strands, max_len)):
-        checked += 1
-        dev = abs(complex(np.trace(pr)) / pr.shape[0]
-                  - complex(np.trace(ps)) / ps.shape[0])
-        if dev > tol and (witness is None or len(word) < len(witness)):
-            witness, deviation = word, dev
+    tables = [_letter_table(x, max_strands) for x in (r, s)]
+    alphabet = tables[0][0]
+    # The walk meets words of one length in shortlex order, and so do
+    # the extensions of its longest words, so the first deviating word
+    # of the least length is the witness.
+    empty = ((), np.eye(1, dtype=complex))
+    walks = itertools.chain([(empty, empty)], zip(
+        word_walk(r, max_strands, max_len - 1, tables[0]),
+        word_walk(s, max_strands, max_len - 1, tables[1])))
+    witness, deviation, worst, checked = None, 0.0, 0.0, 0
+    for (word, pr), (_, ps) in walks:
+        if word:
+            checked += 1
+            dev = abs(complex(np.trace(pr)) / pr.shape[0]
+                      - complex(np.trace(ps)) / ps.shape[0])
+            worst = max(worst, dev)
+            if dev > tol and (witness is None or len(word) < len(witness)):
+                witness, deviation = word, dev
+        if len(word) < max_len - 1:
+            continue
+        level = max((gen for gen, _ in word), default=-1) + 1
+        rows_r, rows_s = tables[0][2][level], tables[1][2][level]
+        devs = np.abs(rows_r @ pr.T.reshape(-1) / pr.shape[0]
+                      - rows_s @ ps.T.reshape(-1) / ps.shape[0])
+        if word:
+            # The inverse of the last letter cancels: not a reduced word.
+            gen, exp = word[-1]
+            devs[2 * (gen - 1) + (exp > 0)] = 0.0
+        checked += len(alphabet) - bool(word)
+        worst = max(worst, float(devs.max()))
+        # A full-length word wins only if no shorter word deviates.
+        hits = np.flatnonzero(devs > tol)
+        if witness is None and hits.size:
+            witness = word + (alphabet[hits[0]],)
+            deviation = float(devs[hits[0]])
     return CharacterComparison(
         witness is None,
         None if witness is None else tuple(g * e for g, e in witness),
-        deviation, checked, max_strands, max_len, tol,
+        worst if witness is None else deviation,
+        checked, max_strands, max_len, tol,
     )

@@ -433,6 +433,7 @@ def wedderburn_decompose(span, tol: float = 1e-9, seed: int = 0,
 
     cols = _row_space_basis(np.stack([m.reshape(-1) for m in mats]))
     k = cols.shape[1]
+    require_dense(k * dim * dim * k, "the Wedderburn center system")
     basis = [cols[:, i].reshape(dim, dim) for i in range(k)]
     _check_algebra(basis, cols, tol=tol)
 

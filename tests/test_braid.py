@@ -245,3 +245,11 @@ def test_characters_are_class_functions(name, v, w, seed):
     cmp = characters_equal(r, rmlab.quasifree_conjugate(r, u),
                            max_strands=3, max_len=3)
     assert cmp.equal, cmp.witness
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_characters_equal_refuses_a_bad_tolerance(tol):
+    r = rmlab.builtin("r2")
+    with pytest.raises(DomainError, match="tolerance"):
+        characters_equal(rmlab.make_flip(2), r, max_strands=3, max_len=3,
+                         tol=tol)

@@ -91,6 +91,26 @@ def test_wedderburn_full_matrix_algebra():
     assert wedderburn_decompose(units) == (3,)
 
 
+def test_wedderburn_refuses_the_center_system_before_building(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the center system was built")
+
+    units = []
+    for k in range(9):
+        m = np.zeros((3, 3), dtype=complex)
+        m[k // 3, k % 3] = 1.0
+        units.append(m)
+    # k * D^2 rows by k columns: 9 * 9 * 9 entries.
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 9 ** 3 - 1)
+    monkeypatch.setattr(rmlab.commutant, "_check_algebra", refuse)
+    monkeypatch.setattr(rmlab.commutant, "commutant_of", refuse)
+    with pytest.raises(ResourceError, match="needs 729 entries"):
+        wedderburn_decompose(units)
+    monkeypatch.undo()
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 9 ** 3)
+    assert wedderburn_decompose(units) == (3,)
+
+
 def test_wedderburn_commutative_algebra():
     # regression: a commutative algebra has rank-zero commutator data
     # and must not be mistaken for one without a center

@@ -13,7 +13,7 @@ import pytest
 
 import rmlab
 from rmlab import characters_equal
-from rmlab.braid import word_walk
+from rmlab.braid import _product, word_walk
 from rmlab.commutant import hermitian_probe, word_ordered, word_product
 from rmlab.rmatrix import cabling_power
 from rmlab.search import ordered_map
@@ -126,6 +126,81 @@ def test_witness_is_the_brute_force_shortlex_minimum():
     assert cmp.witness == tuple(g * e for g, e in want)
     assert abs(cmp.deviation - devs[want]) < 1e-12
     assert cmp.words_checked == len(devs)
+
+
+@pytest.mark.parametrize("name", ["simple3", "box21"])
+def test_walk_products_are_bitwise_the_word_products(name):
+    r = rmlab.builtin(name)
+    count = 0
+    for word, prod in word_walk(r, 4, 4):
+        assert np.array_equal(prod, _product(r, word)[0]), word
+        count += 1
+    assert count == 6 + 30 + 150 + 750
+
+
+def brute_force_comparison(r, s, strands, max_len, tol):
+    """(equal, witness, deviation, words) from literal Kronecker traces."""
+    devs = {
+        w: abs(literal_character(r, w) - literal_character(s, w))
+        for n in range(1, max_len + 1) for w in reduced_words(strands, n)
+    }
+    witness = next((w for w, v in devs.items() if v > tol), None)
+    if witness is None:
+        return True, None, max(devs.values()), len(devs)
+    return False, tuple(g * e for g, e in witness), devs[witness], len(devs)
+
+
+def assert_matches_brute_force(cmp, want):
+    equal, witness, deviation, words = want
+    assert (cmp.equal, cmp.witness, cmp.words_checked) == (
+        equal, witness, words)
+    assert abs(cmp.deviation - deviation) < 1e-12
+
+
+@pytest.mark.parametrize("first,second", [
+    ("r2", "r3"), ("r3", "r4"), ("r3special", "flip2"), ("flip2", "flip3"),
+])
+@pytest.mark.parametrize("strands,max_len", [(3, 4), (4, 3)])
+def test_characters_equal_matches_brute_force(first, second, strands,
+                                              max_len):
+    r, s = rmlab.builtin(first), rmlab.builtin(second)
+    cmp = characters_equal(r, s, strands, max_len)
+    assert_matches_brute_force(
+        cmp, brute_force_comparison(r, s, strands, max_len, 1e-9))
+
+
+@pytest.mark.parametrize("first,second,strands,max_len", [
+    ("r3", "r4", 3, 4), ("r2", "r4", 4, 3),
+])
+def test_full_length_witness_comes_from_the_fold(first, second, strands,
+                                                 max_len):
+    r, s = rmlab.builtin(first), rmlab.builtin(second)
+    shorter = max(
+        abs(literal_character(r, w) - literal_character(s, w))
+        for n in range(1, max_len) for w in reduced_words(strands, n))
+    # Above every shorter deviation, so only a full-length word deviates.
+    tol = shorter + 1e-3
+    want = brute_force_comparison(r, s, strands, max_len, tol)
+    assert not want[0] and len(want[1]) == max_len
+    cmp = characters_equal(r, s, strands, max_len, tol=tol)
+    assert_matches_brute_force(cmp, want)
+
+
+@pytest.mark.parametrize("first,second,tol", [
+    ("flip2", "r2", 1e-9), ("flip2", "r2", 10.0), ("r3special", "flip2", 1e-9),
+])
+def test_characters_equal_at_length_one(first, second, tol):
+    r, s = rmlab.builtin(first), rmlab.builtin(second)
+    cmp = characters_equal(r, s, 3, 1, tol=tol)
+    assert_matches_brute_force(cmp, brute_force_comparison(r, s, 3, 1, tol))
+
+
+def test_equal_verdict_reports_the_largest_deviation():
+    r, s = rmlab.make_flip(2), rmlab.builtin("r2")
+    cmp = characters_equal(r, s, 3, 3, tol=10.0)
+    want = brute_force_comparison(r, s, 3, 3, 10.0)
+    assert want[0] and want[2] > 0.4
+    assert_matches_brute_force(cmp, want)
 
 
 @pytest.mark.parametrize("name", ["r3", "box21"])
