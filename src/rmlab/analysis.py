@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (
     DomainError,
@@ -228,13 +227,15 @@ def triviality_by_concentration(r: RMatrix) -> ConcentrationData:
     implication is asserted and its failure would be an
     internal-consistency error.
     """
+    import scipy.optimize  # slow to import; loaded on first use
+
     evals = np.linalg.eigvals(r.matrix)
 
     def worst(theta: float) -> float:
         return float(np.max(np.abs(evals - np.exp(1j * theta))))
 
     grid = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
-    values = [worst(t) for t in grid]
+    values = np.abs(evals[None, :] - np.exp(1j * grid)[:, None]).max(axis=1)
     best = int(np.argmin(values))
     h = 2.0 * math.pi / 2048
     res = scipy.optimize.minimize_scalar(
@@ -613,6 +614,8 @@ def classify_dim2(r: RMatrix, tol: float = 1e-8, seed: int = 0
     antidiagonal families.  Unclassifiable inputs are returned with
     ``family=None`` and the best residual found.
     """
+    import scipy.optimize  # slow to import; loaded on first use
+
     if r.d != 2:
         raise DomainError(f"classification needs d = 2, got d = {r.d}")
     rng = np.random.default_rng(seed)

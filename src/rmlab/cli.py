@@ -438,7 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("second", help="JSON file or builtin name")
     p.add_argument("--strands", type=int, default=4)
     p.add_argument("--length", type=int, default=6)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument(
+        "--tol", type=float, default=DEFAULT_TOL,
+        help="verification tolerance for JSON inputs; characters are "
+             "always compared at 1e-9",
+    )
     p.set_defaults(func=cmd_equivalent)
 
     p = sub.add_parser("search", help="optimize for new solutions")

@@ -17,6 +17,16 @@ particular x in F^n is fixed iff x (x) 1 commutes with the word
 u = R phi(R) ... phi^(n-1)(R); writing u = sum u_ij (x) e_ij over the
 last slot, the fixed points are the commutant {u_ij}'.
 
+Fixed points and braid-image commutants are solved on a probe-reduced
+span.  Both commutants are *-closed: u is unitary, so x (x) 1 commutes
+with u iff it commutes with u* = sum u_ij* (x) e_ji, and the braid
+generators are unitary.  Every solution x then commutes with a random
+Hermitian h drawn from the sets and their adjoints, so it is block
+diagonal in h's eigenbasis, and only the sum of m^2 over h's eigenvalue
+multiplicities m unknowns remain instead of D^2.  General sets, whose
+commutant need not be *-closed (a Jordan block), and the Wedderburn
+center keep the full matrix-unit or explicit span.
+
 Subspaces are SVD null or row spaces with a relative cutoff of 1e-9 on
 singular values, kept as orthonormal columns, and dense operators are
 checked against ``DENSE_ENTRY_CAP`` before they are built.  Block
@@ -42,6 +52,7 @@ from .errors import (
 )
 from .rmatrix import RMatrix, require_dense
 from .tensor import (
+    CLUSTER_TOL,
     AlgebraElement,
     as_complex_matrix,
     eig_normal,
@@ -78,8 +89,6 @@ NULLSPACE_ATOL = 1e-12
 
 
 def _svd_cutoff(s: np.ndarray, rtol: float) -> float:
-    if s.size == 0:
-        return NULLSPACE_ATOL
     return max(rtol * float(s[0]), NULLSPACE_ATOL)
 
 
@@ -91,7 +100,7 @@ def nullspace(a: np.ndarray, rtol: float = NULLSPACE_RTOL) -> np.ndarray:
     matrix has a full null space.
     """
     a = np.asarray(a, dtype=complex)
-    if a.size == 0:
+    if not a.any():
         return np.eye(a.shape[1], dtype=complex)
     # Tall matrices only need the economy factorization; wide ones
     # need every right singular vector to expose the null directions.
@@ -253,7 +262,7 @@ def fixed_subalgebra(r: RMatrix, n: int, seed: int = 0) -> SubalgebraBasis:
     dim = d ** n
     u = word_product(r, n).reshape(dim, d, dim, d)
     blocks = u.transpose(1, 3, 0, 2).reshape(d * d, dim, dim)
-    return SubalgebraBasis(d, n, commutant_of(blocks), seed)
+    return SubalgebraBasis(d, n, _star_commutant(blocks, seed), seed)
 
 
 def relative_commutant_N(r: RMatrix, n: int, seed: int = 0
@@ -350,7 +359,8 @@ def braid_image_commutant(r: RMatrix, n: int, seed: int = 0
     """Commutant of the braid generator images in F^n (all of it if n < 2)."""
     d = r.d
     require_dense((n - 1) * d ** (4 * n), f"the level-{n} braid operator")
-    return SubalgebraBasis(d, n, commutant_of(_generator_images(r, n)), seed)
+    return SubalgebraBasis(d, n, _star_commutant(_generator_images(r, n),
+                                                 seed), seed)
 
 
 def commutant_of(mats, span=None) -> np.ndarray:
@@ -373,6 +383,32 @@ def commutant_of(mats, span=None) -> np.ndarray:
         else:
             block[:] = (span @ m - m @ span).reshape(width, -1).T
     return nullspace(rows)
+
+
+def _star_commutant(mats, seed: int) -> np.ndarray:
+    """:func:`commutant_of` ``mats`` as row-major columns, solved only on
+    the span that commutes with one Hermitian probe of ``mats``.
+
+    Exact only when the commutant of ``mats`` is *-closed: then each
+    solution also commutes with every adjoint, hence with the probe h,
+    and lies in span{v_i v_j* : v_i, v_j eigenvectors of h in one
+    cluster}.  Sorted eigenvalues are split at gaps above
+    ``CLUSTER_TOL`` times the spectral scale; merging clusters only
+    enlarges that span.  An empty ``mats`` gives every matrix unit.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    if not len(mats):
+        return commutant_of(mats)
+    evals, vecs = np.linalg.eigh(
+        hermitian_probe(mats, np.random.default_rng(seed)))
+    radius = CLUSTER_TOL * max(1.0, float(np.abs(evals).max()))
+    cuts = np.flatnonzero(np.diff(evals) > radius) + 1
+    dim = len(evals)
+    span = np.concatenate([
+        np.einsum("pi,qj->ijpq", v, v.conj()).reshape(-1, dim, dim)
+        for v in np.split(vecs, cuts, axis=1)
+    ])
+    return span.reshape(len(span), -1).T @ commutant_of(mats, span=span)
 
 
 def hermitian_probe(mats, rng) -> np.ndarray:

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .braid import BraidWord, character
 from .errors import DomainError, ShapeError, VerificationError
@@ -151,6 +150,8 @@ def _reunitarize(u: np.ndarray) -> np.ndarray:
 
 def _polish(u: np.ndarray, d: int) -> np.ndarray:
     """Least-squares refinement of defect + unitarity, then projection."""
+    import scipy.optimize  # slow to import; loaded on first use
+
     n = d * d
 
     def residuals(x):

@@ -287,3 +287,29 @@ def test_fixed_levels_fit_the_dense_cap(d, levels):
     assert _feasible_fixed_cap(d, 4) == levels
     assert d ** (4 * levels + 2) <= DENSE_ENTRY_CAP
     assert _feasible_fixed_cap(2, 6) == 5
+
+
+
+@pytest.mark.parametrize("name", ["flip2", "r2", "r4", "box21", "simple3"])
+def test_concentration_grid_matches_the_pointwise_loop(name):
+    import scipy.optimize
+
+    r = rmlab.builtin(name)
+    evals = np.linalg.eigvals(r.matrix)
+
+    def worst(theta):
+        return float(np.max(np.abs(evals - np.exp(1j * theta))))
+
+    grid = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
+    values = [worst(t) for t in grid]
+    vectorized = np.abs(evals[None, :]
+                        - np.exp(1j * grid)[:, None]).max(axis=1)
+    assert np.array_equal(vectorized, values)
+    best = int(np.argmin(values))
+    h = 2.0 * math.pi / 2048
+    res = scipy.optimize.minimize_scalar(
+        worst, bounds=(grid[best] - h, grid[best] + h), method="bounded",
+        options={"xatol": 1e-12},
+    )
+    assert triviality_by_concentration(r).margin == min(res.fun,
+                                                        values[best])

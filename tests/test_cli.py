@@ -337,3 +337,15 @@ def test_out_of_range_integers_from_the_shell_are_exit_2(argv, seed):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("input error: ")
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rmlab.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

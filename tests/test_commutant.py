@@ -533,3 +533,78 @@ def test_fixed_points_commute_with_the_word_blocks(name, n):
     t = operator_matrix(
         lambda x: u @ np.kron(x, pad) @ u.conj().T - np.kron(x, pad), d, n)
     assert nullspace(t).shape == (dim * dim, f.dimension)
+
+
+def _last_slot_blocks(r, n):
+    dim = r.d ** n
+    u = rmlab.commutant.word_product(r, n).reshape(dim, r.d, dim, r.d)
+    return u.transpose(1, 3, 0, 2).reshape(r.d * r.d, dim, dim)
+
+
+def _assert_same_subspace(b, reference):
+    cols = b.span_columns()
+    assert cols.shape == reference.shape
+    assert not cols.flags.writeable
+    assert np.allclose(cols.conj().T @ cols, np.eye(b.dimension),
+                       atol=1e-12)
+    gap = cols @ cols.conj().T - reference @ reference.conj().T
+    assert np.abs(gap).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name,n", [
+    (name, n) for name in rmlab.builtin_names()
+    for n in range(1, 4 if rmlab.builtin(name).d == 2 else 3)
+])
+def test_reduced_commutants_match_the_matrix_unit_reference(name, n):
+    r = rmlab.builtin(name)
+    _assert_same_subspace(fixed_subalgebra(r, n),
+                          commutant_of(_last_slot_blocks(r, n)))
+    _assert_same_subspace(braid_image_commutant(r, n),
+                          commutant_of(_generator_images(r, n)))
+
+
+@pytest.mark.parametrize("probe", ["zero", "reseeded"])
+@pytest.mark.parametrize("name,n", [("r4", 2), ("box21", 2), ("r3", 3),
+                                    ("simple3", 2), ("trivial2", 2)])
+def test_reduced_commutants_do_not_depend_on_the_probe(monkeypatch, probe,
+                                                       name, n):
+    r = rmlab.builtin(name)
+    want = [fixed_subalgebra(r, n).span_columns(),
+            braid_image_commutant(r, n).span_columns()]
+    draw = rmlab.commutant.hermitian_probe
+    if probe == "zero":
+        # One cluster: the span is every matrix unit.
+        monkeypatch.setattr(rmlab.commutant, "hermitian_probe",
+                            lambda mats, rng: np.zeros(mats[0].shape))
+    else:
+        monkeypatch.setattr(
+            rmlab.commutant, "hermitian_probe",
+            lambda mats, rng: draw(mats, np.random.default_rng(12345)))
+    for b, reference in zip((fixed_subalgebra(r, n),
+                             braid_image_commutant(r, n)), want):
+        _assert_same_subspace(b, reference)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (7, 3), (3, 7), (1024, 256)])
+def test_nullspace_of_zeros_skips_the_svd(monkeypatch, shape):
+    if max(shape) < 16:
+        # The shortcut returns what the SVD path gives a zero matrix.
+        _, _, vh = np.linalg.svd(np.zeros(shape, dtype=complex))
+        assert np.array_equal(vh.conj().T, np.eye(shape[1]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("svd was taken")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    got = nullspace(np.zeros(shape))
+    assert got.dtype == complex
+    assert np.array_equal(got, np.eye(shape[1]))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 16))
+def test_family4_fixed_points_double_at_each_level(seed):
+    rng = np.random.default_rng(seed)
+    r = rmlab.random_conjugate(rmlab.random_family4(rng)[0], rng)
+    assert [fixed_subalgebra(r, n).dimension for n in range(1, 6)] == [
+        2, 4, 8, 16, 32]
