@@ -28,7 +28,6 @@ from .commutant import (
     SubalgebraBasis,
     fixed_subalgebra,
     hermitian_probe,
-    operator_matrix,
     relative_commutant_L,
     relative_commutant_M,
     relative_commutant_N,
@@ -542,12 +541,9 @@ def _diag_seed_vectors(r: RMatrix) -> list:
         if n > 1e-9:
             seeds.append(np.asarray(vec, dtype=complex) / n)
 
-    m = operator_matrix(
-        lambda x: trace_out_first(
-            r.matrix @ np.kron(x, np.eye(d)) @ r.matrix.conj().T, d
-        ) / d,
-        d, 1,
-    )
+    # Entry (kl, ab) of the map: sum_ij R[ik, aj] conj(R[il, bj]) / d.
+    t4 = r.matrix.reshape(d, d, d, d)
+    m = np.einsum("ikaj,ilbj->klab", t4, t4.conj()).reshape(d * d, -1) / d
     _, vecs = np.linalg.eig(m)
     for i in range(vecs.shape[1]):
         x = vecs[:, i].reshape(d, d)

@@ -416,8 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full structure report")
     _add_input_options(p)
-    p.add_argument("--n-cap", type=int, default=2, dest="n_cap")
-    p.add_argument("--fixed-cap", type=int, default=4, dest="fixed_cap")
+    p.add_argument("--n-cap", default=2, dest="n_cap",
+                   type=functools.partial(_int_at_least, 0, "--n-cap"))
+    p.add_argument("--fixed-cap", default=4, dest="fixed_cap",
+                   type=functools.partial(_int_at_least, 1, "--fixed-cap"))
     p.add_argument("--seed", type=seed, default=seed_default)
     p.add_argument("--format", choices=("md", "json"), default="md")
     p.add_argument("-o", "--out", help="write to file instead of stdout")
@@ -454,15 +456,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=float, default=1e-8,
                    help="target residual")
     p.add_argument("--out", help="JSON-lines file to append solutions to")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel restart workers")
+    p.add_argument("--jobs", default=1, help="parallel restart workers",
+                   type=functools.partial(_int_at_least, 1, "--jobs"))
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("table9", help="reproduce the d = 2 family table")
     p.add_argument("--samples", default=20,
                    type=functools.partial(_int_at_least, 1, "--samples"))
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel row workers")
+    p.add_argument("--jobs", default=1, help="parallel row workers",
+                   type=functools.partial(_int_at_least, 1, "--jobs"))
     p.add_argument("--seed", type=seed, default=seed_default)
     p.add_argument("-o", "--out", help="write to file instead of stdout")
     p.set_defaults(func=cmd_table9)

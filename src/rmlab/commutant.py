@@ -4,12 +4,18 @@ Three towers of subalgebras of F^n = M_d^(x) n are computed for a
 solution R, all as explicit Hilbert-Schmidt-orthonormal bases:
 
 * M: solutions of a twisted intertwining equation against the ordered
-  word phi^{n-1}(R) ... R.
+  word u = phi^{n-1}(R) ... R.
 * N: the largest subalgebra carried into its own right-padded copy by
-  conjugation with that word composed with the shift.
+  lambda(x) = u (1 (x) x) u*, conjugation with that word after the shift.
 * L: the algebra generated by E_n(A_m), the trace-preserving
   expectation onto F^n of the algebra A_m generated by the m-strand
   braid generator images; :func:`generated_algebra` closes both.
+
+M and N share one operator T, the matrix of lambda in Kraus form: with
+u split into blocks U_i over its first input slot, T = sum U_i (x)
+conj(U_i).  As u* (x (x) 1) u = 1 (x) x iff lambda(x) = x (x) 1,
+M = ker(T - J), J the matrix of x -> x (x) 1; the two systems differ by
+a unitary, so their singular values and rank decisions agree.
 
 Fixed points, braid-image commutants and Wedderburn centers are all
 commutants, computed by one kernel, :func:`commutant_of`.  In
@@ -119,30 +125,18 @@ def _row_space_basis(rows: np.ndarray, rtol: float = NULLSPACE_RTOL
     return vh[:rank].T
 
 
-def operator_matrix(map_fn, d: int, level: int) -> np.ndarray:
-    """Matrix of a linear map on F^level in the matrix-unit basis.
-
-    Column (p * D + q) holds the row-major vectorization of the image
-    of the matrix unit e_pq, so ``vec(map(x)) = T @ vec(x)``.
-    """
-    dim = d ** level
-    unit = np.zeros((dim, dim), dtype=complex)
-    cols = []
-    for p in range(dim):
-        for q in range(dim):
-            unit[p, q] = 1.0
-            # Copy so map_fn may keep (or freeze) its argument.
-            image = map_fn(unit.copy())
-            cols.append(np.asarray(image, dtype=complex).reshape(-1))
-            unit[p, q] = 0.0
-    return np.stack(cols, axis=1)
-
-
 def word_ordered(r: RMatrix, n: int) -> np.ndarray:
     """phi^(n-1)(R) ... phi(R) R as a level n + 1 matrix."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     return shifted_product(r.matrix, r.d, 2, n + 1, range(n - 1, -1, -1))
+
+
+def _lambda_operator(r: RMatrix, n: int) -> np.ndarray:
+    """Row-major matrix T of lambda on F^n, in the module's Kraus form."""
+    dim = r.d ** n
+    u = word_ordered(r, n).reshape(r.d * dim, r.d, dim)
+    return np.einsum("xia,yib->xyab", u, u.conj()).reshape(-1, dim * dim)
 
 
 def word_product(r: RMatrix, n: int) -> np.ndarray:
@@ -243,14 +237,13 @@ def relative_commutant_M(r: RMatrix, n: int, seed: int = 0
     """Level-n relative commutant M_{R,n}.
 
     The defining equation, with u the ordered word phi^(n-1)(R)...R at
-    level n + 1: u* (x (x) 1) u = 1 (x) x.
+    level n + 1: u* (x (x) 1) u = 1 (x) x, solved as lambda(x) = x (x) 1.
     """
-    d = r.d
+    d, dim = r.d, r.d ** n
     require_dense(d ** (4 * n + 2), f"the level-{n} M operator")
-    u = word_ordered(r, n)
-    t = operator_matrix(
-        lambda x: u.conj().T @ pad_right(x, d, 1) @ u - pad_left(x, d, 1),
-        d, n)
+    t = _lambda_operator(r, n)
+    units = np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
+    t -= pad_right(units, d, 1).reshape(dim * dim, -1).T
     return SubalgebraBasis(d, n, nullspace(t), seed)
 
 
@@ -274,11 +267,9 @@ def relative_commutant_N(r: RMatrix, n: int, seed: int = 0
     the current space, until the dimension stabilizes.  The limit is
     automatically a unital *-subalgebra.
     """
-    d = r.d
+    d, dim = r.d, r.d ** n
     require_dense(d ** (4 * n + 2), f"the level-{n} N operator")
-    u = word_ordered(r, n)
-    dim = d ** n
-    t_op = operator_matrix(lambda x: u @ pad_left(x, d, 1) @ u.conj().T, d, n)
+    t_op = _lambda_operator(r, n)
     q = np.eye(dim * dim, dtype=complex)
     for _ in range(dim * dim + 1):
         tq = t_op @ q
@@ -305,6 +296,8 @@ def generated_algebra(mats) -> np.ndarray:
     Closes span{1} under right multiplication: each round multiplies the
     frontier by every matrix in one batched matmul, projects the basis
     out twice, and keeps the residual's row space as the next frontier.
+    A basis wider than D^2 means rounding noise kept the frontier alive
+    (near-degenerate generators), so the closure stops with an error.
     """
     mats = np.asarray(mats, dtype=complex)
     dim = mats.shape[-1]
@@ -318,6 +311,9 @@ def generated_algebra(mats) -> np.ndarray:
             rows = rows - (rows @ basis.conj()) @ basis.T
         frontier = _row_space_basis(rows)
         basis = np.hstack([basis, frontier])
+        if basis.shape[1] > dim * dim:
+            raise InternalConsistencyError(
+                f"algebra closure exceeded {dim * dim} dimensions")
     return basis
 
 
@@ -358,6 +354,8 @@ def braid_image_commutant(r: RMatrix, n: int, seed: int = 0
                           ) -> SubalgebraBasis:
     """Commutant of the braid generator images in F^n (all of it if n < 2)."""
     d = r.d
+    if n < 0:
+        raise DomainError(f"need n >= 0, got {n}")
     require_dense((n - 1) * d ** (4 * n), f"the level-{n} braid operator")
     return SubalgebraBasis(d, n, _star_commutant(_generator_images(r, n),
                                                  seed), seed)

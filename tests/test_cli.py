@@ -324,8 +324,14 @@ def test_bad_input_from_the_shell_prints_no_traceback(tmp_path):
     (["search", "--restarts", "1", "--max-iterations", "1"], "-1"),
     (["table9", "--samples", "-2"], ""),
     (["table9", "--samples", "0"], ""),
+    (["analyze", "--builtin", "r2", "--n-cap", "-1"], ""),
+    (["analyze", "--builtin", "r2", "--fixed-cap", "0"], ""),
+    (["search", "--jobs", "0", "--restarts", "1", "--max-iterations", "1"],
+     ""),
+    (["table9", "--jobs", "0", "--samples", "1"], ""),
 ], ids=["flip-d0", "trivial-d0", "seed-flag", "seed-env", "samples-neg",
-        "samples-zero"])
+        "samples-zero", "n-cap-neg", "fixed-cap-zero", "search-jobs-zero",
+        "table9-jobs-zero"])
 def test_out_of_range_integers_from_the_shell_are_exit_2(argv, seed):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src, RMLAB_SEED=seed)
@@ -337,6 +343,29 @@ def test_out_of_range_integers_from_the_shell_are_exit_2(argv, seed):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("input error: ")
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-8])
+def test_analyze_reports_a_runaway_closure_as_a_section_error(eps):
+    # Near-degenerate phases let rounding noise grow the L closure.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "rmlab.cli", "analyze", "--builtin", "r2",
+         "--p", "arg:0.5", "--q", "arg:-1.3", "--r", f"arg:{0.5 + eps}",
+         "--s", "arg:-1.3"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert "* [error] commutants: algebra closure exceeded 256" in proc.stdout
+
+
+def test_analyze_caps_at_their_lower_bounds(capsys):
+    code, out, _ = run(capsys, "analyze", "--builtin", "r2", "--format",
+                       "json", "--n-cap", "0", "--fixed-cap", "1")
+    report = json.loads(out)
+    assert code == 0
+    assert (report["n_cap"], report["fixed_cap"]) == (0, 1)
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():

@@ -26,12 +26,24 @@ from rmlab.commutant import (
     _row_space_basis,
     commutant_of,
     generated_algebra,
-    operator_matrix,
 )
-from rmlab.errors import DomainError, ResourceError
+from rmlab.errors import DomainError, InternalConsistencyError, ResourceError
 from rmlab.rmatrix import require_dense
 
 RNG = np.random.default_rng(31)
+
+
+def _operator_matrix(map_fn, d, level):
+    """Reference: the matrix of a linear map on F^level, one matrix unit
+    per column, so column p * D + q is the row-major image of e_pq."""
+    dim = d ** level
+    cols = []
+    for p in range(dim):
+        for q in range(dim):
+            unit = np.zeros((dim, dim), dtype=complex)
+            unit[p, q] = 1.0
+            cols.append(np.asarray(map_fn(unit), dtype=complex).reshape(-1))
+    return np.stack(cols, axis=1)
 
 
 def span_columns_contain(outer, inner, tol=1e-9):
@@ -64,22 +76,6 @@ def test_nullspace_wide_matrix():
     ns = nullspace(a)
     assert ns.shape == (4, 3)
     assert np.linalg.norm(a @ ns) <= 1e-12
-
-
-def test_operator_matrix_tolerates_frozen_wrappers():
-    # map functions may wrap their argument in a frozen element
-    d = 2
-    t = operator_matrix(
-        lambda x: AlgebraElement(d, 1, x).matrix, d, 1
-    )
-    assert np.allclose(t, np.eye(4))
-
-
-def test_operator_matrix_vectorization_convention():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    t = operator_matrix(lambda x: m @ x, 2, 1)
-    x = RNG.standard_normal((2, 2))
-    assert np.allclose(t @ x.reshape(-1), (m @ x).reshape(-1))
 
 
 def test_wedderburn_full_matrix_algebra():
@@ -245,6 +241,9 @@ def test_level_validation():
         relative_commutant_M(rmlab.builtin("r2"), 0)
     with pytest.raises(DomainError):
         fixed_subalgebra(rmlab.builtin("r2"), -1)
+    with pytest.raises(DomainError):
+        braid_image_commutant(rmlab.builtin("r2"), -1)
+    assert braid_image_commutant(rmlab.builtin("r2"), 0).dimension == 1
 
 
 def test_dimension_and_basis_never_run_block_detection(monkeypatch):
@@ -420,7 +419,7 @@ def test_operators_refuse_before_building(monkeypatch, build):
     r = rmlab.builtin("r2")
     # Each level-1 operator has d^(4n + 2) = 64 entries.
     monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 63)
-    monkeypatch.setattr(rmlab.commutant, "operator_matrix", refuse)
+    monkeypatch.setattr(rmlab.commutant, "_lambda_operator", refuse)
     monkeypatch.setattr(rmlab.commutant, "commutant_of", refuse)
     with pytest.raises(ResourceError):
         build(r, 1)
@@ -442,6 +441,20 @@ def test_braid_image_commutant_refuses_before_building(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 2 * 2 ** 12)
     assert braid_image_commutant(r, 3).dimension >= 1
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-8])
+def test_closure_of_near_degenerate_generators_stops(monkeypatch, eps):
+    # r = p + eps splits two eigenvalues by eps, so rounding noise keeps
+    # the closure's frontier alive past D^2 columns.  A closure of k
+    # generators in M_D never asks for more than (k + 1) D^2 columns, so
+    # the cap (k = 3, D = 16 at four strands) turns a runaway into a
+    # ResourceError instead of a hang; the closure must stop first.
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 4 * 256 * 256)
+    r = rmlab.family_r2(np.exp(0.5j), np.exp(-1.3j),
+                        np.exp(1j * (0.5 + eps)), np.exp(-1.3j))
+    with pytest.raises(InternalConsistencyError, match="exceeded 256"):
+        relative_commutant_L(r, 1)
 
 
 def test_generated_algebra_refuses_before_each_round(monkeypatch):
@@ -493,8 +506,8 @@ def test_commutant_of_nothing_is_everything(dim):
 def test_commutant_of_matches_the_operator_build(name, n):
     # The per-matrix-unit operator the braid commutant used to build.
     images = _generator_images(rmlab.builtin(name), n)
-    t = operator_matrix(lambda y: np.vstack([y @ g - g @ y for g in images]),
-                        rmlab.builtin(name).d, n)
+    t = _operator_matrix(lambda y: np.vstack([y @ g - g @ y for g in images]),
+                         rmlab.builtin(name).d, n)
     assert commutant_of(images).tobytes() == nullspace(t).tobytes()
 
 
@@ -530,9 +543,27 @@ def test_fixed_points_commute_with_the_word_blocks(name, n):
     # Nothing is missed: the fixed points are the whole null space of
     # the defect x -> u (x (x) 1) u* - x (x) 1.
     pad = np.eye(d)
-    t = operator_matrix(
+    t = _operator_matrix(
         lambda x: u @ np.kron(x, pad) @ u.conj().T - np.kron(x, pad), d, n)
     assert nullspace(t).shape == (dim * dim, f.dimension)
+
+
+@pytest.mark.parametrize("name", ["r2", "r4", "box21", "flip3", "simple3",
+                                  "trivial2", "diag3", "nfmix"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_closed_form_operators_match_the_per_unit_build(name, n):
+    r = rmlab.builtin(name)
+    d = r.d
+    u = rmlab.commutant.word_ordered(r, n)
+    one = np.eye(d)
+    want = _operator_matrix(lambda x: u @ np.kron(one, x) @ u.conj().T, d, n)
+    t = rmlab.commutant._lambda_operator(r, n)
+    assert t.shape == want.shape
+    assert np.abs(t - want).max() <= 1e-15
+    # M is the null space of the defining equation u* (x (x) 1) u = 1 (x) x.
+    old = _operator_matrix(
+        lambda x: u.conj().T @ np.kron(x, one) @ u - np.kron(one, x), d, n)
+    _assert_same_subspace(relative_commutant_M(r, n), nullspace(old))
 
 
 def _last_slot_blocks(r, n):
