@@ -348,8 +348,11 @@ def test_out_of_range_integers_from_the_shell_are_exit_2(argv, seed):
 @pytest.mark.parametrize("eps", [1e-6, 1e-8])
 def test_analyze_reports_a_runaway_closure_as_a_section_error(eps):
     # Near-degenerate phases let rounding noise grow the L closure.
+    # Which noise survives depends on the BLAS's summation order (with
+    # two OpenBLAS threads eps = 1e-6 converges), so pin one BLAS thread.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "rmlab.cli", "analyze", "--builtin", "r2",
          "--p", "arg:0.5", "--q", "arg:-1.3", "--r", f"arg:{0.5 + eps}",

@@ -1,5 +1,9 @@
 """Commutant towers, fixed points, and algebra-structure detection."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -443,18 +447,45 @@ def test_braid_image_commutant_refuses_before_building(monkeypatch):
     assert braid_image_commutant(r, 3).dimension >= 1
 
 
+# Which rounding noise survives a closure round depends on the BLAS's
+# summation order, which changes with its thread count, so the
+# near-degenerate closures run in a child process with one BLAS thread.
+_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                    "MKL_NUM_THREADS": "1"}
+
+_NEAR_DEGENERATE_L = """
+import numpy as np
+import rmlab
+import rmlab.rmatrix
+from rmlab.errors import InternalConsistencyError
+rmlab.rmatrix.DENSE_ENTRY_CAP = 4 * 256 * 256
+eps = float({eps!r})
+r = rmlab.family_r2(np.exp(0.5j), np.exp(-1.3j),
+                    np.exp(1j * (0.5 + eps)), np.exp(-1.3j))
+try:
+    rmlab.relative_commutant_L(r, 1)
+except InternalConsistencyError as exc:
+    print(f"InternalConsistencyError: {{exc}}")
+"""
+
+
 @pytest.mark.parametrize("eps", [1e-6, 1e-8])
-def test_closure_of_near_degenerate_generators_stops(monkeypatch, eps):
+def test_closure_of_near_degenerate_generators_stops(eps):
     # r = p + eps splits two eigenvalues by eps, so rounding noise keeps
-    # the closure's frontier alive past D^2 columns.  A closure of k
+    # the closure's frontier alive past D^2 columns (with two OpenBLAS
+    # threads eps = 1e-6 happens to converge instead).  A closure of k
     # generators in M_D never asks for more than (k + 1) D^2 columns, so
     # the cap (k = 3, D = 16 at four strands) turns a runaway into a
     # ResourceError instead of a hang; the closure must stop first.
-    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 4 * 256 * 256)
-    r = rmlab.family_r2(np.exp(0.5j), np.exp(-1.3j),
-                        np.exp(1j * (0.5 + eps)), np.exp(-1.3j))
-    with pytest.raises(InternalConsistencyError, match="exceeded 256"):
-        relative_commutant_L(r, 1)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, **_ONE_BLAS_THREAD)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NEAR_DEGENERATE_L.format(eps=eps)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(
+        "InternalConsistencyError: algebra closure exceeded 256")
 
 
 def test_generated_algebra_refuses_before_each_round(monkeypatch):
