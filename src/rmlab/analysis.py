@@ -14,7 +14,8 @@ Everything here is deterministic given the inputs and the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -86,6 +87,17 @@ def phi_image(r: RMatrix) -> np.ndarray:
     return partial_trace_left(r.as_element()).matrix
 
 
+class Eigenvalue(NamedTuple):
+    value: complex
+    multiplicity: int
+
+
+def _spectrum(matrix) -> tuple:
+    """The distinct eigenvalues of a normal matrix with multiplicities."""
+    return tuple(Eigenvalue(cl.value, cl.multiplicity)
+                 for cl in eig_normal(matrix))
+
+
 @dataclass(frozen=True)
 class PartialTraceData:
     matrix: np.ndarray = field(repr=False)
@@ -119,10 +131,7 @@ def partial_trace_invariant(r: RMatrix, tol: float = 1e-10
         raise InternalConsistencyError(
             f"partial trace has operator norm {norm} > 1"
         )
-    spectrum = tuple(
-        (cl.value, cl.multiplicity) for cl in eig_normal(left)
-    )
-    return PartialTraceData(left, lr, defect, norm, spectrum)
+    return PartialTraceData(left, lr, defect, norm, _spectrum(left))
 
 
 @dataclass(frozen=True)
@@ -188,8 +197,7 @@ def index_bounds(r: RMatrix, tol: float = 1e-9) -> IndexBounds:
     """
     d = r.d
     spec_r = eig_normal(r.matrix)
-    phi = phi_image(r)
-    spec_phi = eig_normal(phi)
+    spec_phi = eig_normal(phi_image(r))
     lower_r = float(len(spec_r))
     lower_phi = float(len(spec_phi)) ** 2
     lower = max(1.0, lower_r, lower_phi)
@@ -467,12 +475,13 @@ def _basis_unitary_from_vector(v: np.ndarray) -> np.ndarray:
     return np.stack([v.conj(), w.conj()], axis=0)
 
 
-def _vector_from_angles(theta: float, phase: float) -> np.ndarray:
-    return np.array(
+def _unitary_from_angles(theta: float, phase: float) -> np.ndarray:
+    """The basis change of the unit vector at these Bloch angles."""
+    return _basis_unitary_from_vector(np.array(
         [math.cos(theta / 2.0),
          np.exp(1j * phase) * math.sin(theta / 2.0)],
         dtype=complex,
-    )
+    ))
 
 
 def _family4_canonical(q: complex) -> np.ndarray:
@@ -492,12 +501,9 @@ def _family4_canonical(q: complex) -> np.ndarray:
 def _try_family4(r: RMatrix, fixed: SubalgebraBasis, tol: float,
                  rng) -> Dim2Classification | None:
     g = hermitian_probe([b.matrix for b in fixed.basis], rng)
-    clusters = eig_normal(g)
-    rank_one = [cl.projection for cl in clusters if cl.multiplicity == 1]
-    for p in rank_one:
+    for p in [cl.projection for cl in eig_normal(g) if cl.multiplicity == 1]:
         evals, vecs = np.linalg.eigh(p)
-        v = vecs[:, int(np.argmax(evals))]
-        w = _basis_unitary_from_vector(v)
+        w = _basis_unitary_from_vector(vecs[:, int(np.argmax(evals))])
         aligned = _conjugate_by(r, w)
         off = aligned.copy()
         off[:2, :2] = 0.0
@@ -508,18 +514,13 @@ def _try_family4(r: RMatrix, fixed: SubalgebraBasis, tol: float,
         if abs(abs(q) - 1.0) > 1e-6:
             continue
         gamma = aligned[0, 1] / (q / math.sqrt(2.0))
-        best = None
-        for u2 in (np.diag([1.0, gamma]), np.diag([1.0, np.conj(gamma)])):
-            candidate = u2 @ w
-            resid = frobenius_norm(
-                _conjugate_by(r, candidate) - _family4_canonical(q)
-            )
-            if best is None or resid < best[0]:
-                best = (resid, candidate)
-        if best is not None and best[0] <= tol:
-            return Dim2Classification(
-                4, {"q": complex(q)}, best[1], float(best[0])
-            )
+        resid, u = min(
+            ((frobenius_norm(_conjugate_by(r, c) - _family4_canonical(q)), c)
+             for c in (np.diag([1.0, g]) @ w for g in (gamma, gamma.conj()))),
+            key=lambda pair: pair[0],
+        )
+        if resid <= tol:
+            return Dim2Classification(4, {"q": complex(q)}, u, float(resid))
     return None
 
 
@@ -570,6 +571,14 @@ def _diag_seed_vectors(r: RMatrix) -> list:
 #: intersect in a single quasifree orbit; its members are reported as
 #: family 3, whose split-commutant condition q^2 = p r they satisfy.
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+
+
+def _support_residual(r: RMatrix, w: np.ndarray) -> float:
+    """How far R, conjugated by w (x) w, is off the support of the
+    diagonal or the antidiagonal family, whichever is nearer."""
+    aligned = _conjugate_by(r, w)
+    return min(_off_support_norm(aligned, _FAM2_SUPPORT),
+               _off_support_norm(aligned, _FAM3_SUPPORT))
 
 
 def _extract_product_family(r: RMatrix, w: np.ndarray, tol: float
@@ -636,39 +645,22 @@ def classify_dim2(r: RMatrix, tol: float = 1e-8, seed: int = 0
         out = _extract_product_family(r, w, tol)
         if out is not None:
             return out
-        aligned = _conjugate_by(r, w)
-        best_resid = min(
-            best_resid,
-            _off_support_norm(aligned, _FAM2_SUPPORT),
-            _off_support_norm(aligned, _FAM3_SUPPORT),
-        )
+        best_resid = min(best_resid, _support_residual(r, w))
 
     def objective(angles) -> float:
-        w = _basis_unitary_from_vector(
-            _vector_from_angles(angles[0], angles[1])
-        )
-        aligned = _conjugate_by(r, w)
-        return min(
-            _off_support_norm(aligned, _FAM2_SUPPORT),
-            _off_support_norm(aligned, _FAM3_SUPPORT),
-        )
+        return _support_residual(r, _unitary_from_angles(*angles))
 
-    starts = []
     golden = math.pi * (3.0 - math.sqrt(5.0))
-    for i in range(32):
-        z = 1.0 - 2.0 * (i + 0.5) / 32.0
-        starts.append((math.acos(z), (golden * i) % (2.0 * math.pi)))
-    for theta, phase in starts:
+    for i in range(32):  # starts on a Fibonacci lattice of the sphere
+        theta = math.acos(1.0 - 2.0 * (i + 0.5) / 32.0)
+        phase = (golden * i) % (2.0 * math.pi)
         res = scipy.optimize.minimize(
             objective, np.array([theta, phase]), method="Nelder-Mead",
             options={"maxiter": 400, "xatol": 1e-12, "fatol": 1e-14},
         )
         best_resid = min(best_resid, float(res.fun))
         if res.fun <= tol:
-            w = _basis_unitary_from_vector(
-                _vector_from_angles(res.x[0], res.x[1])
-            )
-            out = _extract_product_family(r, w, tol)
+            out = _extract_product_family(r, _unitary_from_angles(*res.x), tol)
             if out is not None:
                 return out
     return Dim2Classification(None, {}, None, float(best_resid))
@@ -681,6 +673,151 @@ def _feasible_fixed_cap(d: int, cap: int) -> int:
     while n + 1 <= cap and d ** (4 * (n + 1) + 2) <= DENSE_ENTRY_CAP:
         n += 1
     return n
+
+
+
+
+def _jsonable(value):
+    """The JSON form of a report value: dataclasses and named tuples
+    become {field: ...}, arrays their row-major entries, tuples lists,
+    complex numbers [re, im] and numpy scalars Python ones."""
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    elif hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        value = tuple(value.astype(complex).reshape(-1))
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, complex):
+        return [float(value.real), float(value.imag)]
+    return value
+
+
+class _Section(NamedTuple):
+    """One report section.  ``name`` keys its failure in ``errors`` and,
+    up to its first dot, its entry in ``to_dict``.  ``compute(r, report)``
+    gives the report attribute ``attr`` (None: not applicable),
+    ``markdown(value, report)`` its lines and ``encode(value)`` its JSON.
+    """
+
+    name: str
+    attr: str
+    compute: Callable
+    markdown: Callable | None
+    encode: Callable = _jsonable
+
+
+def _spectrum_text(spectrum) -> str:
+    return ", ".join(f"{v:.6g} (x{m})" for v, m in spectrum)
+
+
+def _tower(r, report, name: str) -> dict:
+    """Levels 1 to ``n_cap`` of the commutant tower ``name``, filled into
+    ``report.commutants`` one by one so a failing level keeps those
+    below it."""
+    build = {"M": relative_commutant_M, "N": relative_commutant_N,
+             "L": relative_commutant_L}[name]
+    for n in range(1, report.n_cap + 1):
+        report.commutants.setdefault(n, {})[name] = build(
+            r, n, seed=report.seed)
+    return report.commutants
+
+
+def _towers_text(commutants, report) -> str:
+    return "\n".join(
+        f"* level {n}: " + ", ".join(
+            f"{name}: {b.profile_text()} (dim {b.dimension}"
+            + ("" if b.converged else ", truncated") + ")"
+            for name, b in by_name.items())
+        for n, by_name in sorted(commutants.items()))
+
+
+def _towers_json(commutants) -> dict:
+    return {str(n): {name: {"dimension": b.dimension,
+                            "profile": _jsonable(b.block_profile),
+                            "profile_text": b.profile_text(),
+                            "converged": b.converged}
+                     for name, b in by_name.items()}
+            for n, by_name in commutants.items()}
+
+
+def _irreducible(r, report) -> bool:
+    m1 = report.commutants.get(1, {}).get("M")
+    if m1 is None:
+        return is_irreducible(r, seed=report.seed)
+    return m1.dimension == 1
+
+
+def _dim2_text(c, report) -> str:
+    if c.family is None:
+        return f"* d=2 family: unclassified (best residual {c.residual:.3e})"
+    params = ", ".join(f"{k}={v:.6g}" for k, v in sorted(c.parameters.items()))
+    return f"* d=2 family: {c.family} ({params}), residual {c.residual:.3e}"
+
+
+def _exact_index(r, report) -> tuple | None:
+    family = report.dim2 and report.dim2.family
+    blocks = report.normal_form and report.normal_form.blocks
+    if report.trivial:
+        return (1.0, "scalar solution")
+    if family in (2, 3):
+        return (4.0, "product-basis family at d = 2")
+    if family == 4:
+        return (2.0, "Pauli-type family at d = 2")
+    if blocks and all(dim == 1 for dim, _ in blocks):
+        return (float(r.d ** 2), "involutive with rank-one blocks")
+    return None
+
+
+#: The report sections, in the order they run and print.  The lambdas
+#: look their functions up at call time, so patching or wrapping a
+#: module function reaches ``analyze``.
+_SECTIONS = (
+    _Section("spectrum", "spectrum", lambda r, rep: _spectrum(r.matrix),
+             lambda v, rep: f"* spectrum of R: {_spectrum_text(v)}"),
+    _Section("partial_trace", "partial_trace",
+             lambda r, rep: partial_trace_invariant(r),
+             lambda v, rep: "* partial trace spectrum: "
+             f"{_spectrum_text(v.spectrum)} (norm {v.operator_norm:.6g})"),
+    *(_Section(f"commutants.{x}", "commutants",
+               lambda r, rep, x=x: _tower(r, rep, x),
+               _towers_text, _towers_json) for x in "MNL"),
+    _Section("fixed_dims", "fixed_dims", lambda r, rep: tuple(
+                 fixed_subalgebra(r, n, seed=rep.seed).dimension for n in
+                 range(1, _feasible_fixed_cap(r.d, rep.fixed_cap) + 1)),
+             lambda v, rep: "* fixed point dimensions: "
+             + ", ".join(map(str, v))),
+    _Section("ergodic", "ergodic", lambda r, rep: is_ergodic(r),
+             lambda v, rep: f"* ergodic: {v.ergodic} (max deviation "
+             f"{v.max_deviation:.3e}, necessary gap {rep.necessary_gap:.3e})"),
+    _Section("necessary_gap", "necessary_gap",
+             lambda r, rep: ergodicity_necessary_check(r), None),
+    _Section("irreducible", "irreducible", _irreducible,
+             lambda v, rep: f"* irreducible: {v}"),
+    _Section("index_bounds", "bounds", lambda r, rep: index_bounds(r),
+             lambda v, rep: f"* index bounds: [{v.lower:.6g}, {v.upper:.6g}]"),
+    _Section("concentration", "concentration",
+             lambda r, rep: triviality_by_concentration(r),
+             lambda v, rep: f"* concentration margin: {v.margin:.6f} "
+             f"(threshold {v.threshold:.6f})"),
+    _Section("normal_form", "normal_form",
+             lambda r, rep: normal_form_of_involutive(r)
+             if rep.involutive else None,
+             lambda v, rep: "* normal form blocks: " + " + ".join(
+                 f"{n}:{'+' if sign > 0 else '-'}" for n, sign in v.blocks),
+             lambda v: [{"dim": dim, "sign": sign} for dim, sign in v.blocks]),
+    _Section("dim2", "dim2",
+             lambda r, rep: classify_dim2(r, seed=rep.seed)
+             if r.d == 2 else None, _dim2_text),
+    _Section("exact_index", "exact_index", _exact_index,
+             lambda v, rep: f"* exact index: {v[0]:.6g} ({v[1]})",
+             lambda v: {"value": v[0], "reason": v[1]}),
+)
 
 
 @dataclass
@@ -708,193 +845,36 @@ class AnalysisReport:
     exact_index: tuple | None = None
     errors: dict = field(default_factory=dict)
 
+    def _sections(self):
+        """(row, value) of each set attribute, in table order; the three
+        towers share ``commutants``, which counts as unset when empty."""
+        for row in {row.attr: row for row in _SECTIONS}.values():
+            value = getattr(self, row.attr)
+            if value not in (None, {}):
+                yield row, value
+
     def to_dict(self) -> dict:
-        def pair(z):
-            z = complex(z)
-            return [float(z.real), float(z.imag)]
-
-        def matrix_entries(m):
-            return [pair(v) for v in np.asarray(m, dtype=complex).reshape(-1)]
-
-        out: dict = {
-            "label": self.label,
-            "d": self.d,
-            "n_cap": self.n_cap,
-            "fixed_cap": self.fixed_cap,
-            "seed": self.seed,
-            "ybe_residual": float(self.ybe_residual),
-            "unitarity_residual": float(self.unitarity_residual),
-            "involutive": self.involutive,
-            "trivial": self.trivial,
-            "errors": dict(self.errors),
-        }
-        if self.spectrum is not None:
-            out["spectrum"] = [
-                {"value": pair(v), "multiplicity": m} for v, m in self.spectrum
-            ]
-        if self.partial_trace is not None:
-            pt = self.partial_trace
-            out["partial_trace"] = {
-                "matrix": matrix_entries(pt.matrix),
-                "left_right_residual": float(pt.left_right_residual),
-                "normality_defect": float(pt.normality_defect),
-                "operator_norm": float(pt.operator_norm),
-                "spectrum": [
-                    {"value": pair(v), "multiplicity": m}
-                    for v, m in pt.spectrum
-                ],
-            }
-        if self.commutants:
-            out["commutants"] = {
-                str(n): {
-                    name: {
-                        "dimension": b.dimension,
-                        "profile": (
-                            list(b.block_profile)
-                            if b.block_profile is not None else None
-                        ),
-                        "profile_text": b.profile_text(),
-                        "converged": b.converged,
-                    }
-                    for name, b in by_name.items()
-                }
-                for n, by_name in self.commutants.items()
-            }
-        if self.fixed_dims is not None:
-            out["fixed_dims"] = list(self.fixed_dims)
-        if self.ergodic is not None:
-            out["ergodic"] = {
-                "ergodic": self.ergodic.ergodic,
-                "max_deviation": float(self.ergodic.max_deviation),
-                "witness": (
-                    list(self.ergodic.witness)
-                    if self.ergodic.witness is not None else None
-                ),
-            }
-        if self.necessary_gap is not None:
-            out["necessary_gap"] = float(self.necessary_gap)
-        if self.irreducible is not None:
-            out["irreducible"] = self.irreducible
-        if self.bounds is not None:
-            out["index_bounds"] = {
-                "lower": float(self.bounds.lower),
-                "upper": float(self.bounds.upper),
-                "sources": list(self.bounds.sources),
-            }
-        if self.concentration is not None:
-            out["concentration"] = {
-                "margin": float(self.concentration.margin),
-                "threshold": float(self.concentration.threshold),
-                "concluded_trivial": self.concentration.concluded_trivial,
-            }
-        if self.normal_form is not None:
-            out["normal_form"] = [
-                {"dim": dim, "sign": sign}
-                for dim, sign in self.normal_form.blocks
-            ]
-        if self.dim2 is not None:
-            out["dim2"] = {
-                "family": self.dim2.family,
-                "parameters": {
-                    k: pair(v) for k, v in sorted(self.dim2.parameters.items())
-                },
-                "conjugator": (
-                    matrix_entries(self.dim2.conjugator)
-                    if self.dim2.conjugator is not None else None
-                ),
-                "residual": float(self.dim2.residual),
-            }
-        if self.exact_index is not None:
-            out["exact_index"] = {
-                "value": float(self.exact_index[0]),
-                "reason": self.exact_index[1],
-            }
+        out = {name: _jsonable(getattr(self, name)) for name in (
+            "label", "d", "n_cap", "fixed_cap", "seed", "ybe_residual",
+            "unitarity_residual", "involutive", "trivial", "errors")}
+        for row, value in self._sections():
+            out[row.name.partition(".")[0]] = row.encode(value)
         return out
 
     def to_markdown(self) -> str:
-        lines = [f"# Analysis: {self.label or 'unnamed solution'}", ""]
-        lines.append(
-            f"* d = {self.d}, residuals: ybe {self.ybe_residual:.3e}, "
-            f"unitarity {self.unitarity_residual:.3e}"
-        )
         note = " (endomorphism is an automorphism)" if self.trivial else ""
-        lines.append(
-            f"* involutive: {self.involutive}, trivial: {self.trivial}{note}"
-        )
-        if self.spectrum is not None:
-            parts = ", ".join(
-                f"{v:.6g} (x{m})" for v, m in self.spectrum
-            )
-            lines.append(f"* spectrum of R: {parts}")
-        if self.partial_trace is not None:
-            parts = ", ".join(
-                f"{v:.6g} (x{m})" for v, m in self.partial_trace.spectrum
-            )
-            lines.append(
-                f"* partial trace spectrum: {parts} "
-                f"(norm {self.partial_trace.operator_norm:.6g})"
-            )
-        for n, by_name in sorted(self.commutants.items()):
-            row = ", ".join(
-                f"{name}: {b.profile_text()} (dim {b.dimension}"
-                + ("" if b.converged else ", truncated")
-                + ")"
-                for name, b in by_name.items()
-            )
-            lines.append(f"* level {n}: {row}")
-        if self.fixed_dims is not None:
-            lines.append(
-                "* fixed point dimensions: "
-                + ", ".join(str(v) for v in self.fixed_dims)
-            )
-        if self.ergodic is not None:
-            lines.append(
-                f"* ergodic: {self.ergodic.ergodic} "
-                f"(max deviation {self.ergodic.max_deviation:.3e}, "
-                f"necessary gap {self.necessary_gap:.3e})"
-            )
-        if self.irreducible is not None:
-            lines.append(f"* irreducible: {self.irreducible}")
-        if self.bounds is not None:
-            lines.append(
-                f"* index bounds: [{self.bounds.lower:.6g}, "
-                f"{self.bounds.upper:.6g}]"
-            )
-        if self.concentration is not None:
-            lines.append(
-                f"* concentration margin: {self.concentration.margin:.6f} "
-                f"(threshold {self.concentration.threshold:.6f})"
-            )
-        if self.normal_form is not None:
-            text = " + ".join(
-                f"{dim}:{'+' if sign > 0 else '-'}"
-                for dim, sign in self.normal_form.blocks
-            )
-            lines.append(f"* normal form blocks: {text}")
-        if self.dim2 is not None:
-            if self.dim2.family is None:
-                lines.append(
-                    f"* d=2 family: unclassified "
-                    f"(best residual {self.dim2.residual:.3e})"
-                )
-            else:
-                params = ", ".join(
-                    f"{k}={v:.6g}"
-                    for k, v in sorted(self.dim2.parameters.items())
-                )
-                lines.append(
-                    f"* d=2 family: {self.dim2.family} ({params}), "
-                    f"residual {self.dim2.residual:.3e}"
-                )
-        if self.exact_index is not None:
-            lines.append(
-                f"* exact index: {self.exact_index[0]:.6g} "
-                f"({self.exact_index[1]})"
-            )
-        for section, message in sorted(self.errors.items()):
-            lines.append(f"* [error] {section}: {message}")
-        lines.append("")
-        return "\n".join(lines)
+        lines = [
+            f"# Analysis: {self.label or 'unnamed solution'}",
+            "",
+            f"* d = {self.d}, residuals: ybe {self.ybe_residual:.3e}, "
+            f"unitarity {self.unitarity_residual:.3e}",
+            f"* involutive: {self.involutive}, trivial: {self.trivial}{note}",
+        ]
+        lines += [row.markdown(value, self)
+                  for row, value in self._sections() if row.markdown]
+        lines += [f"* [error] {name}: {message}"
+                  for name, message in sorted(self.errors.items())]
+        return "\n".join(lines + [""])
 
 
 def analyze(r: RMatrix, n_cap: int = 2, fixed_cap: int = 4,
@@ -906,92 +886,11 @@ def analyze(r: RMatrix, n_cap: int = 2, fixed_cap: int = 4,
     deterministic in (r, n_cap, fixed_cap, seed).
     """
     report = AnalysisReport(
-        label=r.label,
-        d=r.d,
-        n_cap=n_cap,
-        fixed_cap=fixed_cap,
-        seed=seed,
-        ybe_residual=r.ybe_residual,
-        unitarity_residual=r.unitarity_residual,
-        involutive=is_involutive(r),
-        trivial=is_trivial(r),
-    )
-
-    def section(name, fn):
+        r.label, r.d, n_cap, fixed_cap, seed, r.ybe_residual,
+        r.unitarity_residual, is_involutive(r), is_trivial(r))
+    for row in _SECTIONS:
         try:
-            fn()
+            setattr(report, row.attr, row.compute(r, report))
         except RmlabError as exc:
-            report.errors[name] = str(exc)
-
-    def compute_spectrum():
-        report.spectrum = tuple(
-            (cl.value, cl.multiplicity) for cl in eig_normal(r.matrix)
-        )
-
-    def compute_partial_trace():
-        report.partial_trace = partial_trace_invariant(r)
-
-    def compute_commutants():
-        for n in range(1, n_cap + 1):
-            entry = {}
-            entry["M"] = relative_commutant_M(r, n, seed=seed)
-            entry["N"] = relative_commutant_N(r, n, seed=seed)
-            entry["L"] = relative_commutant_L(r, n, seed=seed)
-            report.commutants[n] = entry
-
-    def compute_fixed():
-        cap = _feasible_fixed_cap(r.d, fixed_cap)
-        report.fixed_dims = tuple(
-            fixed_subalgebra(r, n, seed=seed).dimension
-            for n in range(1, cap + 1)
-        )
-
-    def compute_ergodic():
-        report.ergodic = is_ergodic(r)
-        report.necessary_gap = ergodicity_necessary_check(r)
-
-    def compute_irreducible():
-        if 1 in report.commutants:
-            report.irreducible = report.commutants[1]["M"].dimension == 1
-        else:
-            report.irreducible = is_irreducible(r, seed=seed)
-
-    def compute_bounds():
-        report.bounds = index_bounds(r)
-
-    def compute_concentration():
-        report.concentration = triviality_by_concentration(r)
-
-    def compute_normal_form():
-        if report.involutive:
-            report.normal_form = normal_form_of_involutive(r)
-
-    def compute_dim2():
-        if r.d == 2:
-            report.dim2 = classify_dim2(r, seed=seed)
-
-    def compute_exact_index():
-        if report.trivial:
-            report.exact_index = (1.0, "scalar solution")
-        elif report.dim2 is not None and report.dim2.family in (2, 3):
-            report.exact_index = (4.0, "product-basis family at d = 2")
-        elif report.dim2 is not None and report.dim2.family == 4:
-            report.exact_index = (2.0, "Pauli-type family at d = 2")
-        elif (report.normal_form is not None
-              and all(dim == 1 for dim, _ in report.normal_form.blocks)):
-            report.exact_index = (
-                float(r.d ** 2), "involutive with rank-one blocks"
-            )
-
-    section("spectrum", compute_spectrum)
-    section("partial_trace", compute_partial_trace)
-    section("commutants", compute_commutants)
-    section("fixed_dims", compute_fixed)
-    section("ergodic", compute_ergodic)
-    section("irreducible", compute_irreducible)
-    section("index_bounds", compute_bounds)
-    section("concentration", compute_concentration)
-    section("normal_form", compute_normal_form)
-    section("dim2", compute_dim2)
-    section("exact_index", compute_exact_index)
+            report.errors[row.name] = str(exc)
     return report

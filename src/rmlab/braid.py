@@ -361,8 +361,9 @@ def characters_equal(r: RMatrix, s: RMatrix, max_strands: int = 4,
     ``_letter_table``.
 
     Raises ``DomainError`` unless 0 <= tol < inf, and
-    ``ResourceError`` before walking when the word count is above the
-    dense cap.
+    ``ResourceError`` before walking when the word count, or the
+    2 (max_strands - 1) d^(2 max_strands) entries of the letter table,
+    are above the dense cap.
     """
     if max_strands < 2 or max_len < 1:
         raise DomainError("need max_strands >= 2 and max_len >= 1")
@@ -374,6 +375,9 @@ def characters_equal(r: RMatrix, s: RMatrix, max_strands: int = 4,
     words = 2 * max_len if k == 2 else (
         k * ((k - 1) ** min(max_len, 64) - 1) // (k - 2))
     require_dense(words, "the freely reduced word walk")
+    # Likewise 64 levels of a d >= 2 letter table exceed the cap.
+    require_dense(k * max(r.d, s.d) ** (2 * min(max_strands, 64)),
+                  "the letter table")
     tables = [_letter_table(x, max_strands) for x in (r, s)]
     alphabet = tables[0][0]
     # The walk meets words of one length in shortlex order, and so do

@@ -93,6 +93,7 @@ def flip_matrix(d: int) -> np.ndarray:
     """The tensor flip e_i (x) e_j -> e_j (x) e_i as a d^2 x d^2 matrix."""
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
+    require_dense(d ** 6, f"a d = {d} solution")
     return _flip_cached(d)
 
 
@@ -153,6 +154,8 @@ def verify(matrix, d: int | None = None, tol: float = DEFAULT_TOL,
     ------
     DomainError     unless 0 <= tol < inf (NaN would pass any residual).
     ShapeError      if the matrix is not d^2 x d^2 for some integer d.
+    ResourceError   if the level-3 check, with d^6 entries, is above
+        ``DENSE_ENTRY_CAP``.
     VerificationError  if either residual exceeds ``tol``; the error
         carries both residuals.
     """
@@ -167,6 +170,7 @@ def verify(matrix, d: int | None = None, tol: float = DEFAULT_TOL,
         d = side
     elif d * d != n:
         raise ShapeError(f"matrix side {n} does not match d={d}")
+    require_dense(d ** 6, f"a d = {d} solution")
 
     unit_res = frobenius_norm(r.conj().T @ r - np.eye(n))
     ybe_res = _ybe_residual_direct(r, d)
@@ -192,6 +196,7 @@ def make_trivial(d: int, q: complex = 1.0) -> RMatrix:
     """The scalar solution q * identity, |q| = 1."""
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
+    require_dense(d ** 6, f"a d = {d} solution")
     q = complex(q)
     if abs(abs(q) - 1.0) > 1e-12:
         raise DomainError(f"|q| must be 1, got |q|={abs(q)}")
@@ -245,9 +250,9 @@ class SimpleRSpec:
             if frobenius_norm(p @ p - p) > tol:
                 raise DomainError(f"projection {i} is not idempotent")
             total += p
-        for i in range(len(self.projections)):
-            for j in range(i + 1, len(self.projections)):
-                if frobenius_norm(self.projections[i] @ self.projections[j]) > tol:
+        for i, p in enumerate(self.projections):
+            for j, q in enumerate(self.projections[i + 1:], i + 1):
+                if frobenius_norm(p @ q) > tol:
                     raise DomainError(f"projections {i},{j} not orthogonal")
         if frobenius_norm(total - np.eye(d)) > tol:
             raise DomainError("projections do not sum to the identity")
@@ -257,8 +262,9 @@ class SimpleRSpec:
 
 def make_simple(spec: SimpleRSpec, label: str = "") -> RMatrix:
     """Build sum_i c_ii p_i (x) p_i + sum_{i != j} c_ij (p_i (x) p_j) F."""
-    spec.validate()
     d = spec.d
+    require_dense(d ** 6, f"a d = {d} solution")
+    spec.validate()
     f = flip_matrix(d)
     r = np.zeros((d * d, d * d), dtype=complex)
     n = len(spec.projections)

@@ -29,7 +29,7 @@ import scipy.linalg
 
 from .braid import BraidWord, character
 from .errors import DomainError, ShapeError, VerificationError
-from .rmatrix import RMatrix, verify
+from .rmatrix import RMatrix, require_dense, verify
 from .tensor import partial_trace_left, trace_out_first, trace_out_last
 
 __all__ = [
@@ -203,6 +203,7 @@ def search_unitary_solution(d: int, seed: int = 0,
         raise DomainError(f"need max_iterations >= 1, got {max_iterations}")
     if not 0.0 < target_residual < math.inf:
         raise DomainError(f"target_residual {target_residual} not in (0, inf)")
+    require_dense(d ** 6, f"a d = {d} solution")
     rng = np.random.default_rng(seed)
     if initial is None:
         u = haar_unitary(d * d, rng)

@@ -131,7 +131,7 @@ def shifted_product(m: np.ndarray, d: int, m_level: int, level: int,
 
 
 def embed(x: AlgebraElement, target_level: int) -> AlgebraElement:
-    """Include x into level ``target_level`` by tensoring identity on the right.
+    """Include x into level ``target_level``, tensoring identity on the right.
 
     This is the inclusion compatible with the normalized trace and with
     the conditional expectations onto lower levels.

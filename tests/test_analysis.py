@@ -313,3 +313,65 @@ def test_concentration_grid_matches_the_pointwise_loop(name):
     )
     assert triviality_by_concentration(r).margin == min(res.fun,
                                                         values[best])
+
+
+def test_a_failing_tower_keeps_the_other_towers(monkeypatch):
+    import rmlab.analysis
+
+    def closure_fails(r, n, seed=0):
+        raise InternalConsistencyError("closure failed")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("irreducible did not read M_1")
+
+    monkeypatch.setattr(rmlab.analysis, "relative_commutant_L",
+                        closure_fails)
+    monkeypatch.setattr(rmlab.analysis, "is_irreducible", refuse)
+    report = analyze(rmlab.builtin("r2"), n_cap=2)
+    assert report.errors == {"commutants.L": "closure failed"}
+    for n in (1, 2):
+        assert list(report.commutants[n]) == ["M", "N"]
+    assert report.irreducible is (report.commutants[1]["M"].dimension == 1)
+    assert set(report.to_dict()["commutants"]["2"]) == {"M", "N"}
+    assert "* [error] commutants.L: closure failed" in report.to_markdown()
+
+
+# The Markdown line of each section, in the order of the section table.
+_MARKDOWN_ORDER = (
+    "* spectrum of R: ", "* partial trace spectrum: ", "* level ",
+    "* fixed point dimensions: ", "* ergodic: ", "* irreducible: ",
+    "* index bounds: ", "* concentration margin: ", "* normal form blocks: ",
+    "* d=2 family: ", "* exact index: ", "* [error] ",
+)
+
+
+def _plain_json_types(value):
+    """Every node's exact type, so numpy scalars and tuples show up."""
+    if isinstance(value, dict):
+        return {type(value)}.union(*map(_plain_json_types, value.values()))
+    if isinstance(value, (list, tuple)):
+        return {type(value)}.union(*map(_plain_json_types, value))
+    return {type(value)}
+
+
+@pytest.mark.parametrize("n_cap", [0, 2])
+def test_report_round_trips_through_json(n_cap):
+    names = [n for n in rmlab.builtin_names() if rmlab.builtin(n).d == 2]
+    assert len(names) >= 8
+    for name in names:
+        report = analyze(rmlab.builtin(name), n_cap=n_cap)
+        payload = report.to_dict()
+        assert json.loads(json.dumps(payload)) == payload, name
+        assert _plain_json_types(payload) <= {
+            dict, list, str, int, float, bool, type(None)}, name
+        assert ("commutants" in payload) == (n_cap > 0)
+        lines = report.to_markdown().splitlines()
+        assert lines[0] == f"# Analysis: {name}" and lines[1] == ""
+        assert lines[2].startswith("* d = 2, residuals: ")
+        assert lines[3].startswith("* involutive: ")
+        order = []
+        for line in lines[4:]:
+            order.append(next(i for i, p in enumerate(_MARKDOWN_ORDER)
+                              if line.startswith(p)))
+        assert order == sorted(order), name
+        assert order.count(2) == n_cap, name

@@ -200,6 +200,7 @@ def test_characters_equal_counts_words_before_walking(monkeypatch, strands,
     r = rmlab.builtin("r2")
     monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", words - 1)
     monkeypatch.setattr(rmlab.braid, "word_walk", refuse)
+    monkeypatch.setattr(rmlab.braid, "_letter_table", refuse)
     with pytest.raises(ResourceError, match=f"needs {words} entries"):
         characters_equal(r, r, max_strands=strands, max_len=length)
     # Far past any cap, the count stays cheap and still refuses.
@@ -207,8 +208,20 @@ def test_characters_equal_counts_words_before_walking(monkeypatch, strands,
     for strands_, length_ in ((6, 12), (3, 10 ** 12), (2, 10 ** 12)):
         with pytest.raises(ResourceError):
             characters_equal(r, r, max_strands=strands_, max_len=length_)
+    # 26 words pass, but the letter table needs 26 * 4^14 entries.
+    with pytest.raises(ResourceError, match=f"needs {26 * 4 ** 14} entries"):
+        characters_equal(r, r, max_strands=14, max_len=1)
+    # The larger d of the two inputs sizes the table: 16 * 9^9 entries.
+    flip3 = rmlab.make_flip(3)
+    for pair in ((r, flip3), (flip3, r)):
+        with pytest.raises(ResourceError, match=f"needs {16 * 9 ** 9} "):
+            characters_equal(*pair, max_strands=9, max_len=1)
+    with pytest.raises(ResourceError, match="the letter table"):
+        characters_equal(r, r, max_strands=2 ** 22, max_len=1)
     monkeypatch.undo()
-    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", words)
+    # The letter table, 2 (strands - 1) d^(2 strands) entries, must fit too.
+    table = 2 * (strands - 1) * 4 ** strands
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", max(words, table))
     cmp = characters_equal(r, r, max_strands=strands, max_len=length)
     assert cmp.equal and cmp.words_checked == words
 

@@ -360,7 +360,8 @@ def test_analyze_reports_a_runaway_closure_as_a_section_error(eps):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0
-    assert "* [error] commutants: algebra closure exceeded 256" in proc.stdout
+    assert "* [error] commutants.L: algebra closure exceeded 256" in proc.stdout
+    assert "* level 1: M:" in proc.stdout
 
 
 def test_analyze_caps_at_their_lower_bounds(capsys):
@@ -381,3 +382,14 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_oversized_d_exits_1_before_allocating(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the flip was built")
+
+    monkeypatch.setattr(rmlab.rmatrix, "_flip_cached", refuse)
+    code, out, err = run(capsys, "verify", "--builtin", "flip", "--d", "30")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+    assert f"needs {30 ** 6} entries, above the cap" in err

@@ -256,3 +256,44 @@ def test_uf_solution_requires_unitary():
     assert r.ybe_residual <= 1e-12
     with pytest.raises(VerificationError):
         rmlab.uf_solution(np.diag([1.0, 2.0]))
+
+
+def _two_projections():
+    return SimpleRSpec((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                       np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("build,stub", [
+    (lambda: verify(np.eye(4), 2), "_ybe_residual_direct"),
+    (lambda: make_trivial(2), "verify"),
+    (lambda: flip_matrix(2), "_flip_cached"),
+    (lambda: make_simple(_two_projections()), "kron"),
+    (lambda: rmlab.search_unitary_solution(2, max_iterations=1),
+     "haar_unitary"),
+], ids=["verify", "make_trivial", "flip_matrix", "make_simple", "search"])
+def test_constructors_refuse_oversized_d_before_allocating(monkeypatch,
+                                                            build, stub):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    # The level-3 check of a d = 2 solution has d^6 = 64 entries.
+    owner = rmlab.search if stub == "haar_unitary" else rmlab.rmatrix
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 63)
+    monkeypatch.setattr(owner, stub, refuse)
+    monkeypatch.setattr(SimpleRSpec, "validate", refuse)
+    with pytest.raises(ResourceError, match="needs 64 entries"):
+        build()
+    monkeypatch.undo()
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 64)
+    build()
+
+
+def test_cabling_refuses_a_power_too_large_to_verify(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verified at d = 27")
+
+    # d^12 of flip3 passes the cabling guard, but d = 27 fails verify's.
+    flip3 = make_flip(3)
+    monkeypatch.setattr(rmlab.rmatrix, "_ybe_residual_direct", refuse)
+    with pytest.raises(ResourceError, match=f"needs {27 ** 6} entries"):
+        cabling_power(flip3, 3)
