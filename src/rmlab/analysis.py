@@ -49,7 +49,6 @@ from .tensor import (
     partial_trace_left,
     partial_trace_right,
     shift,
-    trace_out_first,
     trace_out_last,
 )
 
@@ -229,27 +228,18 @@ class ConcentrationData:
 def triviality_by_concentration(r: RMatrix) -> ConcentrationData:
     """Distance of the spectrum from the best single phase.
 
-    margin = min over |mu| = 1 of max_k |lambda_k - mu|.  A margin
-    below 1 - 2^(-1/4) forces the solution to be scalar; that
-    implication is asserted and its failure would be an
+    margin = min over |mu| = 1 of max_k |lambda_k - mu|.  Since
+    |lambda - mu| grows with the angle between them, the best mu faces
+    the middle of the largest gap g between neighbouring eigenvalue
+    angles (the wrap-around gap included), and the margin is exactly
+    2 cos(g / 4).  A margin below 1 - 2^(-1/4) forces the solution to
+    be scalar; that implication is asserted and its failure would be an
     internal-consistency error.
     """
-    import scipy.optimize  # slow to import; loaded on first use
-
-    evals = np.linalg.eigvals(r.matrix)
-
-    def worst(theta: float) -> float:
-        return float(np.max(np.abs(evals - np.exp(1j * theta))))
-
-    grid = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
-    values = np.abs(evals[None, :] - np.exp(1j * grid)[:, None]).max(axis=1)
-    best = int(np.argmin(values))
-    h = 2.0 * math.pi / 2048
-    res = scipy.optimize.minimize_scalar(
-        worst, bounds=(grid[best] - h, grid[best] + h), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    margin = float(min(res.fun, values[best]))
+    angles = np.sort(np.angle(np.linalg.eigvals(r.matrix)))
+    gap = max(np.max(np.diff(angles), initial=0.0),
+              angles[0] + 2.0 * math.pi - angles[-1])
+    margin = 2.0 * math.cos(gap / 4.0)
     concluded = margin < CONCENTRATION_THRESHOLD
     if concluded and not is_trivial(r):
         raise InternalConsistencyError(
@@ -524,6 +514,11 @@ def _try_family4(r: RMatrix, fixed: SubalgebraBasis, tol: float,
     return None
 
 
+#: The fixed generic Hermitian of the closed-form seeds: any H whose two
+#: diagonal entries differ in the solution's product basis will do.
+_SEED_HERMITIAN = np.array([[0.71, 0.33 - 0.47j], [0.33 + 0.47j, -0.29]])
+
+
 def _diag_seed_vectors(r: RMatrix) -> list:
     """Candidate eigenbasis vectors for the product-basis families.
 
@@ -531,39 +526,23 @@ def _diag_seed_vectors(r: RMatrix) -> list:
     conjugation of R, and for the product-basis families its
     eigenvectors are supported on single matrix units of the right
     basis, so singular vectors of those eigenvectors recover the basis.
-    The partial trace of R and the spectral projections of R^2
-    contribute further seeds.
+    Then one closed-form seed per spectral projection P of R^2: in that
+    basis P is a sum of terms P_i (x) P_j, so tr_2[P (1 (x) H)] is
+    diagonal there, and its eigenvectors are the basis.
     """
     d = r.d
-    seeds = []
-
-    def push(vec):
-        n = np.linalg.norm(vec)
-        if n > 1e-9:
-            seeds.append(np.asarray(vec, dtype=complex) / n)
-
     # Entry (kl, ab) of the map: sum_ij R[ik, aj] conj(R[il, bj]) / d.
     t4 = r.matrix.reshape(d, d, d, d)
     m = np.einsum("ikaj,ilbj->klab", t4, t4.conj()).reshape(d * d, -1) / d
-    _, vecs = np.linalg.eig(m)
-    for i in range(vecs.shape[1]):
-        x = vecs[:, i].reshape(d, d)
-        u_l, _, v_r = np.linalg.svd(x)
-        push(u_l[:, 0])
-        push(v_r[0, :].conj())
-    try:
-        for cl in eig_normal(phi_image(r)):
-            if cl.multiplicity == 1:
-                ev, evec = np.linalg.eigh(cl.projection)
-                push(evec[:, int(np.argmax(ev))])
-    except RmlabError:
-        pass
+    seeds = []
+    for x in np.linalg.eig(m)[1].T:
+        u_l, _, v_r = np.linalg.svd(x.reshape(d, d))
+        seeds += [u_l[:, 0], v_r[0, :].conj()]
+    probe = np.kron(np.eye(d), _SEED_HERMITIAN)
     for cl in eig_normal(r.matrix @ r.matrix):
-        for side in (trace_out_first, trace_out_last):
-            reduced = side(cl.projection, d) / d
-            ev, evec = np.linalg.eigh(reduced)
-            push(evec[:, int(np.argmax(ev))])
-    return seeds
+        seeds.append(np.linalg.eigh(
+            trace_out_last(cl.projection @ probe, d))[1][:, 0])
+    return [v / np.linalg.norm(v) for v in seeds]
 
 
 #: Change of basis carrying the overlap form q*diag-antidiag(1,-1,-1,1)
@@ -614,13 +593,12 @@ def classify_dim2(r: RMatrix, tol: float = 1e-8, seed: int = 0
     """Classify a d = 2 solution into the four known families.
 
     Decision order: scalar solutions; solutions with nontrivial
-    endomorphism fixed points (the Pauli-type family); then a search
-    for a product eigenbasis exposing the diagonal and
-    antidiagonal families.  Unclassifiable inputs are returned with
+    endomorphism fixed points (the Pauli-type family); then closed-form
+    seeds for a product eigenbasis exposing the diagonal and
+    antidiagonal families, and a local polish of those seeds only when
+    none is exact.  Unclassifiable inputs are returned with
     ``family=None`` and the best residual found.
     """
-    import scipy.optimize  # slow to import; loaded on first use
-
     if r.d != 2:
         raise DomainError(f"classification needs d = 2, got d = {r.d}")
     rng = np.random.default_rng(seed)
@@ -638,24 +616,27 @@ def classify_dim2(r: RMatrix, tol: float = 1e-8, seed: int = 0
         if out is not None:
             return out
 
+    seeds = _diag_seed_vectors(r)
     best_resid = math.inf
-    # Structural seeds first; they are usually exact.
-    for v in _diag_seed_vectors(r):
+    for v in seeds:
         w = _basis_unitary_from_vector(v)
         out = _extract_product_family(r, w, tol)
         if out is not None:
             return out
         best_resid = min(best_resid, _support_residual(r, w))
 
+    # No seed is exact: near a degenerate point of R^2 the seeds are
+    # accurate only to about rounding / gap, so polish each one locally.
+    import scipy.optimize  # slow to import; loaded on first use
+
     def objective(angles) -> float:
         return _support_residual(r, _unitary_from_angles(*angles))
 
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    for i in range(32):  # starts on a Fibonacci lattice of the sphere
-        theta = math.acos(1.0 - 2.0 * (i + 0.5) / 32.0)
-        phase = (golden * i) % (2.0 * math.pi)
+    for v in seeds:
+        start = [2.0 * math.atan2(abs(v[1]), abs(v[0])),
+                 float(np.angle(v[1]) - np.angle(v[0]))]
         res = scipy.optimize.minimize(
-            objective, np.array([theta, phase]), method="Nelder-Mead",
+            objective, start, method="Nelder-Mead",
             options={"maxiter": 400, "xatol": 1e-12, "fatol": 1e-14},
         )
         best_resid = min(best_resid, float(res.fun))

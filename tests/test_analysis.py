@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rmlab
 from rmlab import (
@@ -28,6 +33,13 @@ from rmlab import (
     quasifree_conjugate,
     reduce_involutive,
     triviality_by_concentration,
+)
+from rmlab.corpus import (
+    random_conjugate,
+    random_family2,
+    random_family3,
+    random_family4,
+    random_unimodular,
 )
 from rmlab.errors import DomainError, InternalConsistencyError
 
@@ -230,6 +242,75 @@ def test_classify_returns_unitary_conjugator():
     assert np.linalg.norm(u @ u.conj().T - np.eye(2)) <= 1e-9
 
 
+def _invariants(family: int, params: dict) -> list:
+    """The parameters of a d = 2 family that no conjugation changes,
+    once per choice of basis order."""
+    if family == 2:
+        p, q, r, s = (complex(params[k]) for k in "pqrs")
+        return [(p, q, r, s), (s, r, q, p)]
+    if family == 3:
+        p, q, r = (complex(params[k]) for k in "pqr")
+        return [(q, p * r)]
+    return [(complex(params["q"]),)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.integers(1, 4), flag=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_classify_recovers_drawn_families_under_conjugation(family, flag,
+                                                            seed):
+    # flag draws the symmetric family-2 and the special family-3 members
+    rng = np.random.default_rng(seed)
+    if family == 1:
+        q = random_unimodular(rng)
+        base, params = make_trivial(2, q), {"q": q}
+    elif family == 2:
+        base, params = random_family2(rng, symmetric=flag)
+    elif family == 3:
+        base, params = random_family3(rng, special=flag)
+    else:
+        base, params = random_family4(rng)
+    c = classify_dim2(random_conjugate(base, rng))
+    assert c.family == family
+    assert c.residual <= 1e-8
+    u = c.conjugator
+    assert np.linalg.norm(u @ u.conj().T - np.eye(2)) <= 1e-9
+    got = _invariants(family, c.parameters)[0]
+    assert min(max(abs(a - b) for a, b in zip(got, want))
+               for want in _invariants(family, params)) <= 1e-9
+
+
+# r = q^2 / p e^{i eps} puts R^2 = p r on e00, e11 and q^2 on e01, e10
+# within eps of a scalar, where the closed-form seeds are accurate only
+# to about rounding / eps.  The BLAS thread count changes that rounding,
+# so the sweep runs in a child process with one BLAS thread.
+_NEAR_SPECIAL_SWEEP = """
+import numpy as np
+from rmlab import classify_dim2, family_r3
+from rmlab.corpus import random_conjugate, random_unimodular
+rng = np.random.default_rng(13)
+hits = 0
+for eps in [m * 10.0 ** e for e in range(-9, -3) for m in (1, 3)] + [1e-3]:
+    for _ in range(20):
+        p, q = random_unimodular(rng), random_unimodular(rng)
+        base = family_r3(p, q, q * q / p * np.exp(1j * eps))
+        c = classify_dim2(random_conjugate(base, rng))
+        hits += c.family == 3 and c.residual <= 1e-8
+print(hits)
+"""
+
+
+def test_classify_near_special_family_three():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _NEAR_SPECIAL_SWEEP],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "260"
+
+
 def test_classify_rejects_other_dimensions():
     with pytest.raises(DomainError):
         classify_dim2(make_flip(3))
@@ -290,11 +371,22 @@ def test_fixed_levels_fit_the_dense_cap(d, levels):
 
 
 
-@pytest.mark.parametrize("name", ["flip2", "r2", "r4", "box21", "simple3"])
+@pytest.mark.parametrize("name", ["flip2", "r2", "r4", "box21", "simple3",
+                                  "conj-r3", "conj-uf", "conj-scalar"])
 def test_concentration_grid_matches_the_pointwise_loop(name):
+    # The reference is a 2048-point grid of mu = e^{i theta} refined by a
+    # bounded Brent search, which stops up to about 5.5e-8 above the true
+    # minimum (on scalar solutions); the closed form must never be above
+    # it by more than rounding.
     import scipy.optimize
 
-    r = rmlab.builtin(name)
+    if name.startswith("conj-"):
+        rng = np.random.default_rng(len(name))
+        base = (make_trivial(2, np.exp(0.3j)) if name == "conj-scalar"
+                else rmlab.builtin(name[5:]))
+        r = quasifree_conjugate(base, haar(base.d, rng))
+    else:
+        r = rmlab.builtin(name)
     evals = np.linalg.eigvals(r.matrix)
 
     def worst(theta):
@@ -302,17 +394,15 @@ def test_concentration_grid_matches_the_pointwise_loop(name):
 
     grid = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
     values = [worst(t) for t in grid]
-    vectorized = np.abs(evals[None, :]
-                        - np.exp(1j * grid)[:, None]).max(axis=1)
-    assert np.array_equal(vectorized, values)
     best = int(np.argmin(values))
     h = 2.0 * math.pi / 2048
     res = scipy.optimize.minimize_scalar(
         worst, bounds=(grid[best] - h, grid[best] + h), method="bounded",
         options={"xatol": 1e-12},
     )
-    assert triviality_by_concentration(r).margin == min(res.fun,
-                                                        values[best])
+    reference = min(res.fun, values[best])
+    margin = triviality_by_concentration(r).margin
+    assert reference - 1e-7 <= margin <= reference + 1e-12
 
 
 def test_a_failing_tower_keeps_the_other_towers(monkeypatch):

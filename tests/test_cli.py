@@ -372,16 +372,50 @@ def test_analyze_caps_at_their_lower_bounds(capsys):
     assert (report["n_cap"], report["fixed_cap"]) == (0, 1)
 
 
-def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+def _conjugated_r3_file(tmp_path) -> str:
+    rng = np.random.default_rng(3)
+    path = str(tmp_path / "r3conj.json")
+    rmlab.dump_solution(path, rmlab.random_conjugate(rmlab.builtin("r3"),
+                                                     rng))
+    return path
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded(tmp_path):
+    # scipy.optimize is slow to import; no command of the benchmark's
+    # d = 2 workloads should need it
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
+    script = (
+        "import sys, rmlab.cli\n"
+        "loaded = ['scipy.optimize' in sys.modules]\n"
+        "for argv in (['analyze', '--builtin', 'trivial2'],\n"
+        "             ['table9', '--samples', '2'],\n"
+        f"             ['classify2', {_conjugated_r3_file(tmp_path)!r}]):\n"
+        "    assert rmlab.cli.main(argv) == 0, argv\n"
+        "    loaded.append('scipy.optimize' in sys.modules)\n"
+        "print(loaded)\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, rmlab.cli; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c", script],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "[False, False, False, False]"
+
+
+def test_classify2_reports_an_unclassified_input(monkeypatch, capsys,
+                                                 tmp_path):
+    # From this one wrong seed the local polish settles in a wrong
+    # local minimum of the support residual.
+    path = _conjugated_r3_file(tmp_path)
+    monkeypatch.setattr(rmlab.analysis, "_diag_seed_vectors",
+                        lambda r: [np.array([1.0, 1.0]) / np.sqrt(2.0)])
+    code, out, _ = run(capsys, "classify2", path)
+    assert code == 1
+    prefix = "unclassified (best residual "
+    assert out.startswith(prefix) and out.endswith(")\n")
+    residual = float(out[len(prefix):-2])
+    assert 1e-8 < residual < np.inf
 
 
 def test_oversized_d_exits_1_before_allocating(monkeypatch, capsys):
