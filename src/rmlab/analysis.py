@@ -37,6 +37,7 @@ from .rmatrix import (
     DENSE_ENTRY_CAP,
     NormalFormSpec,
     RMatrix,
+    conjugate_by_square,
     is_involutive,
     is_trivial,
     quasifree_conjugate,
@@ -46,9 +47,10 @@ from .tensor import (
     eig_normal,
     frobenius_norm,
     operator_norm_estimate,
+    pad_left,
+    pad_right,
     partial_trace_left,
     partial_trace_right,
-    shift,
     trace_out_last,
 )
 
@@ -163,8 +165,8 @@ def is_ergodic(r: RMatrix, tol: float = 1e-10) -> ErgodicityResult:
 def ergodicity_necessary_check(r: RMatrix) -> float:
     """|tr(R* phi(R)) - 1/d^2|, which vanishes for ergodic solutions."""
     d = r.d
-    a = np.kron(r.matrix, np.eye(d, dtype=complex))
-    b = shift(r.as_element(), 1).matrix
+    a = pad_right(r.matrix, d, 1)
+    b = pad_left(r.matrix, d, 1)
     value = complex(np.vdot(a, b)) / d ** 3
     return abs(value - 1.0 / d ** 2)
 
@@ -449,11 +451,6 @@ def _off_support_norm(m: np.ndarray, support) -> float:
     return frobenius_norm(masked)
 
 
-def _conjugate_by(r: RMatrix, u: np.ndarray) -> np.ndarray:
-    big = np.kron(u, u)
-    return big @ r.matrix @ big.conj().T
-
-
 def _basis_unitary_from_vector(v: np.ndarray) -> np.ndarray:
     """Unitary sending the line of v to e_1 (rows are the new basis)."""
     v = v / np.linalg.norm(v)
@@ -494,7 +491,7 @@ def _try_family4(r: RMatrix, fixed: SubalgebraBasis, tol: float,
     for p in [cl.projection for cl in eig_normal(g) if cl.multiplicity == 1]:
         evals, vecs = np.linalg.eigh(p)
         w = _basis_unitary_from_vector(vecs[:, int(np.argmax(evals))])
-        aligned = _conjugate_by(r, w)
+        aligned = conjugate_by_square(r.matrix, w)
         off = aligned.copy()
         off[:2, :2] = 0.0
         off[2:, 2:] = 0.0
@@ -505,7 +502,8 @@ def _try_family4(r: RMatrix, fixed: SubalgebraBasis, tol: float,
             continue
         gamma = aligned[0, 1] / (q / math.sqrt(2.0))
         resid, u = min(
-            ((frobenius_norm(_conjugate_by(r, c) - _family4_canonical(q)), c)
+            ((frobenius_norm(conjugate_by_square(r.matrix, c)
+                             - _family4_canonical(q)), c)
              for c in (np.diag([1.0, g]) @ w for g in (gamma, gamma.conj()))),
             key=lambda pair: pair[0],
         )
@@ -538,7 +536,7 @@ def _diag_seed_vectors(r: RMatrix) -> list:
     for x in np.linalg.eig(m)[1].T:
         u_l, _, v_r = np.linalg.svd(x.reshape(d, d))
         seeds += [u_l[:, 0], v_r[0, :].conj()]
-    probe = np.kron(np.eye(d), _SEED_HERMITIAN)
+    probe = pad_left(_SEED_HERMITIAN, d, 1)
     for cl in eig_normal(r.matrix @ r.matrix):
         seeds.append(np.linalg.eigh(
             trace_out_last(cl.projection @ probe, d))[1][:, 0])
@@ -555,14 +553,14 @@ _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 def _support_residual(r: RMatrix, w: np.ndarray) -> float:
     """How far R, conjugated by w (x) w, is off the support of the
     diagonal or the antidiagonal family, whichever is nearer."""
-    aligned = _conjugate_by(r, w)
+    aligned = conjugate_by_square(r.matrix, w)
     return min(_off_support_norm(aligned, _FAM2_SUPPORT),
                _off_support_norm(aligned, _FAM3_SUPPORT))
 
 
 def _extract_product_family(r: RMatrix, w: np.ndarray, tol: float
                             ) -> Dim2Classification | None:
-    aligned = _conjugate_by(r, w)
+    aligned = conjugate_by_square(r.matrix, w)
     s2 = _off_support_norm(aligned, _FAM2_SUPPORT)
     s3 = _off_support_norm(aligned, _FAM3_SUPPORT)
     if min(s2, s3) > tol:

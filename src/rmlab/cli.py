@@ -449,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="optimize for new solutions")
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--restarts", type=int, default=16)
+    p.add_argument("--restarts", default=16,
+                   type=functools.partial(_int_at_least, 0, "--restarts"))
     p.add_argument("--seed", type=seed, default=seed_default)
     p.add_argument("--max-iterations", type=int, default=2000,
                    dest="max_iterations")

@@ -26,6 +26,7 @@ from .rmatrix import (
     verify,
 )
 from .search import haar_unitary
+from .tensor import as_complex_matrix, pad_right
 
 __all__ = [
     "builtin",
@@ -104,9 +105,9 @@ def family_r4(q: complex) -> RMatrix:
 
 def uf_solution(u) -> RMatrix:
     """(u (x) 1) F for a unitary u; always a solution."""
-    u = np.asarray(u, dtype=complex)
+    u = as_complex_matrix(u)
     d = u.shape[0]
-    m = np.kron(u, np.eye(d, dtype=complex)) @ flip_matrix(d)
+    m = pad_right(u, d, 1) @ flip_matrix(d)
     return verify(m, d, label=f"uF(d={d})")
 
 

@@ -126,11 +126,17 @@ class RMatrix:
         )
 
 
-def _ybe_residual_direct(r: np.ndarray, d: int) -> float:
+def braid_defect(r: np.ndarray, d: int) -> tuple:
+    """(A, B, AB, BA, ABA - BAB) for A = R (x) 1 and B = 1 (x) R."""
     eye = np.eye(d, dtype=complex)
     a = kron(r, eye)
     b = kron(eye, r)
-    return frobenius_norm(a @ b @ a - b @ a @ b)
+    ab, ba = a @ b, b @ a
+    return a, b, ab, ba, ab @ a - ba @ b
+
+
+def _ybe_residual_direct(r: np.ndarray, d: int) -> float:
+    return frobenius_norm(braid_defect(r, d)[-1])
 
 
 def _ybe_residual_endo(r: np.ndarray, d: int) -> float:
@@ -371,9 +377,14 @@ def quasifree_conjugate(r: RMatrix, u, tol: float = 1e-10) -> RMatrix:
         raise ShapeError(f"u must be {r.d} x {r.d}, got {u.shape}")
     if not is_unitary(u, tol):
         raise DomainError("u is not unitary within tolerance")
-    big = kron(u, u)
-    return _derive(big @ r.matrix @ big.conj().T, r.d,
+    return _derive(conjugate_by_square(r.matrix, u), r.d,
                    f"quasifree({r.label})")
+
+
+def conjugate_by_square(m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(u (x) u) m (u (x) u)* for a d x d matrix u."""
+    big = kron(u, u)
+    return big @ m @ big.conj().T
 
 
 def tensor_product(r: RMatrix, s: RMatrix) -> RMatrix:
@@ -381,21 +392,13 @@ def tensor_product(r: RMatrix, s: RMatrix) -> RMatrix:
 
     The Kronecker product of the two matrices acts on slots ordered
     (1, 2, 1', 2'); the result must act on ((1,1'), (2,2')).  The
-    regrouping is a basis-index permutation, applied explicitly.
+    regrouping is a basis-index permutation: swap slots 2 and 1' in
+    both the row and the column index.
     """
     d, dp = r.d, s.d
     big = d * dp
-    k = kron(r.matrix, s.matrix)
-    perm = np.empty(big * big, dtype=int)
-    for i in range(d):
-        for j in range(d):
-            for a in range(dp):
-                for b in range(dp):
-                    w = ((i * d + j) * dp + a) * dp + b
-                    v = (i * dp + a) * big + (j * dp + b)
-                    perm[w] = v
-    out = np.zeros((big * big, big * big), dtype=complex)
-    out[np.ix_(perm, perm)] = k
+    k = kron(r.matrix, s.matrix).reshape((d, d, dp, dp) * 2)
+    out = k.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(big * big, -1)
     return _derive(out, big, f"({r.label}) (x) ({s.label})")
 
 

@@ -29,7 +29,7 @@ import scipy.linalg
 
 from .braid import BraidWord, character
 from .errors import DomainError, ShapeError, VerificationError
-from .rmatrix import RMatrix, require_dense, verify
+from .rmatrix import RMatrix, braid_defect, require_dense, verify
 from .tensor import partial_trace_left, trace_out_first, trace_out_last
 
 __all__ = [
@@ -69,38 +69,32 @@ def _infer_d(u: np.ndarray) -> int:
     return d
 
 
-def _factors(u: np.ndarray, d: int):
-    eye = np.eye(d, dtype=complex)
-    return np.kron(u, eye), np.kron(eye, u)
-
-
 def ybe_defect(u: np.ndarray, d: int | None = None) -> np.ndarray:
     """Braid defect ABA - BAB with A = U x 1, B = 1 x U."""
     u = np.asarray(u, dtype=complex)
-    a, b = _factors(u, d if d is not None else _infer_d(u))
-    return a @ b @ a - b @ a @ b
+    return braid_defect(u, d if d is not None else _infer_d(u))[-1]
 
 
-def _objective_value(u: np.ndarray, d: int) -> float:
-    delta = ybe_defect(u, d)
+def _squared_norm(delta: np.ndarray) -> float:
     return float(np.vdot(delta, delta).real)
 
 
-def ybe_euclidean_gradient(u: np.ndarray, d: int | None = None
-                           ) -> np.ndarray:
+def ybe_euclidean_gradient(u: np.ndarray, d: int | None = None,
+                           state: tuple | None = None) -> np.ndarray:
     """Gradient G with d(objective) = 2 Re <G, dU> (Frobenius pairing).
 
     Differentiating tr(D* D) with D = ABA - BAB and collecting the
     dA = dU x 1 and dB = 1 x dU contributions leaves one partial trace
-    over each identity slot.
+    over each identity slot.  ``state`` is ``braid_defect(u, d)`` when
+    the caller has already built it.
     """
     u = np.asarray(u, dtype=complex)
     if d is None:
         d = _infer_d(u)
-    a, b = _factors(u, d)
-    delta_h = (a @ b @ a - b @ a @ b).conj().T
-    m_a = b @ a @ delta_h + delta_h @ a @ b - b @ delta_h @ b
-    m_b = a @ delta_h @ a - a @ b @ delta_h - delta_h @ b @ a
+    a, b, ab, ba, delta = braid_defect(u, d) if state is None else state
+    delta_h = delta.conj().T
+    m_a = ba @ delta_h + delta_h @ a @ b - b @ delta_h @ b
+    m_b = a @ delta_h @ a - ab @ delta_h - delta_h @ b @ a
     return (trace_out_last(m_a, d) + trace_out_first(m_b, d)).conj().T
 
 
@@ -109,7 +103,8 @@ def ybe_objective(u: np.ndarray, d: int | None = None):
     u = np.asarray(u, dtype=complex)
     if d is None:
         d = _infer_d(u)
-    return _objective_value(u, d), ybe_euclidean_gradient(u, d)
+    state = braid_defect(u, d)
+    return _squared_norm(state[-1]), ybe_euclidean_gradient(u, d, state)
 
 
 def riemannian_gradient(u: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -135,8 +130,9 @@ def directional_derivative_check(u: np.ndarray, d: int,
         omega = (z - z.conj().T) / 2.0
         omega /= np.linalg.norm(omega)
         analytic = 2.0 * np.vdot(g, u @ omega).real
-        plus = _objective_value(u @ scipy.linalg.expm(h * omega), d)
-        minus = _objective_value(u @ scipy.linalg.expm(-h * omega), d)
+        plus, minus = (
+            _squared_norm(ybe_defect(u @ scipy.linalg.expm(t * omega), d))
+            for t in (h, -h))
         numeric = (plus - minus) / (2.0 * h)
         scale = max(1.0, abs(analytic))
         worst = max(worst, abs(analytic - numeric) / scale)
@@ -176,6 +172,7 @@ class SearchRun:
     steps: int
     gradient_norm: float
     matrix: np.ndarray = field(repr=False)
+    backtracks: int
 
 
 @dataclass(frozen=True)
@@ -195,7 +192,9 @@ def search_unitary_solution(d: int, seed: int = 0,
 
     ``converged`` means the objective fell below the squared target
     residual; the returned matrix is exactly unitary (final polar
-    projection) and ``steps`` counts accepted descent steps.
+    projection), ``steps`` counts accepted descent steps and
+    ``backtracks`` the step halvings.  Each trial point's defect is
+    built once; the accepted trial's goes on to the next gradient.
     """
     if d < 2:
         raise DomainError(f"need d >= 2, got {d}")
@@ -211,13 +210,14 @@ def search_unitary_solution(d: int, seed: int = 0,
         u = _reunitarize(np.asarray(initial, dtype=complex))
     target = target_residual ** 2
     step = 1.0
-    steps = 0
-    value = _objective_value(u, d)
+    steps = backtracks = 0
+    state = braid_defect(u, d)
+    value = _squared_norm(state[-1])
     grad_norm = math.inf
     for _ in range(max_iterations):
         if value <= target:
             break
-        xi = riemannian_gradient(u, ybe_euclidean_gradient(u, d))
+        xi = riemannian_gradient(u, ybe_euclidean_gradient(u, d, state))
         grad_norm = float(np.linalg.norm(xi))
         if grad_norm < 1e-14:
             break
@@ -226,24 +226,27 @@ def search_unitary_solution(d: int, seed: int = 0,
         accepted = False
         while t >= 1e-18:
             trial = u @ scipy.linalg.expm(-t * xi)
-            trial_value = _objective_value(trial, d)
+            trial_state = braid_defect(trial, d)
+            trial_value = _squared_norm(trial_state[-1])
             if trial_value <= value + 1e-4 * t * slope:
                 accepted = True
                 break
             t /= 2.0
+            backtracks += 1
         if not accepted:
             break
-        u, value, step = trial, trial_value, t
+        u, value, step, state = trial, trial_value, t, trial_state
         steps += 1
         if steps % 64 == 0:
             u = _reunitarize(u)
-            value = _objective_value(u, d)
+            state = braid_defect(u, d)
+            value = _squared_norm(state[-1])
     if value <= max(target, 1e-6):
         u = _polish(u, d)
     else:
         u = _reunitarize(u)
-    value = _objective_value(u, d)
-    return SearchRun(value <= target, value, steps, grad_norm, u)
+    value = _squared_norm(ybe_defect(u, d))
+    return SearchRun(value <= target, value, steps, grad_norm, u, backtracks)
 
 
 def ordered_map(fn, args: list, jobs: int = 1):

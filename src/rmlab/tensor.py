@@ -7,6 +7,8 @@ d^n x d^n arrays.  Conventions, used consistently everywhere:
 * Kronecker/tensor factor 1 is the leftmost factor; ``kron(a, b)`` puts
   ``a`` on slot 1.  Row index (i-1)*d + j of a two-slot matrix means
   basis vector e_i (x) e_j.
+* ``kron`` is the package's one Kronecker kernel: a broadcast product
+  that batches leading axes, so the pads below take stacks as well.
 * ``shift(x, k)`` prepends k identity slots on the left (the canonical
   endomorphism direction), ``embed(x, n)`` appends identity slots on
   the right (the trace-compatible inclusion).
@@ -103,8 +105,14 @@ def identity_element(d: int, level: int) -> AlgebraElement:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with `a` on the left (slot 1)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product with `a` on the left (slot 1), broadcast over
+    leading axes; bit for bit numpy's ``kron`` on a matrix pair or a
+    stack paired with one matrix (each entry is the same product)."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    p = a[..., :, None, :, None] * b[..., None, :, None, :]
+    *batch, ra, rb, ca, cb = p.shape
+    return p.reshape(*batch, ra * rb, ca * cb)
 
 
 def pad_right(m: np.ndarray, d: int, k: int) -> np.ndarray:

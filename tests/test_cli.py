@@ -329,9 +329,10 @@ def test_bad_input_from_the_shell_prints_no_traceback(tmp_path):
     (["search", "--jobs", "0", "--restarts", "1", "--max-iterations", "1"],
      ""),
     (["table9", "--jobs", "0", "--samples", "1"], ""),
+    (["search", "--restarts", "-3", "--max-iterations", "1"], ""),
 ], ids=["flip-d0", "trivial-d0", "seed-flag", "seed-env", "samples-neg",
         "samples-zero", "n-cap-neg", "fixed-cap-zero", "search-jobs-zero",
-        "table9-jobs-zero"])
+        "table9-jobs-zero", "restarts-neg"])
 def test_out_of_range_integers_from_the_shell_are_exit_2(argv, seed):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src, RMLAB_SEED=seed)

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import rmlab
 from rmlab import (
@@ -22,7 +23,7 @@ from rmlab import (
     ybe_objective,
 )
 from rmlab.errors import DomainError, ShapeError
-from rmlab.search import ordered_map
+from rmlab.search import _polish, _reunitarize, ordered_map
 
 RNG = np.random.default_rng(99)
 
@@ -144,6 +145,79 @@ def test_search_single_seed_converges():
     assert run.converged
     assert run.objective <= 1e-8
     assert run.matrix.shape == (4, 4)
+
+
+def _reference_descent(d, seed, max_iterations):
+    """Reference descent on np.kron factors, building the defect once
+    for the objective and again inside the gradient."""
+    def objective(u):
+        eye = np.eye(d, dtype=complex)
+        a, b = np.kron(u, eye), np.kron(eye, u)
+        delta = a @ b @ a - b @ a @ b
+        return float(np.vdot(delta, delta).real)
+
+    u = haar_unitary(d * d, np.random.default_rng(seed))
+    target = 1e-8 ** 2
+    step, steps, backtracks = 1.0, 0, 0
+    value = objective(u)
+    for _ in range(max_iterations):
+        if value <= target:
+            break
+        xi = riemannian_gradient(u, rmlab.ybe_euclidean_gradient(u, d))
+        grad_norm = float(np.linalg.norm(xi))
+        if grad_norm < 1e-14:
+            break
+        slope = -2.0 * grad_norm ** 2
+        t = min(step * 4.0, 1.0)
+        accepted = False
+        while t >= 1e-18:
+            trial = u @ scipy.linalg.expm(-t * xi)
+            trial_value = objective(trial)
+            if trial_value <= value + 1e-4 * t * slope:
+                accepted = True
+                break
+            t /= 2.0
+            backtracks += 1
+        if not accepted:
+            break
+        u, value, step = trial, trial_value, t
+        steps += 1
+        if steps % 64 == 0:
+            u = _reunitarize(u)
+            value = objective(u)
+    u = _polish(u, d) if value <= max(target, 1e-6) else _reunitarize(u)
+    defect = ybe_defect(u, d)
+    return steps, backtracks, float(np.vdot(defect, defect).real), u
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_gradient_matches_the_reference_formula_bitwise(d):
+    from rmlab.tensor import trace_out_first, trace_out_last
+
+    eye = np.eye(d, dtype=complex)
+    for seed in range(3):
+        u = haar_unitary(d * d, np.random.default_rng(seed))
+        a, b = np.kron(u, eye), np.kron(eye, u)
+        delta_h = (a @ b @ a - b @ a @ b).conj().T
+        m_a = b @ a @ delta_h + delta_h @ a @ b - b @ delta_h @ b
+        m_b = a @ delta_h @ a - a @ b @ delta_h - delta_h @ b @ a
+        want = (trace_out_last(m_a, d) + trace_out_first(m_b, d)).conj().T
+        assert np.array_equal(rmlab.ybe_euclidean_gradient(u, d), want)
+        assert np.array_equal(ybe_defect(u), a @ b @ a - b @ a @ b)
+
+
+@pytest.mark.parametrize("d,seed,max_iterations", [
+    (2, 0, 2000), (2, 1, 2000), (2, 2, 2000), (2, 3, 2000), (3, 1, 60),
+])
+def test_descent_matches_the_reference_loop_bitwise(d, seed,
+                                                    max_iterations):
+    run = search_unitary_solution(d, seed=seed,
+                                  max_iterations=max_iterations)
+    steps, backtracks, value, u = _reference_descent(d, seed,
+                                                     max_iterations)
+    assert (run.steps, run.backtracks, run.objective) == (
+        steps, backtracks, value)
+    assert np.array_equal(run.matrix, u)
 
 
 def test_find_solution_returns_verified_solution():

@@ -65,6 +65,28 @@ def test_kron_slot_order():
     assert np.count_nonzero(m) == 2
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_kron_is_bitwise_np_kron(d):
+    rng = np.random.default_rng(d)
+
+    def draw(*shape):
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m.real[..., 0, 0] = -0.0
+        m.imag[..., 0, 1] = -0.0
+        return m
+
+    eye = np.eye(d, dtype=complex)
+    a, b, stack = draw(d, d), draw(d, d), draw(3, d, d)
+    pairs = [(a, b), (a, eye), (eye, a), (stack, eye), (eye, stack),
+             (stack, a)]
+    for x, y in pairs:
+        got, want = kron(x, y), np.kron(x, y)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
 def test_embed_right_pads():
     x = random_element(2, 1)
     y = embed(x, 3)
