@@ -14,7 +14,6 @@ words are ordered shortlex with letter order 1 < -1 < 2 < -2 < ...
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,6 @@ from .tensor import (
     frobenius_norm,
     pad_left,
     pad_right,
-    trace_out_last,
 )
 
 __all__ = [
@@ -126,73 +124,6 @@ def _product(r: RMatrix, letters):
         letter = pad_right(_letter(r, gen, exp), r.d, top - gen - 1)
         prod, level = pad_right(prod, r.d, top - level) @ letter, top
     return prod, level
-
-
-def _letter_table(r: RMatrix, strands: int):
-    """Every letter b_gen^(+-1) with gen < ``strands``, padded once per level.
-
-    Returns the alphabet in letter order 1 < -1 < 2 < -2 < ..., a dict
-    (letter, level) -> the letter padded on the right to that level,
-    for gen + 1 <= level <= ``strands``, and per level l the rows of
-    the one-letter fold.  For a prefix P at level l and a letter b at
-    its level t = max(l, gen + 1), tr((P (x) 1) b) / d^t is
-    tr(P E_l(b)) / d^l, with E_l the normalized partial trace down to
-    level l; the rows stack E_l(b) over the alphabet as a (k, d^(2l))
-    array, so that ``rows @ vec(P^T) / d^l`` gives every character at
-    once.  At levels l >= gen + 1, E_l(b) is b itself, and the dict's
-    padded letters are views of those rows.
-    """
-    d = r.d
-    alphabet = [(gen, exp) for gen in range(1, strands) for exp in (+1, -1)]
-    rows = [np.empty((len(alphabet), d ** (2 * level)), dtype=complex)
-            for level in range(strands + 1)]
-    padded = {}
-    for i, (gen, exp) in enumerate(alphabet):
-        m = _letter(r, gen, exp)
-        for level in range(gen + 1, strands + 1):
-            b = pad_right(m, d, level - gen - 1)
-            rows[level][i] = b.reshape(-1)
-            padded[(gen, exp), level] = rows[level][i].reshape(b.shape)
-        for level in range(gen, -1, -1):
-            m = trace_out_last(m, d) / d
-            rows[level][i] = m.reshape(-1)
-    return alphabet, padded, rows
-
-
-def word_walk(r: RMatrix, strands: int, max_len: int, table=None):
-    """Yield (letters, product) for every nonempty freely reduced word.
-
-    Words use generators below ``strands`` and have length at most
-    ``max_len``; they come depth-first in letter order
-    1 < -1 < 2 < -2 < ..., each word right after its prefix.  The
-    product is the represented word at its minimal level (the largest
-    generator plus one), extended by one step from its prefix: the
-    prefix is padded only when the level rises, and the letter comes
-    already padded from ``table``, the result of
-    ``_letter_table(r, strands)`` (built here when not given).
-    """
-    alphabet, padded, _ = table or _letter_table(r, strands)
-    word: list = []
-    stack = [(np.eye(1, dtype=complex), 0, iter(alphabet))] if max_len else []
-    while stack:
-        prod, level, todo = stack[-1]
-        letter = next(todo, None)
-        if letter is None:
-            stack.pop()
-            if word:
-                word.pop()
-            continue
-        gen, exp = letter
-        if word and word[-1] == (gen, -exp):
-            continue
-        top = max(level, gen + 1)
-        new = pad_right(prod, r.d, top - level) @ padded[letter, top]
-        word.append(letter)
-        yield tuple(word), new
-        if len(word) < max_len:
-            stack.append((new, top, iter(alphabet)))
-        else:
-            word.pop()
 
 
 def represent(r: RMatrix, word: BraidWord) -> AlgebraElement:
@@ -340,6 +271,83 @@ class CharacterComparison:
     tol: float
 
 
+def _reduced_count(k: int, length: int) -> int:
+    """Nonempty freely reduced words of at most ``length`` in k letters."""
+    # k (k - 1)^(m - 1) words of each length m; with k >= 4 letters, 64
+    # lengths already exceed the cap, so the power stops there.
+    return 2 * length if k == 2 else (
+        k * ((k - 1) ** min(length, 64) - 1) // (k - 2))
+
+
+def _short_words(strands: int, length: int):
+    """Every freely reduced word on ``strands`` of at most ``length``.
+
+    A letter is its index in 1 < -1 < 2 < -2 < ..., so letter i has
+    inverse i ^ 1.  Returns the words in shortlex order; the offsets
+    ``starts``, with the words of length m at
+    ``words[starts[m]:starts[m + 1]]``; and per word, as arrays, the
+    index of its parent (the word without its last letter), its last
+    and first letters, and the index of its inverse.  The empty word
+    has -1 for parent and letters.
+    """
+    k = 2 * (strands - 1)
+    words, starts = [()], [0, 1]
+    for _ in range(length):
+        words += [w + (i,) for w in words[starts[-2]:] for i in range(k)
+                  if not w or i != w[-1] ^ 1]
+        starts.append(len(words))
+    index = {w: j for j, w in enumerate(words)}
+    parent, last, first = np.array(
+        [(index[w[:-1]], w[-1], w[0]) if w else (-1, -1, -1) for w in words]).T
+    inverse = [index[tuple(i ^ 1 for i in reversed(w))] for w in words]
+    return words, starts, parent, last, first, np.array(inverse)
+
+
+def _character_gram(sides, strands: int, short) -> np.ndarray:
+    """Weighted Gram matrix of the products of the words in ``short``.
+
+    ``sides`` lists (R, weight) pairs and ``short`` comes from
+    ``_short_words(strands, ...)``.  Entry (p, q) sums, over the sides,
+    weight * tr(W_p W_q*) / d^strands with W the represented word at
+    level ``strands``.  A -1 letter is R*, so W_q* is the product of
+    q's inverse word and the entry is weight times the character of
+    p q^-1.  Row a of each product is built from row a of its parent's,
+    one GEMM per word length and last letter, so no product is ever
+    held whole.
+    """
+    words, starts, parent, last = short[:4]
+    n, k = len(words), 2 * (strands - 1)
+    steps = []
+    for m in range(1, len(starts) - 1):
+        layer = np.arange(starts[m], starts[m + 1])
+        for i in range(k):
+            kids = layer[last[layer] == i]
+            steps.append((kids, parent[kids], i))
+    gram = np.zeros((n, n), dtype=complex)
+    for r, weight in sides:
+        d, size = r.d, r.d ** strands
+        # Letter gen acts on a row as I (x) B with B = R^(+-1) (x) I on
+        # the last strands - gen + 1 slots, so only B is stored.
+        letters = [pad_right(_letter(r, 1, exp), d, strands - gen - 1)
+                   for gen in range(1, strands) for exp in (+1, -1)]
+        stack = np.zeros((n, size), dtype=complex)
+        conj = np.empty_like(stack)
+        for row in range(size):
+            stack[0] = 0.0
+            stack[0, row] = 1.0
+            for kids, parents, i in steps:
+                b = letters[i]
+                stack[kids] = (stack[parents].reshape(-1, len(b))
+                               @ b).reshape(-1, size)
+            # tr(W_p W_q*) sums W_p[a, c] conj(W_q[a, c]) over rows a.
+            np.conjugate(stack, out=conj)
+            conj *= weight / size
+            gram += stack @ conj.T
+        # Free this side's buffers before the next side allocates its own.
+        del letters, stack, conj
+    return gram
+
+
 def characters_equal(r: RMatrix, s: RMatrix, max_strands: int = 4,
                      max_len: int = 6, tol: float = 1e-9
                      ) -> CharacterComparison:
@@ -353,69 +361,58 @@ def characters_equal(r: RMatrix, s: RMatrix, max_strands: int = 4,
     otherwise ``deviation`` is the largest difference over all words
     compared.  Equality is only up to this truncation.
 
-    Products are formed only for words shorter than ``max_len``.  The
-    full-length words extend a prefix P of length ``max_len - 1`` by
-    one letter b, and tr((P (x) 1) b) = tr(P Tr_last(b)), so all of
-    P's extensions are read off one matrix-vector product with the
-    letters' partial traces, built once per input and level by
-    ``_letter_table``.
+    Products are formed only for the n words of at most
+    h = ceil(max_len / 2) letters, at level ``max_strands``.  A longer
+    word is P Q with |P| = h, and its character is tr(W_P W_Q) / D,
+    an entry of one n x n Gram matrix of those products (see
+    ``_character_gram``), accumulated for both inputs at once as
+    chi_r - chi_s.  So the cost is the products of the words of at
+    most h letters plus that Gram matrix, both built one row of the
+    products at a time.  Each character value agrees with the
+    Kronecker reference to 1e-12, and the deviation of an equal
+    verdict is rounding noise.
 
     Raises ``DomainError`` unless 0 <= tol < inf, and
-    ``ResourceError`` before walking when the word count, or the
-    2 (max_strands - 1) d^(2 max_strands) entries of the letter table,
-    are above the dense cap.
+    ``ResourceError`` before any allocation when the word count, the
+    2 (max_strands - 1) d^(2 max_strands) entries that bound the
+    padded letters, or the n^2 Gram entries are above the dense cap.
     """
     if max_strands < 2 or max_len < 1:
         raise DomainError("need max_strands >= 2 and max_len >= 1")
     if not 0.0 <= tol < math.inf:
         raise DomainError(f"need a tolerance 0 <= tol < inf, got {tol}")
-    # k (k - 1)^(l - 1) words of each length l; with k >= 4 letters, 64
-    # lengths already exceed the cap, so the power stops there.
-    k = 2 * (max_strands - 1)
-    words = 2 * max_len if k == 2 else (
-        k * ((k - 1) ** min(max_len, 64) - 1) // (k - 2))
-    require_dense(words, "the freely reduced word walk")
-    # Likewise 64 levels of a d >= 2 letter table exceed the cap.
+    k, half = 2 * (max_strands - 1), -(-max_len // 2)
+    require_dense(_reduced_count(k, max_len), "the freely reduced words")
+    # 64 levels of a d >= 2 letter table exceed the cap.
     require_dense(k * max(r.d, s.d) ** (2 * min(max_strands, 64)),
                   "the letter table")
-    tables = [_letter_table(x, max_strands) for x in (r, s)]
-    alphabet = tables[0][0]
-    # The walk meets words of one length in shortlex order, and so do
-    # the extensions of its longest words, so the first deviating word
-    # of the least length is the witness.
-    empty = ((), np.eye(1, dtype=complex))
-    walks = itertools.chain([(empty, empty)], zip(
-        word_walk(r, max_strands, max_len - 1, tables[0]),
-        word_walk(s, max_strands, max_len - 1, tables[1])))
+    # One row of every product, n d^max_strands entries, is below the
+    # larger of the two caps checked here.
+    n = 1 + _reduced_count(k, half)
+    require_dense(n * n, "the character Gram matrix")
+    short = _short_words(max_strands, half)
+    words, starts, _, last, first, inverse = short
+    gram = _character_gram(((r, 1.0), (s, -1.0)), max_strands, short)
     witness, deviation, worst, checked = None, 0.0, 0.0, 0
-    for (word, pr), (_, ps) in walks:
-        if word:
-            checked += 1
-            dev = abs(complex(np.trace(pr)) / pr.shape[0]
-                      - complex(np.trace(ps)) / ps.shape[0])
-            worst = max(worst, dev)
-            if dev > tol and (witness is None or len(word) < len(witness)):
-                witness, deviation = word, dev
-        if len(word) < max_len - 1:
-            continue
-        level = max((gen for gen, _ in word), default=-1) + 1
-        rows_r, rows_s = tables[0][2][level], tables[1][2][level]
-        devs = np.abs(rows_r @ pr.T.reshape(-1) / pr.shape[0]
-                      - rows_s @ ps.T.reshape(-1) / ps.shape[0])
-        if word:
-            # The inverse of the last letter cancels: not a reduced word.
-            gen, exp = word[-1]
-            devs[2 * (gen - 1) + (exp > 0)] = 0.0
-        checked += len(alphabet) - bool(word)
-        worst = max(worst, float(devs.max()))
-        # A full-length word wins only if no shorter word deviates.
-        hits = np.flatnonzero(devs > tol)
+    # Lengths in increasing order, and P Q in row-major (P, Q) order,
+    # so the first deviating word met is the shortlex-first.
+    for m in range(1, max_len + 1):
+        head = min(m, half)
+        p = slice(starts[head], starts[head + 1])
+        q = slice(starts[m - head], starts[m - head + 1])
+        # tr(W_P W_Q) is the entry at (P, Q^-1).
+        devs = np.abs(gram[p][:, inverse[q]])
+        # P Q is reduced unless Q starts with the inverse of P's end.
+        valid = first[q] != last[p, None] ^ 1
+        values = devs[valid]
+        checked += values.size
+        worst = max(worst, float(values.max()))
+        hits = np.flatnonzero(values > tol)
         if witness is None and hits.size:
-            witness = word + (alphabet[hits[0]],)
-            deviation = float(devs[hits[0]])
+            a, b = np.argwhere(valid)[hits[0]]
+            word = words[p.start + a] + words[q.start + b]
+            witness = tuple((i // 2 + 1) * (1 - 2 * (i % 2)) for i in word)
+            deviation = float(values[hits[0]])
     return CharacterComparison(
-        witness is None,
-        None if witness is None else tuple(g * e for g, e in witness),
-        worst if witness is None else deviation,
-        checked, max_strands, max_len, tol,
-    )
+        witness is None, witness, worst if witness is None else deviation,
+        checked, max_strands, max_len, tol)

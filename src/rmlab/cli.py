@@ -438,8 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equivalent", help="compare characters of two inputs")
     p.add_argument("first", help="JSON file or builtin name")
     p.add_argument("second", help="JSON file or builtin name")
-    p.add_argument("--strands", type=int, default=4)
-    p.add_argument("--length", type=int, default=6)
+    p.add_argument("--strands", default=4,
+                   type=functools.partial(_int_at_least, 2, "--strands"))
+    p.add_argument("--length", default=6,
+                   type=functools.partial(_int_at_least, 1, "--length"))
     p.add_argument(
         "--tol", type=float, default=DEFAULT_TOL,
         help="verification tolerance for JSON inputs; characters are "

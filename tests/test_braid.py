@@ -195,12 +195,12 @@ def test_characters_differ_with_witness():
 def test_characters_equal_counts_words_before_walking(monkeypatch, strands,
                                                       length, words):
     def refuse(*args, **kwargs):
-        raise AssertionError("the walk started")
+        raise AssertionError("the build started")
 
     r = rmlab.builtin("r2")
     monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", words - 1)
-    monkeypatch.setattr(rmlab.braid, "word_walk", refuse)
-    monkeypatch.setattr(rmlab.braid, "_letter_table", refuse)
+    monkeypatch.setattr(rmlab.braid, "_short_words", refuse)
+    monkeypatch.setattr(rmlab.braid, "_character_gram", refuse)
     with pytest.raises(ResourceError, match=f"needs {words} entries"):
         characters_equal(r, r, max_strands=strands, max_len=length)
     # Far past any cap, the count stays cheap and still refuses.
@@ -218,10 +218,22 @@ def test_characters_equal_counts_words_before_walking(monkeypatch, strands,
             characters_equal(*pair, max_strands=9, max_len=1)
     with pytest.raises(ResourceError, match="the letter table"):
         characters_equal(r, r, max_strands=2 ** 22, max_len=1)
+    # Only the Gram matrix is too large: 354,292 words of at most 11
+    # letters on 3 strands fit, but the 1,457 words of at most 6 letters
+    # need 1,457^2 Gram entries.
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 354292)
+    with pytest.raises(ResourceError,
+                       match=f"Gram matrix needs {1457 ** 2} entries"):
+        characters_equal(r, r, max_strands=3, max_len=11)
     monkeypatch.undo()
-    # The letter table, 2 (strands - 1) d^(2 strands) entries, must fit too.
-    table = 2 * (strands - 1) * 4 ** strands
-    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", max(words, table))
+    # The letter table, 2 (strands - 1) d^(2 strands) entries, and the
+    # Gram matrix of the words of at most ceil(length / 2) letters must
+    # fit too.
+    k = 2 * (strands - 1)
+    short = 1 + sum(k * (k - 1) ** (n - 1)
+                    for n in range(1, (length + 1) // 2 + 1))
+    need = max(words, k * 4 ** strands, short ** 2)
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", need)
     cmp = characters_equal(r, r, max_strands=strands, max_len=length)
     assert cmp.equal and cmp.words_checked == words
 
@@ -258,6 +270,26 @@ def test_characters_are_class_functions(name, v, w, seed):
     cmp = characters_equal(r, rmlab.quasifree_conjugate(r, u),
                            max_strands=3, max_len=3)
     assert cmp.equal, cmp.witness
+
+
+BUILTINS = st.sampled_from(["r2", "r3", "r4", "r3special", "flip2", "flip3",
+                            "box21", "simple3"])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    first=BUILTINS,
+    second=BUILTINS,
+    strands=st.integers(2, 4),
+    length=st.integers(1, 4),
+)
+def test_characters_equal_is_symmetric(first, second, strands, length):
+    r, s = rmlab.builtin(first), rmlab.builtin(second)
+    cmp = characters_equal(r, s, max_strands=strands, max_len=length)
+    swapped = characters_equal(s, r, max_strands=strands, max_len=length)
+    assert (cmp.equal, cmp.witness, cmp.words_checked) == (
+        swapped.equal, swapped.witness, swapped.words_checked)
+    assert abs(cmp.deviation - swapped.deviation) < 1e-12
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])

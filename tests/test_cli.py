@@ -316,24 +316,28 @@ def test_bad_input_from_the_shell_prints_no_traceback(tmp_path):
         assert proc.stderr.startswith("input error: ")
 
 
-@pytest.mark.parametrize("argv,seed", [
-    (["verify", "--builtin", "flip", "--d", "0"], ""),
-    (["verify", "--builtin", "trivial", "--d", "0"], ""),
+@pytest.mark.parametrize("argv,seed,named", [
+    (["verify", "--builtin", "flip", "--d", "0"], "", "dimension"),
+    (["verify", "--builtin", "trivial", "--d", "0"], "", "dimension"),
     (["search", "--seed", "-1", "--restarts", "1",
-      "--max-iterations", "1"], ""),
-    (["search", "--restarts", "1", "--max-iterations", "1"], "-1"),
-    (["table9", "--samples", "-2"], ""),
-    (["table9", "--samples", "0"], ""),
-    (["analyze", "--builtin", "r2", "--n-cap", "-1"], ""),
-    (["analyze", "--builtin", "r2", "--fixed-cap", "0"], ""),
+      "--max-iterations", "1"], "", "--seed"),
+    (["search", "--restarts", "1", "--max-iterations", "1"], "-1",
+     "RMLAB_SEED"),
+    (["table9", "--samples", "-2"], "", "--samples"),
+    (["table9", "--samples", "0"], "", "--samples"),
+    (["analyze", "--builtin", "r2", "--n-cap", "-1"], "", "--n-cap"),
+    (["analyze", "--builtin", "r2", "--fixed-cap", "0"], "", "--fixed-cap"),
     (["search", "--jobs", "0", "--restarts", "1", "--max-iterations", "1"],
-     ""),
-    (["table9", "--jobs", "0", "--samples", "1"], ""),
-    (["search", "--restarts", "-3", "--max-iterations", "1"], ""),
+     "", "--jobs"),
+    (["table9", "--jobs", "0", "--samples", "1"], "", "--jobs"),
+    (["search", "--restarts", "-3", "--max-iterations", "1"], "",
+     "--restarts"),
+    (["equivalent", "r2", "r3", "--strands", "1"], "", "--strands"),
+    (["equivalent", "r2", "r3", "--length", "0"], "", "--length"),
 ], ids=["flip-d0", "trivial-d0", "seed-flag", "seed-env", "samples-neg",
         "samples-zero", "n-cap-neg", "fixed-cap-zero", "search-jobs-zero",
-        "table9-jobs-zero", "restarts-neg"])
-def test_out_of_range_integers_from_the_shell_are_exit_2(argv, seed):
+        "table9-jobs-zero", "restarts-neg", "strands-one", "length-zero"])
+def test_out_of_range_integers_from_the_shell_are_exit_2(argv, seed, named):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src, RMLAB_SEED=seed)
     proc = subprocess.run(
@@ -343,7 +347,7 @@ def test_out_of_range_integers_from_the_shell_are_exit_2(argv, seed):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("input error: ")
+    assert proc.stderr.startswith(f"input error: {named} ")
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-8])

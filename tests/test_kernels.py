@@ -13,7 +13,7 @@ import pytest
 
 import rmlab
 from rmlab import characters_equal
-from rmlab.braid import _product, word_walk
+from rmlab.braid import _character_gram, _short_words
 from rmlab.commutant import hermitian_probe, word_ordered, word_product
 from rmlab.rmatrix import cabling_power
 from rmlab.search import ordered_map
@@ -56,41 +56,58 @@ def reduced_words(strands, length):
             yield word
 
 
+def letters_of(indices):
+    """Letter indices of 1 < -1 < 2 < -2 < ... as (generator, exponent)."""
+    return tuple((i // 2 + 1, 1 - 2 * (i % 2)) for i in indices)
+
+
 @pytest.mark.parametrize("strands,max_len", [(2, 1), (2, 5), (3, 4),
                                              (4, 3), (5, 2)])
-def test_walk_counts_every_reduced_word_once(strands, max_len):
+def test_short_words_are_the_shortlex_reduced_words(strands, max_len):
     k = 2 * (strands - 1)
-    expected = sum(k * (k - 1) ** (n - 1) for n in range(1, max_len + 1))
-    words = [w for w, _ in word_walk(rmlab.make_trivial(1), strands, max_len)]
-    assert len(words) == expected
-    assert len(set(words)) == expected
+    words, starts, parent, last, first, _ = _short_words(strands, max_len)
+    assert words[0] == () and starts[:2] == [0, 1]
     for n in range(1, max_len + 1):
-        assert [w for w in words if len(w) == n] == list(
+        layer = words[starts[n]:starts[n + 1]]
+        assert len(layer) == k * (k - 1) ** (n - 1)
+        assert [letters_of(w) for w in layer] == list(
             reduced_words(strands, n))
-    # depth-first: every word right after its prefix or an earlier word
-    seen = set()
-    for w in words:
-        assert len(w) == 1 or w[:-1] in seen
-        seen.add(w)
+    for j, w in enumerate(words[1:], 1):
+        assert words[parent[j]] == w[:-1]
+        assert (first[j], last[j]) == (w[0], w[-1])
 
 
-@pytest.mark.parametrize("name", ["r2", "simple3"])
-def test_walk_products_match_kronecker_products(name):
+@pytest.mark.parametrize("name,strands,max_len", [("r2", 4, 3),
+                                                  ("simple3", 3, 3)])
+def test_inverse_index_gives_the_conjugate_transpose(name, strands,
+                                                     max_len):
     r = rmlab.builtin(name)
-    rng = np.random.default_rng([7, r.d])
-    strands, max_len = (4, 5) if r.d == 2 else (3, 5)
-    words = list(itertools.chain.from_iterable(
-        reduced_words(strands, n) for n in range(1, max_len + 1)))
-    picked = {words[i] for i in rng.choice(len(words), 40, replace=False)}
-    found = 0
-    for word, prod in word_walk(r, strands, max_len):
-        if word in picked:
-            level = max(g for g, _ in word) + 1
-            assert prod.shape == (r.d ** level,) * 2
-            assert np.allclose(prod, literal_word(r, word, level),
-                               atol=1e-12)
-            found += 1
-    assert found == len(picked)
+    words, *_, inverse = _short_words(strands, max_len)
+    assert inverse[0] == 0
+    for j, w in enumerate(words[1:], 1):
+        assert words[inverse[j]] == tuple(i ^ 1 for i in reversed(w))
+        assert inverse[inverse[j]] == j
+        assert np.allclose(
+            literal_word(r, letters_of(words[inverse[j]]), strands),
+            literal_word(r, letters_of(w), strands).conj().T, atol=1e-12)
+
+
+@pytest.mark.parametrize("name,strands,max_len", [
+    ("r2", 4, 2), ("box21", 3, 3), ("simple3", 3, 2), ("flip3", 4, 1),
+])
+def test_gram_entries_are_literal_characters(name, strands, max_len):
+    r = rmlab.builtin(name)
+    short = _short_words(strands, max_len)
+    words, *_, inverse = short
+    gram = _character_gram(((r, 1.0),), strands, short)
+    cache = {}
+    for p, q in itertools.product(range(len(words)), repeat=2):
+        # The entry for (p, q) is the character of p q^-1.
+        word = rmlab.BraidWord(
+            strands, letters_of(words[p] + words[inverse[q]])).letters
+        if word not in cache:
+            cache[word] = literal_character(r, word) if word else 1.0
+        assert abs(gram[p, q] - cache[word]) < 1e-12, (p, q)
 
 
 @pytest.mark.parametrize("name", ["r3", "simple3"])
@@ -128,16 +145,6 @@ def test_witness_is_the_brute_force_shortlex_minimum():
     assert cmp.words_checked == len(devs)
 
 
-@pytest.mark.parametrize("name", ["simple3", "box21"])
-def test_walk_products_are_bitwise_the_word_products(name):
-    r = rmlab.builtin(name)
-    count = 0
-    for word, prod in word_walk(r, 4, 4):
-        assert np.array_equal(prod, _product(r, word)[0]), word
-        count += 1
-    assert count == 6 + 30 + 150 + 750
-
-
 def brute_force_comparison(r, s, strands, max_len, tol):
     """(equal, witness, deviation, words) from literal Kronecker traces."""
     devs = {
@@ -159,6 +166,7 @@ def assert_matches_brute_force(cmp, want):
 
 @pytest.mark.parametrize("first,second", [
     ("r2", "r3"), ("r3", "r4"), ("r3special", "flip2"), ("flip2", "flip3"),
+    ("r2", "flip3"),
 ])
 @pytest.mark.parametrize("strands,max_len", [(3, 4), (4, 3)])
 def test_characters_equal_matches_brute_force(first, second, strands,
