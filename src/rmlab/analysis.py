@@ -446,18 +446,15 @@ _FAM3_SUPPORT = ((0, 3), (1, 1), (2, 2), (3, 0))
 
 def _off_support_norm(m: np.ndarray, support) -> float:
     masked = m.copy()
-    for i, j in support:
-        masked[i, j] = 0.0
+    masked[tuple(zip(*support))] = 0.0
     return frobenius_norm(masked)
 
 
 def _basis_unitary_from_vector(v: np.ndarray) -> np.ndarray:
     """Unitary sending the line of v to e_1 (rows are the new basis)."""
     v = v / np.linalg.norm(v)
-    if abs(v[0]) > 1e-12:
-        v = v * (np.conj(v[0]) / abs(v[0]))
-    else:
-        v = v * (np.conj(v[1]) / abs(v[1]))
+    k = 0 if abs(v[0]) > 1e-12 else 1
+    v = v * (np.conj(v[k]) / abs(v[k]))
     w = np.array([-np.conj(v[1]), np.conj(v[0])], dtype=complex)
     return np.stack([v.conj(), w.conj()], axis=0)
 

@@ -179,18 +179,12 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_verify(args) -> int:
     try:
-        r = _resolve_input(args)
+        res, verdict, code = _resolve_input(args), "OK", EXIT_OK
     except VerificationError as exc:
-        print(
-            f"FAIL ybe_residual={exc.ybe_residual:.6e} "
-            f"unitarity_residual={exc.unitarity_residual:.6e}"
-        )
-        return EXIT_VERDICT
-    print(
-        f"OK ybe_residual={r.ybe_residual:.6e} "
-        f"unitarity_residual={r.unitarity_residual:.6e}"
-    )
-    return EXIT_OK
+        res, verdict, code = exc, "FAIL", EXIT_VERDICT
+    print(f"{verdict} ybe_residual={res.ybe_residual:.6e} "
+          f"unitarity_residual={res.unitarity_residual:.6e}")
+    return code
 
 
 def cmd_analyze(args) -> int:
@@ -249,15 +243,8 @@ def cmd_equivalent(args) -> int:
 
 
 def _fingerprint_dict(fp) -> dict:
-    def pairs(values):
-        return [[float(z.real), float(z.imag)] for z in values]
-
-    return {
-        "spectrum_r": pairs(fp.spectrum_r),
-        "spectrum_phi": pairs(fp.spectrum_phi),
-        "cycle_values": pairs(fp.cycle_values),
-        "word_values": pairs(fp.word_values),
-    }
+    return {name: [[float(z.real), float(z.imag)] for z in values]
+            for name, values in vars(fp).items()}
 
 
 def cmd_search(args) -> int:
@@ -398,21 +385,19 @@ def _add_input_options(sub, with_tol: bool = True) -> None:
         )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; ``--seed`` defaults to None."""
     parser = argparse.ArgumentParser(
         prog="rmlab",
         description="Unitary Yang-Baxter solutions: verification, "
                     "structure reports, classification, and search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # An empty or unset RMLAB_SEED means 0.
-    seed_default = _int_at_least(0, "RMLAB_SEED",
-                                 os.environ.get("RMLAB_SEED") or "0")
     seed = functools.partial(_int_at_least, 0, "--seed")
 
     p = sub.add_parser("verify", help="check a solution and print residuals")
     _add_input_options(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("analyze", help="full structure report")
     _add_input_options(p)
@@ -420,20 +405,17 @@ def build_parser() -> argparse.ArgumentParser:
                    type=functools.partial(_int_at_least, 0, "--n-cap"))
     p.add_argument("--fixed-cap", default=4, dest="fixed_cap",
                    type=functools.partial(_int_at_least, 1, "--fixed-cap"))
-    p.add_argument("--seed", type=seed, default=seed_default)
+    p.add_argument("--seed", type=seed)
     p.add_argument("--format", choices=("md", "json"), default="md")
     p.add_argument("-o", "--out", help="write to file instead of stdout")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("classify2", help="d = 2 family classification")
     _add_input_options(p)
-    p.add_argument("--seed", type=seed, default=seed_default)
-    p.set_defaults(func=cmd_classify2)
+    p.add_argument("--seed", type=seed)
 
     p = sub.add_parser("character", help="character of a braid word")
     _add_input_options(p)
     p.add_argument("--word", required=True, help="letters, e.g. 1,2,-1")
-    p.set_defaults(func=cmd_character)
 
     p = sub.add_parser("equivalent", help="compare characters of two inputs")
     p.add_argument("first", help="JSON file or builtin name")
@@ -447,13 +429,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="verification tolerance for JSON inputs; characters are "
              "always compared at 1e-9",
     )
-    p.set_defaults(func=cmd_equivalent)
 
     p = sub.add_parser("search", help="optimize for new solutions")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--restarts", default=16,
                    type=functools.partial(_int_at_least, 0, "--restarts"))
-    p.add_argument("--seed", type=seed, default=seed_default)
+    p.add_argument("--seed", type=seed)
     p.add_argument("--max-iterations", type=int, default=2000,
                    dest="max_iterations")
     p.add_argument("--target", type=float, default=1e-8,
@@ -461,24 +442,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="JSON-lines file to append solutions to")
     p.add_argument("--jobs", default=1, help="parallel restart workers",
                    type=functools.partial(_int_at_least, 1, "--jobs"))
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("table9", help="reproduce the d = 2 family table")
     p.add_argument("--samples", default=20,
                    type=functools.partial(_int_at_least, 1, "--samples"))
     p.add_argument("--jobs", default=1, help="parallel row workers",
                    type=functools.partial(_int_at_least, 1, "--jobs"))
-    p.add_argument("--seed", type=seed, default=seed_default)
+    p.add_argument("--seed", type=seed)
     p.add_argument("-o", "--out", help="write to file instead of stdout")
-    p.set_defaults(func=cmd_table9)
 
     return parser
 
 
 def main(argv=None) -> int:
     try:
+        # An empty or unset RMLAB_SEED means 0; read on every call.
+        seed = _int_at_least(0, "RMLAB_SEED",
+                             os.environ.get("RMLAB_SEED") or "0")
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        if getattr(args, "seed", 0) is None:
+            args.seed = seed
+        # By name, so that a patched cmd_* function is the one called.
+        return globals()["cmd_" + args.command](args)
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERDICT

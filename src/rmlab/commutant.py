@@ -58,7 +58,6 @@ from .errors import (
 )
 from .rmatrix import RMatrix, require_dense
 from .tensor import (
-    CLUSTER_TOL,
     AlgebraElement,
     as_complex_matrix,
     eig_normal,
@@ -67,6 +66,7 @@ from .tensor import (
     pad_left,
     pad_right,
     shifted_product,
+    spectral_clusters,
     trace_out_last,
 )
 
@@ -92,6 +92,9 @@ NULLSPACE_RTOL = 1e-9
 #: rank decisions here are built from unit-scale data, so anything
 #: this small is rounding noise even when the whole matrix is noise.
 NULLSPACE_ATOL = 1e-12
+
+#: Relative distance within which probe eigenvalues share a cluster.
+PROBE_MERGE_TOL = 1e-3
 
 
 def _svd_cutoff(s: np.ndarray, rtol: float) -> float:
@@ -390,21 +393,21 @@ def _star_commutant(mats, seed: int) -> np.ndarray:
     Exact only when the commutant of ``mats`` is *-closed: then each
     solution also commutes with every adjoint, hence with the probe h,
     and lies in span{v_i v_j* : v_i, v_j eigenvectors of h in one
-    cluster}.  Sorted eigenvalues are split at gaps above
-    ``CLUSTER_TOL`` times the spectral scale; merging clusters only
-    enlarges that span.  An empty ``mats`` gives every matrix unit.
+    cluster}.  Eigenvalues within ``PROBE_MERGE_TOL`` times the spectral
+    scale share a cluster: that only enlarges the span, and nearer ones
+    would leave rounding noise at the null space cutoff.  An empty
+    ``mats`` gives every matrix unit.
     """
     mats = np.asarray(mats, dtype=complex)
     if not len(mats):
         return commutant_of(mats)
     evals, vecs = np.linalg.eigh(
         hermitian_probe(mats, np.random.default_rng(seed)))
-    radius = CLUSTER_TOL * max(1.0, float(np.abs(evals).max()))
-    cuts = np.flatnonzero(np.diff(evals) > radius) + 1
+    radius = PROBE_MERGE_TOL * max(1.0, float(np.abs(evals).max()))
     dim = len(evals)
     span = np.concatenate([
         np.einsum("pi,qj->ijpq", v, v.conj()).reshape(-1, dim, dim)
-        for v in np.split(vecs, cuts, axis=1)
+        for v in (vecs[:, i] for i in spectral_clusters(evals, radius).groups)
     ])
     return span.reshape(len(span), -1).T @ commutant_of(mats, span=span)
 

@@ -112,10 +112,7 @@ def uf_solution(u) -> RMatrix:
 
 
 def _diag3() -> RMatrix:
-    projs = tuple(
-        np.diag([1.0 if k == i else 0.0 for k in range(3)]).astype(complex)
-        for i in range(3)
-    )
+    projs = tuple(np.diag(row).astype(complex) for row in np.eye(3))
     angles = np.array(
         [
             [0.3, 0.9, -1.2],
@@ -247,10 +244,7 @@ def random_normal_form_spec(d: int, rng: np.random.Generator
 
 def random_diagonal(d: int, rng: np.random.Generator) -> RMatrix:
     """Random diagonal solution: rank-one coordinate blocks, free phases."""
-    projs = tuple(
-        np.diag([1.0 if k == i else 0.0 for k in range(d)]).astype(complex)
-        for i in range(d)
-    )
+    projs = tuple(np.diag(row).astype(complex) for row in np.eye(d))
     return make_simple(
         SimpleRSpec(projs, random_phases(d, rng)), label=f"diagonal(d={d})"
     )

@@ -81,10 +81,9 @@ def require_dense(entries: int, what: str) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _flip_cached(d: int) -> np.ndarray:
-    f = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            f[i * d + j, j * d + i] = 1.0
+    # Row i*d + j of the flip is row j*d + i of the identity.
+    f = np.eye(d * d, dtype=complex).reshape(d, d, -1).transpose(1, 0, 2)
+    f = f.reshape(d * d, d * d)
     f.setflags(write=False)
     return f
 

@@ -25,7 +25,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .braid import BraidWord, character
 from .errors import DomainError, ShapeError, VerificationError
@@ -122,6 +121,7 @@ def directional_derivative_check(u: np.ndarray, d: int,
     Random normalized skew-Hermitian directions are exponentiated
     around U; mismatches are scaled by max(1, |analytic slope|).
     """
+    import scipy.linalg  # slow to import; loaded on first use
     g = ybe_euclidean_gradient(u, d)
     worst = 0.0
     n = u.shape[0]
@@ -203,6 +203,7 @@ def search_unitary_solution(d: int, seed: int = 0,
     if not 0.0 < target_residual < math.inf:
         raise DomainError(f"target_residual {target_residual} not in (0, inf)")
     require_dense(d ** 6, f"a d = {d} solution")
+    import scipy.linalg  # slow to import; loaded on first use
     rng = np.random.default_rng(seed)
     if initial is None:
         u = haar_unitary(d * d, rng)

@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.csgraph
 
 from .errors import LevelError, NormalityError, ShapeError
 
@@ -51,6 +49,7 @@ __all__ = [
     "partial_trace_left",
     "partial_trace_right",
     "shift",
+    "spectral_clusters",
 ]
 
 #: Relative tolerance used to cluster eigenvalues of normal matrices.
@@ -240,6 +239,37 @@ def hs_inner(a, b) -> complex:
     return complex(np.vdot(am, bm)) / am.shape[0]
 
 
+class SpectralClusters(NamedTuple):
+    """Index arrays of the clusters, ordered by first member; the least
+    distance between two clusters, and the greatest inside one."""
+
+    groups: list
+    gap: float
+    spread: float
+
+
+def spectral_clusters(values, radius: float) -> SpectralClusters:
+    """Connected components of "closer than radius" on real or complex
+    values; on sorted reals, the runs between gaps above ``radius``."""
+    v = np.ravel(values)
+    n = len(v)
+    dist = np.abs(v[:, None] - v)
+    # Take the least label among neighbours, then that label's own,
+    # until each component is labelled by its least member.
+    labels = np.arange(n)
+    while True:
+        least = np.where(dist <= radius, labels, n).min(axis=1, initial=n)
+        if np.array_equal(least[least], labels):
+            break
+        labels = least[least]
+    order = np.argsort(labels, kind="stable")
+    ends = [*np.flatnonzero(labels[order] == order).tolist(), n]
+    same = labels[:, None] == labels
+    return SpectralClusters([order[a:b] for a, b in zip(ends, ends[1:])],
+                            float(dist[~same].min(initial=np.inf)),
+                            float(dist[same].max(initial=0.0)))
+
+
 class EigenCluster(NamedTuple):
     value: complex
     multiplicity: int
@@ -260,7 +290,6 @@ def eig_normal(matrix, tol: float = CLUSTER_TOL) -> list[EigenCluster]:
         if ``norm(x x* - x* x) > tol * norm(x)^2`` in Frobenius norm.
     """
     a = as_complex_matrix(matrix)
-    n = a.shape[0]
     scale = frobenius_norm(a)
     defect = frobenius_norm(a @ a.conj().T - a.conj().T @ a)
     if defect > tol * max(scale * scale, 1e-300):
@@ -269,21 +298,18 @@ def eig_normal(matrix, tol: float = CLUSTER_TOL) -> list[EigenCluster]:
             f"bound={tol * scale * scale:.3e}",
             defect=defect,
         )
-    t, q = scipy.linalg.schur(a, output="complex")
-    evals = np.diag(t)
-
-    radius = tol * max(1.0, float(np.max(np.abs(evals))) if n else 1.0)
-    # Cluster = connected component of the "closer than radius" graph.
-    diff = np.abs(evals[:, None] - evals[None, :]) <= radius
-    ncomp, labels = scipy.sparse.csgraph.connected_components(
-        diff, directed=False
-    )
-    clusters = []
-    for c in range(ncomp):
-        idx = np.flatnonzero(labels == c)
-        vecs = q[:, idx]
-        proj = vecs @ vecs.conj().T
-        value = complex(np.mean(evals[idx]))
-        clusters.append(EigenCluster(value, len(idx), proj))
-    clusters.sort(key=lambda cl: (cl.value.real, cl.value.imag))
-    return clusters
+    # The Hermitian and skew parts of a normal matrix commute, so the
+    # skew part keeps each eigenspace of the Hermitian one: diagonalize
+    # it on each of those clusters; eigenvalues are Rayleigh quotients.
+    wx, q = np.linalg.eigh((a + a.conj().T) / 2.0)
+    for idx in spectral_clusters(wx, tol * max(1.0, *np.abs(wx))).groups:
+        if len(idx) > 1:
+            v = q[:, idx]
+            y = v.conj().T @ (a - a.conj().T) @ v / 2.0j
+            q[:, idx] = v @ np.linalg.eigh(y)[1]
+    evals = np.einsum("ij,ij->j", q.conj(), a @ q)
+    radius = tol * max(1.0, *np.abs(evals))
+    return sorted((EigenCluster(complex(np.mean(evals[i])), len(i),
+                                q[:, i] @ q[:, i].conj().T)
+                   for i in spectral_clusters(evals, radius).groups),
+                  key=lambda cl: (cl.value.real, cl.value.imag))

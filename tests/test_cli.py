@@ -292,6 +292,21 @@ def test_verify_bad_dimension_is_exit_2(capsys, tmp_path, d, entries):
     assert "input error" in err and "Traceback" not in err
 
 
+def test_main_builds_the_parser_once_and_calls_commands_by_name(
+        capsys, monkeypatch):
+    parser = rmlab.cli.build_parser()
+    seen = []
+    monkeypatch.delenv("RMLAB_SEED", raising=False)
+    monkeypatch.setattr(rmlab.cli, "cmd_classify2",
+                        lambda args: seen.append(args.seed) or 0)
+    assert run(capsys, "classify2", "--builtin", "r4")[0] == 0
+    monkeypatch.setenv("RMLAB_SEED", "7")
+    assert run(capsys, "classify2", "--builtin", "r4")[0] == 0
+    assert run(capsys, "classify2", "--builtin", "r4", "--seed", "3")[0] == 0
+    assert seen == [0, 7, 3]
+    assert rmlab.cli.build_parser() is parser
+
+
 def test_bad_seed_env_is_exit_2(capsys, monkeypatch):
     monkeypatch.setenv("RMLAB_SEED", "abc")
     code, out, err = run(capsys, "verify", "--builtin", "flip", "--d", "2")
@@ -385,19 +400,25 @@ def _conjugated_r3_file(tmp_path) -> str:
     return path
 
 
-def test_importing_the_cli_leaves_scipy_optimize_unloaded(tmp_path):
-    # scipy.optimize is slow to import; no command of the benchmark's
-    # d = 2 workloads should need it
+def test_the_cli_and_its_scipy_free_commands_load_no_scipy_module(
+        tmp_path):
+    # scipy is slow to import; only search and the classifier's
+    # fallback need it, and they import it on first use
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
+    path = _conjugated_r3_file(tmp_path)
     script = (
         "import sys, rmlab.cli\n"
-        "loaded = ['scipy.optimize' in sys.modules]\n"
-        "for argv in (['analyze', '--builtin', 'trivial2'],\n"
-        "             ['table9', '--samples', '2'],\n"
-        f"             ['classify2', {_conjugated_r3_file(tmp_path)!r}]):\n"
-        "    assert rmlab.cli.main(argv) == 0, argv\n"
-        "    loaded.append('scipy.optimize' in sys.modules)\n"
+        "def scipy_loaded():\n"
+        "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+        "loaded = [scipy_loaded()]\n"
+        "for argv, code in ((['analyze', '--builtin', 'trivial2'], 0),\n"
+        "                   (['table9', '--samples', '2'], 0),\n"
+        f"                   (['classify2', {path!r}], 0),\n"
+        "                   (['verify', '--builtin', 'r3'], 0),\n"
+        "                   (['equivalent', 'r2', 'r3'], 1)):\n"
+        "    assert rmlab.cli.main(argv) == code, argv\n"
+        "    loaded.append(scipy_loaded())\n"
         "print(loaded)\n"
     )
     proc = subprocess.run(
@@ -405,7 +426,7 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[False, False, False, False]"
+    assert proc.stdout.splitlines()[-1] == str([False] * 6)
 
 
 def test_classify2_reports_an_unclassified_input(monkeypatch, capsys,

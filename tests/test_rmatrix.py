@@ -33,6 +33,15 @@ def haar(n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_flip_matrix_sends_e_i_e_j_to_e_j_e_i(d):
+    f = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            f[i * d + j, j * d + i] = 1.0
+    assert np.array_equal(flip_matrix(d), f)
+
+
 def test_verify_accepts_flip():
     r = verify(flip_matrix(3), 3)
     assert r.d == 3

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rmlab
 from rmlab import (
     AlgebraElement,
     as_complex_matrix,
@@ -19,6 +22,7 @@ from rmlab import (
     shift,
 )
 from rmlab.errors import LevelError, NormalityError, ShapeError
+from rmlab.tensor import CLUSTER_TOL, spectral_clusters
 
 RNG = np.random.default_rng(20240817)
 
@@ -199,3 +203,122 @@ def test_eig_normal_resolution_sums_to_identity():
 def test_eig_normal_rejects_nonnormal():
     with pytest.raises(NormalityError):
         eig_normal(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.sampled_from([0.0, 1e-12, 0.5, 1.0, 1.5, 2.0,
+                                       3.0, 1e3]), max_size=12),
+       radius=st.sampled_from([0.0, 1e-9, 1.0, 1.7]))
+def test_spectral_clusters_on_sorted_reals_are_the_sorted_diff_cuts(
+        steps, radius):
+    values = np.cumsum(np.asarray([-2.0] + steps))
+    diffs = np.diff(values)
+    labels = np.concatenate([[0], np.cumsum(diffs > radius)])
+    runs = [np.flatnonzero(labels == c) for c in range(labels[-1] + 1)]
+    got = spectral_clusters(values, radius)
+    assert [g.tolist() for g in got.groups] == [r.tolist() for r in runs]
+    assert got.gap == min(diffs[diffs > radius], default=np.inf)
+    assert got.spread == max(values[r[-1]] - values[r[0]] for r in runs)
+
+
+def test_spectral_clusters_join_complex_chains():
+    # A bent chain of steps just under the radius spans far more than
+    # the radius; its members are listed out of order, between two
+    # isolated values, one of them just over the radius from the chain.
+    chain = np.cumsum([0.9 * np.exp(0.6j * k) for k in range(8)])
+    near = chain[-1] + 1.2
+    values = np.concatenate([[10.0 + 10.0j], chain[::-1][::2], [near],
+                             chain[::-1][1::2]])
+    got = spectral_clusters(values, 1.0)
+    assert [g.tolist() for g in got.groups] == [
+        [0], [1, 2, 3, 4, 6, 7, 8, 9], [5]]
+    assert 1.0 < got.gap == np.abs(near - chain).min()
+    assert got.spread == np.abs(chain[:, None] - chain).max()
+    assert len(spectral_clusters(values, 0.85).groups) == 10
+    assert spectral_clusters([], 1.0) == ([], np.inf, 0.0)
+
+
+def _schur_reference(a):
+    """The eigen clusters from a complex Schur form and a graph search."""
+    import scipy.linalg
+    import scipy.sparse.csgraph
+
+    t, q = scipy.linalg.schur(a, output="complex")
+    evals = np.diag(t)
+    radius = CLUSTER_TOL * max(1.0, float(np.abs(evals).max()))
+    count, labels = scipy.sparse.csgraph.connected_components(
+        np.abs(evals[:, None] - evals[None, :]) <= radius, directed=False)
+    return [(complex(evals[labels == c].mean()), int(np.sum(labels == c)),
+             q[:, labels == c] @ q[:, labels == c].conj().T)
+            for c in range(count)]
+
+
+def _check_decomposition(a, planted=None):
+    """eig_normal(a) resolves a exactly and agrees with the reference;
+    ``planted`` maps each exact eigenvalue to its multiplicity."""
+    n = a.shape[0]
+    clusters = eig_normal(a)
+    assert sum(c.multiplicity for c in clusters) == n
+    assert np.abs(sum(c.projection for c in clusters)
+                  - np.eye(n)).max() <= 1e-12
+    assert np.abs(sum(c.value * c.projection for c in clusters)
+                  - a).max() <= 1e-12
+    for c in clusters:
+        p = c.projection
+        assert np.abs(p @ p - p).max() <= 1e-12
+        assert np.abs(p - p.conj().T).max() <= 1e-12
+        assert np.trace(p).real == pytest.approx(c.multiplicity)
+    reference = _schur_reference(a)
+    assert len(reference) == len(clusters)
+    for value, mult, proj in reference:
+        c = min(clusters, key=lambda c: abs(c.value - value))
+        assert abs(c.value - value) <= 1e-12
+        assert c.multiplicity == mult
+        assert np.abs(c.projection - proj).max() <= 1e-12
+    if planted is not None:
+        assert len(planted) == len(clusters)
+        for value, mult in planted.items():
+            c = min(clusters, key=lambda c: abs(c.value - value))
+            assert abs(c.value - value) <= 1e-12
+            assert c.multiplicity == mult
+
+
+def _planted_values(case, count, rng):
+    """``count`` distinct eigenvalues, at least 0.1 apart."""
+    k = np.arange(count)
+    if case == "shared real part":
+        return 0.3 + 1j * (k - 1.5 + rng.uniform(0.0, 0.4, count))
+    if case == "conjugate pairs":
+        theta = (k // 2 + 0.2 + rng.uniform(0.0, 0.5)) * 0.6
+        return np.exp(1j * theta * (-1.0) ** k)
+    if case == "unitary":
+        return np.exp(2j * np.pi * (k + rng.uniform(0.0, 0.5, count))
+                      / count)
+    if case == "hermitian":
+        return 2.0 * (k - 2.0 + rng.uniform(0.0, 0.45, count))
+    return (k + rng.uniform(0.0, 0.5, count)
+            + 1j * rng.uniform(-1.0, 1.0, count))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(["shared real part", "conjugate pairs",
+                             "unitary", "hermitian", "generic"]),
+       mults=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_eig_normal_resolves_planted_clusters(case, mults, seed):
+    rng = np.random.default_rng(seed)
+    values = _planted_values(case, len(mults), rng)
+    n = sum(mults)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q = np.linalg.qr(z)[0]
+    a = q @ np.diag(np.repeat(values, mults)) @ q.conj().T
+    if case == "hermitian":
+        a = (a + a.conj().T) / 2.0
+    _check_decomposition(a, dict(zip(values.tolist(), mults)))
+
+
+@pytest.mark.parametrize("name", rmlab.builtin_names())
+def test_eig_normal_resolves_builtins_and_their_partial_traces(name):
+    r = rmlab.builtin(name)
+    _check_decomposition(r.matrix)
+    _check_decomposition(partial_trace_left(r.as_element()).matrix)
