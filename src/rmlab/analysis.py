@@ -189,16 +189,18 @@ class IndexBounds:
             )
 
 
-def index_bounds(r: RMatrix, tol: float = 1e-9) -> IndexBounds:
+def index_bounds(r: RMatrix, tol: float = 1e-9, spectrum=None,
+                 phi_spectrum=None) -> IndexBounds:
     """Rigorous lower and upper bounds for the endomorphism index.
 
     Lower: distinct eigenvalue counts of R and of its partial trace
     (the latter squared).  Upper: d^2 always, improved by the fourth
     power of the inverse partial trace norm when it is invertible.
+    The spectra of R and of the partial trace are computed unless given.
     """
     d = r.d
-    spec_r = eig_normal(r.matrix)
-    spec_phi = eig_normal(phi_image(r))
+    spec_r = spectrum or _spectrum(r.matrix)
+    spec_phi = phi_spectrum or _spectrum(phi_image(r))
     lower_r = float(len(spec_r))
     lower_phi = float(len(spec_phi)) ** 2
     lower = max(1.0, lower_r, lower_phi)
@@ -775,7 +777,9 @@ _SECTIONS = (
              lambda r, rep: ergodicity_necessary_check(r), None),
     _Section("irreducible", "irreducible", _irreducible,
              lambda v, rep: f"* irreducible: {v}"),
-    _Section("index_bounds", "bounds", lambda r, rep: index_bounds(r),
+    _Section("index_bounds", "bounds", lambda r, rep: index_bounds(
+                 r, spectrum=rep.spectrum, phi_spectrum=getattr(
+                     rep.partial_trace, "spectrum", None)),
              lambda v, rep: f"* index bounds: [{v.lower:.6g}, {v.upper:.6g}]"),
     _Section("concentration", "concentration",
              lambda r, rep: triviality_by_concentration(r),

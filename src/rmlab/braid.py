@@ -220,24 +220,6 @@ class CycleType:
         cleaned.sort()
         object.__setattr__(self, "cycles", tuple(cleaned))
 
-    @classmethod
-    def from_permutation(cls, perm) -> "CycleType":
-        perm = list(perm)
-        seen = [False] * len(perm)
-        counts: dict = {}
-        for start in range(len(perm)):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length >= 2:
-                counts[length] = counts.get(length, 0) + 1
-        return cls(tuple(sorted(counts.items())))
-
     def items(self):
         return self.cycles
 

@@ -29,9 +29,10 @@ with u iff it commutes with u* = sum u_ij* (x) e_ji, and the braid
 generators are unitary.  Every solution x then commutes with a random
 Hermitian h drawn from the sets and their adjoints, so it is block
 diagonal in h's eigenbasis, and only the sum of m^2 over h's eigenvalue
-multiplicities m unknowns remain instead of D^2.  General sets, whose
-commutant need not be *-closed (a Jordan block), and the Wedderburn
-center keep the full matrix-unit or explicit span.
+multiplicities m unknowns remain instead of D^2; they are solved
+against a second probe and certified (:func:`_star_commutant`).
+General sets, whose commutant need not be *-closed (a Jordan block),
+and the Wedderburn center keep the full matrix-unit or explicit span.
 
 Subspaces are SVD null or row spaces with a relative cutoff of 1e-9 on
 singular values, kept as orthonormal columns, and dense operators are
@@ -96,6 +97,10 @@ NULLSPACE_ATOL = 1e-12
 #: Relative distance within which probe eigenvalues share a cluster.
 PROBE_MERGE_TOL = 1e-3
 
+#: Largest |x m - m x| entry a certified commutant basis element x
+#: (unit Frobenius norm) may leave on an input m of unit scale.
+CERTIFY_ATOL = 1e-9
+
 
 def _svd_cutoff(s: np.ndarray, rtol: float) -> float:
     return max(rtol * float(s[0]), NULLSPACE_ATOL)
@@ -111,8 +116,10 @@ def nullspace(a: np.ndarray, rtol: float = NULLSPACE_RTOL) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if not a.any():
         return np.eye(a.shape[1], dtype=complex)
-    # Tall matrices only need the economy factorization; wide ones
-    # need every right singular vector to expose the null directions.
+    # A tall A = QR has the singular values and right singular vectors
+    # of its square R; a wide A needs all of them for the null space.
+    if a.shape[0] > a.shape[1]:
+        a = np.linalg.qr(a, mode="r")
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     rank = int(np.sum(s > _svd_cutoff(s, rtol)))
     return vh[rank:].conj().T
@@ -387,29 +394,39 @@ def commutant_of(mats, span=None) -> np.ndarray:
 
 
 def _star_commutant(mats, seed: int) -> np.ndarray:
-    """:func:`commutant_of` ``mats`` as row-major columns, solved only on
-    the span that commutes with one Hermitian probe of ``mats``.
+    """:func:`commutant_of` ``mats`` as row-major columns: probe, solve,
+    certify.
 
     Exact only when the commutant of ``mats`` is *-closed: then each
-    solution also commutes with every adjoint, hence with the probe h,
-    and lies in span{v_i v_j* : v_i, v_j eigenvectors of h in one
+    solution commutes with any Hermitian probe h of ``mats`` and lies in
+    span{v_i v_j* : v_i, v_j eigenvectors of a first probe h1 in one
     cluster}.  Eigenvalues within ``PROBE_MERGE_TOL`` times the spectral
     scale share a cluster: that only enlarges the span, and nearer ones
-    would leave rounding noise at the null space cutoff.  An empty
-    ``mats`` gives every matrix unit.
+    would leave rounding noise at the null space cutoff.  On that span
+    only the commutator with a second probe h2 is solved.  As {h1, h2}'
+    contains the commutant, the answer can only be too big; it is kept
+    when max|x m - m x| <= ``CERTIFY_ATOL`` for every basis element x
+    and every m, and else the span is solved against all of ``mats``.
+    An empty ``mats`` gives every matrix unit.
     """
     mats = np.asarray(mats, dtype=complex)
     if not len(mats):
         return commutant_of(mats)
-    evals, vecs = np.linalg.eigh(
-        hermitian_probe(mats, np.random.default_rng(seed)))
+    rng = np.random.default_rng(seed)
+    evals, vecs = np.linalg.eigh(hermitian_probe(mats, rng))
     radius = PROBE_MERGE_TOL * max(1.0, float(np.abs(evals).max()))
     dim = len(evals)
     span = np.concatenate([
         np.einsum("pi,qj->ijpq", v, v.conj()).reshape(-1, dim, dim)
         for v in (vecs[:, i] for i in spectral_clusters(evals, radius).groups)
     ])
-    return span.reshape(len(span), -1).T @ commutant_of(mats, span=span)
+    to_units = span.reshape(len(span), -1).T
+    cols = to_units @ commutant_of(hermitian_probe(mats, rng)[None], span)
+    x = cols.T.reshape(-1, dim, dim)
+    worst = max(np.abs(x @ m - m @ x).max(initial=0.0) for m in mats)
+    if worst > CERTIFY_ATOL:
+        cols = to_units @ commutant_of(mats, span=span)
+    return cols
 
 
 def hermitian_probe(mats, rng) -> np.ndarray:

@@ -134,6 +134,35 @@ def test_index_bounds_trivial_pin_to_one():
     assert b.upper == 1.0
 
 
+@pytest.mark.parametrize("name", ["r2", "flip3", "trivial2", "box21"])
+def test_analyze_reads_index_bounds_off_the_computed_spectra(monkeypatch,
+                                                             name):
+    r = rmlab.builtin(name)
+    alone = index_bounds(r)
+    calls, inside = [], []
+    clusters, bounds = rmlab.analysis.eig_normal, rmlab.analysis.index_bounds
+
+    def counted(m):
+        calls.append(bool(inside))
+        return clusters(m)
+
+    def watched(*args, **kwargs):
+        inside.append(True)
+        try:
+            return bounds(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(rmlab.analysis, "eig_normal", counted)
+    monkeypatch.setattr(rmlab.analysis, "index_bounds", watched)
+    report = analyze(r)
+    assert report.bounds == alone
+    assert calls and not any(calls)
+    if name == "r2":
+        # R and its partial trace for their sections, R^2 for the seeds.
+        assert len(calls) == 3
+
+
 def test_index_bounds_order_is_enforced():
     with pytest.raises(InternalConsistencyError):
         IndexBounds(3.0, 2.0, ())

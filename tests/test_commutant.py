@@ -603,14 +603,14 @@ def _last_slot_blocks(r, n):
     return u.transpose(1, 3, 0, 2).reshape(r.d * r.d, dim, dim)
 
 
-def _assert_same_subspace(b, reference):
+def _assert_same_subspace(b, reference, tol=1e-12):
     cols = b.span_columns()
     assert cols.shape == reference.shape
     assert not cols.flags.writeable
     assert np.allclose(cols.conj().T @ cols, np.eye(b.dimension),
                        atol=1e-12)
     gap = cols @ cols.conj().T - reference @ reference.conj().T
-    assert np.abs(gap).max() <= 1e-12
+    assert np.abs(gap).max() <= tol
 
 
 @pytest.mark.parametrize("name,n", [
@@ -670,3 +670,115 @@ def test_family4_fixed_points_double_at_each_level(seed):
     r = rmlab.random_conjugate(rmlab.random_family4(rng)[0], rng)
     assert [fixed_subalgebra(r, n).dimension for n in range(1, 6)] == [
         2, 4, 8, 16, 32]
+
+
+def _random_draw(family, rng):
+    """A random conjugate of a d = 2 family (1-4) or a d = 3 builtin."""
+    if family == 1:
+        base = rmlab.make_trivial(2, rmlab.random_unimodular(rng))
+    elif family == 2:
+        base = rmlab.random_family2(rng, symmetric=bool(rng.integers(2)))[0]
+    elif family == 3:
+        base = rmlab.random_family3(rng, special=bool(rng.integers(2)))[0]
+    elif family == 4:
+        base = rmlab.random_family4(rng)[0]
+    else:
+        base = rmlab.builtin(family)
+    return rmlab.random_conjugate(base, rng)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.one_of(
+    st.tuples(st.sampled_from([1, 2, 3, 4]), st.integers(1, 3)),
+    st.tuples(st.sampled_from(["box21", "diag3", "flip3", "simple3"]),
+              st.integers(1, 2))),
+    seed=st.integers(0, 2 ** 16))
+def test_certified_commutants_match_the_full_system(case, seed):
+    family, n = case
+    r = _random_draw(family, np.random.default_rng(seed))
+    _assert_same_subspace(fixed_subalgebra(r, n, seed=seed),
+                          commutant_of(_last_slot_blocks(r, n)), tol=1e-10)
+    _assert_same_subspace(braid_image_commutant(r, n, seed=seed),
+                          commutant_of(_generator_images(r, n)), tol=1e-10)
+
+
+@pytest.mark.parametrize("build,name,n,second", [
+    (fixed_subalgebra, "r2", 2, "scalar"),
+    (fixed_subalgebra, "box21", 1, "scalar"),
+    (braid_image_commutant, "flip2", 3, "scalar"),
+    (braid_image_commutant, "r3", 3, "scalar"),
+    (fixed_subalgebra, "simple3", 1, "scalar"),
+    (fixed_subalgebra, "box21", 1, "first matrix"),
+    (fixed_subalgebra, "simple3", 1, "first matrix"),
+])
+def test_a_failed_certificate_falls_back_to_every_matrix(monkeypatch, build,
+                                                          name, n, second):
+    r = rmlab.builtin(name)
+    want = build(r, n).span_columns()
+    draw, solve = rmlab.commutant.hermitian_probe, commutant_of
+    probes, solved = [], []
+
+    def weak_second_probe(mats, rng):
+        if not probes:
+            probes.append(draw(mats, rng))
+        elif second == "scalar":
+            probes.append(np.eye(len(mats[0])))
+        else:
+            probes.append(draw(mats[:1], rng))
+        return probes[-1]
+
+    def counted(mats, span=None):
+        solved.append(len(mats))
+        return solve(mats, span)
+
+    monkeypatch.setattr(rmlab.commutant, "hermitian_probe",
+                        weak_second_probe)
+    monkeypatch.setattr(rmlab.commutant, "commutant_of", counted)
+    got = build(r, n)
+    # A scalar probe keeps the whole span, a probe of the first matrix
+    # alone too much of it; the certificate refuses either answer, so
+    # the span is solved again against every matrix.
+    mats = (_last_slot_blocks(r, n) if build is fixed_subalgebra
+            else _generator_images(r, n))
+    assert solved == [1, len(mats)]
+    _assert_same_subspace(got, want)
+
+
+def test_scalar_up_to_rounding_blocks_solve_one_probe(monkeypatch):
+    rng = np.random.default_rng(5)
+    r = rmlab.random_conjugate(
+        rmlab.make_trivial(2, rmlab.random_unimodular(rng)), rng)
+    shapes = []
+    solve = rmlab.commutant.nullspace
+
+    def recorded(a, *args):
+        shapes.append(a.shape)
+        return solve(a, *args)
+
+    monkeypatch.setattr(rmlab.commutant, "nullspace", recorded)
+    assert fixed_subalgebra(r, 4).dimension == 256
+    # One cluster, so the span is every matrix unit, solved against the
+    # second probe alone: D^2 rows, not d^2 D^2.
+    assert shapes == [(256, 256)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(1, 40), cols=st.integers(1, 12),
+       rank=st.integers(0, 12), seed=st.integers(0, 2 ** 16))
+def test_nullspace_of_tall_systems_matches_the_full_svd(rows, cols, rank,
+                                                        seed):
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows, cols)
+    a = ((rng.standard_normal((rows, rank))
+          + 1j * rng.standard_normal((rows, rank)))
+         @ (rng.standard_normal((rank, cols))
+            + 1j * rng.standard_normal((rank, cols))))
+    # The reference is the SVD of the whole matrix, cut by the same rule.
+    _, s, vh = np.linalg.svd(a)
+    keep = int(np.sum(s > max(1e-9 * s[0], 1e-12))) if a.any() else 0
+    want = vh[keep:].conj().T
+    got = nullspace(a)
+    assert got.shape == want.shape
+    gap = got @ got.conj().T - want @ want.conj().T
+    assert np.abs(gap).max() <= 1e-10
+    assert np.linalg.norm(a @ got) <= 1e-9 * max(1.0, float(s[0]))
