@@ -60,30 +60,20 @@ def _check_unimodular(**params) -> None:
 def family_r2(p: complex, q: complex, r: complex, s: complex) -> RMatrix:
     """d = 2 diagonal family: basis vectors swap up to a phase."""
     _check_unimodular(p=p, q=q, r=r, s=s)
-    m = np.array(
-        [
-            [p, 0, 0, 0],
-            [0, 0, q, 0],
-            [0, r, 0, 0],
-            [0, 0, 0, s],
-        ],
-        dtype=complex,
-    )
+    m = np.array([[p, 0, 0, 0],
+                  [0, 0, q, 0],
+                  [0, r, 0, 0],
+                  [0, 0, 0, s]], dtype=complex)
     return verify(m, 2, label=f"r2({p:.3g},{q:.3g},{r:.3g},{s:.3g})")
 
 
 def family_r3(p: complex, q: complex, r: complex) -> RMatrix:
     """d = 2 antidiagonal family."""
     _check_unimodular(p=p, q=q, r=r)
-    m = np.array(
-        [
-            [0, 0, 0, p],
-            [0, q, 0, 0],
-            [0, 0, q, 0],
-            [r, 0, 0, 0],
-        ],
-        dtype=complex,
-    )
+    m = np.array([[0, 0, 0, p],
+                  [0, q, 0, 0],
+                  [0, 0, q, 0],
+                  [r, 0, 0, 0]], dtype=complex)
     return verify(m, 2, label=f"r3({p:.3g},{q:.3g},{r:.3g})")
 
 
@@ -91,15 +81,10 @@ def family_r4(q: complex) -> RMatrix:
     """d = 2 Pauli-type family, a rotation block pair scaled by q."""
     _check_unimodular(q=q)
     s = q / np.sqrt(2.0)
-    m = s * np.array(
-        [
-            [1, 1, 0, 0],
-            [-1, 1, 0, 0],
-            [0, 0, 1, -1],
-            [0, 0, 1, 1],
-        ],
-        dtype=complex,
-    )
+    m = s * np.array([[1, 1, 0, 0],
+                      [-1, 1, 0, 0],
+                      [0, 0, 1, -1],
+                      [0, 0, 1, 1]], dtype=complex)
     return verify(m, 2, label=f"r4({q:.3g})")
 
 
@@ -113,13 +98,9 @@ def uf_solution(u) -> RMatrix:
 
 def _diag3() -> RMatrix:
     projs = tuple(np.diag(row).astype(complex) for row in np.eye(3))
-    angles = np.array(
-        [
-            [0.3, 0.9, -1.2],
-            [2.1, -0.5, 0.8],
-            [-1.7, 1.3, 0.6],
-        ]
-    )
+    angles = np.array([[0.3, 0.9, -1.2],
+                       [2.1, -0.5, 0.8],
+                       [-1.7, 1.3, 0.6]])
     return make_simple(
         SimpleRSpec(projs, np.exp(1j * angles)), label="diag3"
     )
@@ -128,13 +109,8 @@ def _diag3() -> RMatrix:
 def _simple3() -> RMatrix:
     p1 = np.diag([1.0, 1.0, 0.0]).astype(complex)
     p2 = np.diag([0.0, 0.0, 1.0]).astype(complex)
-    phases = np.array(
-        [
-            [np.exp(0.6j), 1.0],
-            [1.0, 1.0],
-        ],
-        dtype=complex,
-    )
+    phases = np.array([[np.exp(0.6j), 1.0],
+                       [1.0, 1.0]], dtype=complex)
     return make_simple(SimpleRSpec((p1, p2), phases), label="simple3")
 
 

@@ -1,19 +1,11 @@
 """Numerical search for unitary Yang-Baxter solutions.
 
 The objective is the squared Frobenius norm of the braid defect
-
-    (U x 1)(1 x U)(U x 1) - (1 x U)(U x 1)(1 x U)
-
-over the unitary group U(d^2).  Minimization is Riemannian steepest
-descent: the Euclidean gradient has a closed form (six triple-product
-adjoint terms collapsing to two partial traces), its skew-Hermitian
-tangent coordinate drives an exponential retraction with Armijo
-backtracking, and a converged run is finished off with a least-squares
-polish before re-verification.
-
-Seeds make everything reproducible; a run either ends below the target
-residual and (after polish) yields a verified solution, or reports the
-best objective it reached.
+(U x 1)(1 x U)(U x 1) - (1 x U)(U x 1)(1 x U) over U(d^2).  Riemannian
+steepest descent follows the closed-form gradient's skew-Hermitian
+tangent coordinate along an eigh exponential with warm-started Armijo
+steps; a converged run gets a Gauss-Newton polish and re-verification.
+Seeds make every run reproducible.
 """
 
 from __future__ import annotations
@@ -29,7 +21,8 @@ import numpy as np
 from .braid import BraidWord, character
 from .errors import DomainError, ShapeError, VerificationError
 from .rmatrix import RMatrix, braid_defect, require_dense, verify
-from .tensor import partial_trace_left, trace_out_first, trace_out_last
+from .tensor import (kron, partial_trace_left, trace_out_first,
+                     trace_out_last)
 
 __all__ = [
     "Fingerprint",
@@ -112,6 +105,14 @@ def riemannian_gradient(u: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (h - h.conj().T) / 2.0
 
 
+def _geodesic(u: np.ndarray, xi: np.ndarray):
+    """t -> U exp(t xi) for skew-Hermitian xi: with (w, V) = eigh(i xi),
+    exp(t xi) = V exp(-i t w) V*, so each point costs one GEMM."""
+    w, v = np.linalg.eigh(1j * xi)
+    uv, vh = u @ v, v.conj().T
+    return lambda t: (uv * np.exp(-1j * t * w)) @ vh
+
+
 def directional_derivative_check(u: np.ndarray, d: int,
                                  rng: np.random.Generator,
                                  directions: int = 4,
@@ -121,7 +122,6 @@ def directional_derivative_check(u: np.ndarray, d: int,
     Random normalized skew-Hermitian directions are exponentiated
     around U; mismatches are scaled by max(1, |analytic slope|).
     """
-    import scipy.linalg  # slow to import; loaded on first use
     g = ybe_euclidean_gradient(u, d)
     worst = 0.0
     n = u.shape[0]
@@ -130,9 +130,9 @@ def directional_derivative_check(u: np.ndarray, d: int,
         omega = (z - z.conj().T) / 2.0
         omega /= np.linalg.norm(omega)
         analytic = 2.0 * np.vdot(g, u @ omega).real
-        plus, minus = (
-            _squared_norm(ybe_defect(u @ scipy.linalg.expm(t * omega), d))
-            for t in (h, -h))
+        path = _geodesic(u, omega)
+        plus, minus = (_squared_norm(ybe_defect(path(t), d))
+                       for t in (h, -h))
         numeric = (plus - minus) / (2.0 * h)
         scale = max(1.0, abs(analytic))
         worst = max(worst, abs(analytic - numeric) / scale)
@@ -144,25 +144,53 @@ def _reunitarize(u: np.ndarray) -> np.ndarray:
     return w @ vh
 
 
-def _polish(u: np.ndarray, d: int) -> np.ndarray:
-    """Least-squares refinement of defect + unitarity, then projection."""
-    import scipy.optimize  # slow to import; loaded on first use
+def _skew(x: np.ndarray) -> np.ndarray:
+    """Skew-Hermitian matrices with real coordinates x (..., n, n): the
+    real part antisymmetric from above the diagonal, the imaginary
+    part symmetric from on and below it."""
+    up, low = np.triu(x, 1), np.tril(x)
+    return (up - up.swapaxes(-1, -2)
+            + 1j * (low + np.tril(x, -1).swapaxes(-1, -2)))
 
+
+def _defect_jacobian(u: np.ndarray, d: int, state: tuple) -> np.ndarray:
+    """Real Jacobian of the defect of U exp(xi) at xi = 0 in the
+    coordinates of xi: rows the real, then imaginary parts of D's
+    entries, dD = dA BA + A dB A + AB dA - dB AB - B dA B - BA dB."""
+    a, b, ab, ba, _ = state
     n = d * d
+    du = u @ _skew(np.eye(n * n).reshape(-1, n, n))
+    eye = np.eye(d, dtype=complex)
+    da, db = kron(du, eye), kron(eye, du)
+    dd = (da @ ba + a @ db @ a + ab @ da
+          - db @ ab - b @ da @ b - ba @ db).reshape(len(du), -1).T
+    return np.concatenate([dd.real, dd.imag])
 
-    def residuals(x):
-        m = (x[:n * n] + 1j * x[n * n:]).reshape(n, n)
-        delta = ybe_defect(m, d).reshape(-1)
-        drift = (m.conj().T @ m - np.eye(n)).reshape(-1)
-        stacked = np.concatenate([delta, drift])
-        return np.concatenate([stacked.real, stacked.imag])
 
-    x0 = np.concatenate([u.real.reshape(-1), u.imag.reshape(-1)])
-    sol = scipy.optimize.least_squares(
-        residuals, x0, xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400,
-    )
-    m = (sol.x[:n * n] + 1j * sol.x[n * n:]).reshape(n, n)
-    return _reunitarize(m)
+def _polish(u: np.ndarray, d: int) -> np.ndarray:
+    """Gauss-Newton on the defect over U exp(xi), then projection.
+
+    Minimum-norm steps drop singular values below 1e-8 relative (the
+    conjugation orbit makes the Jacobian rank-deficient); the best
+    iterate is kept.  Stops at an objective of 1e-30, after three
+    steps without improvement, or after 60 steps.
+    """
+    state = braid_defect(u, d)
+    best, best_value, stale = u, _squared_norm(state[-1]), 0
+    for _ in range(60):
+        if best_value <= 1e-30 or stale == 3:
+            break
+        delta = state[-1].reshape(-1)
+        x = np.linalg.lstsq(_defect_jacobian(u, d, state),
+                            -np.concatenate([delta.real, delta.imag]),
+                            rcond=1e-8)[0]
+        u = _geodesic(u, _skew(x.reshape(u.shape)))(1.0)
+        state = braid_defect(u, d)
+        value = _squared_norm(state[-1])
+        stale = 0 if value < best_value else stale + 1
+        if not stale:
+            best, best_value = u, value
+    return _reunitarize(best)
 
 
 @dataclass(frozen=True)
@@ -173,6 +201,7 @@ class SearchRun:
     gradient_norm: float
     matrix: np.ndarray = field(repr=False)
     backtracks: int
+    trials: int
 
 
 @dataclass(frozen=True)
@@ -192,9 +221,11 @@ def search_unitary_solution(d: int, seed: int = 0,
 
     ``converged`` means the objective fell below the squared target
     residual; the returned matrix is exactly unitary (final polar
-    projection), ``steps`` counts accepted descent steps and
-    ``backtracks`` the step halvings.  Each trial point's defect is
-    built once; the accepted trial's goes on to the next gradient.
+    projection).  ``steps`` counts accepted descent steps,
+    ``backtracks`` the step halvings and ``trials`` the defect builds
+    at trial points; the accepted trial's build goes on to the next
+    gradient.  Each step takes one ``eigh`` and starts at the last
+    accepted step size, doubled (up to 1) after a first-try acceptance.
     """
     if d < 2:
         raise DomainError(f"need d >= 2, got {d}")
@@ -203,15 +234,14 @@ def search_unitary_solution(d: int, seed: int = 0,
     if not 0.0 < target_residual < math.inf:
         raise DomainError(f"target_residual {target_residual} not in (0, inf)")
     require_dense(d ** 6, f"a d = {d} solution")
-    import scipy.linalg  # slow to import; loaded on first use
     rng = np.random.default_rng(seed)
     if initial is None:
         u = haar_unitary(d * d, rng)
     else:
         u = _reunitarize(np.asarray(initial, dtype=complex))
     target = target_residual ** 2
-    step = 1.0
-    steps = backtracks = 0
+    t = 1.0
+    steps = backtracks = trials = 0
     state = braid_defect(u, d)
     value = _squared_norm(state[-1])
     grad_norm = math.inf
@@ -223,31 +253,31 @@ def search_unitary_solution(d: int, seed: int = 0,
         if grad_norm < 1e-14:
             break
         slope = -2.0 * grad_norm ** 2
-        t = min(step * 4.0, 1.0)
-        accepted = False
+        path = _geodesic(u, -xi)
+        first = trials
         while t >= 1e-18:
-            trial = u @ scipy.linalg.expm(-t * xi)
+            trial = path(t)
             trial_state = braid_defect(trial, d)
             trial_value = _squared_norm(trial_state[-1])
+            trials += 1
             if trial_value <= value + 1e-4 * t * slope:
-                accepted = True
                 break
             t /= 2.0
             backtracks += 1
-        if not accepted:
+        else:
             break
-        u, value, step, state = trial, trial_value, t, trial_state
+        u, value, state = trial, trial_value, trial_state
+        if trials == first + 1:  # accepted on the first try
+            t = min(2.0 * t, 1.0)
         steps += 1
         if steps % 64 == 0:
             u = _reunitarize(u)
             state = braid_defect(u, d)
             value = _squared_norm(state[-1])
-    if value <= max(target, 1e-6):
-        u = _polish(u, d)
-    else:
-        u = _reunitarize(u)
+    u = _polish(u, d) if value <= max(target, 1e-6) else _reunitarize(u)
     value = _squared_norm(ybe_defect(u, d))
-    return SearchRun(value <= target, value, steps, grad_norm, u, backtracks)
+    return SearchRun(value <= target, value, steps, grad_norm, u,
+                     backtracks, trials)
 
 
 def ordered_map(fn, args: list, jobs: int = 1):
@@ -281,31 +311,23 @@ def find_solution(d: int, restarts: int = 16, seed: int = 0,
     scan (parallel mode may compute restarts the serial scan would
     have skipped, but never reports them).
     """
-    best: SearchRun | None = None
-    objectives = []
-    used = 0
-    solution = None
+    objectives, best, solution = [], None, None
     args = [(d, seed + k, max_iterations, target_residual)
             for k in range(restarts)]
-    runs = ordered_map(search_unitary_solution, args, jobs)
-    for k, run in enumerate(runs):
-        used = k + 1
+    for k, run in enumerate(ordered_map(search_unitary_solution, args, jobs)):
         objectives.append(run.objective)
         if best is None or run.objective < best.objective:
             best = run
         if run.converged:
             try:
-                solution = verify(
-                    run.matrix, d, tol=polish_tol,
-                    label=f"search(d={d}, seed={seed + k})",
-                )
+                solution = verify(run.matrix, d, tol=polish_tol,
+                                  label=f"search(d={d}, seed={seed + k})")
             except VerificationError:
                 continue
             best = run
             break
-    return SearchResult(
-        solution is not None, solution, best, used, tuple(objectives)
-    )
+    return SearchResult(solution is not None, solution, best,
+                        len(objectives), tuple(objectives))
 
 
 @dataclass(frozen=True)

@@ -402,8 +402,8 @@ def _conjugated_r3_file(tmp_path) -> str:
 
 def test_the_cli_and_its_scipy_free_commands_load_no_scipy_module(
         tmp_path):
-    # scipy is slow to import; only search and the classifier's
-    # fallback need it, and they import it on first use
+    # scipy is slow to import; only the classifier's fallback needs
+    # it, and it imports it on first use
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
     path = _conjugated_r3_file(tmp_path)
@@ -427,6 +427,32 @@ def test_the_cli_and_its_scipy_free_commands_load_no_scipy_module(
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == str([False] * 6)
+
+
+def test_search_loads_no_scipy_module(tmp_path):
+    # The descent, its exponential and the polish are numpy alone.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = str(tmp_path / "found.jsonl")
+    script = (
+        "import sys, rmlab.cli\n"
+        "loaded = []\n"
+        "for d in ('2', '3'):\n"
+        "    argv = ['search', '--d', d, '--restarts', '1', '--out', "
+        f"{out!r}]\n"
+        "    assert rmlab.cli.main(argv) == 0, argv\n"
+        "    loaded.append(sorted(m for m in sys.modules\n"
+        "                         if m.split('.')[0] == 'scipy'))\n"
+        "print(loaded)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[[], []]"
+    with open(out, encoding="utf-8") as fh:
+        assert [json.loads(line)["d"] for line in fh] == [2, 3]
 
 
 def test_classify2_reports_an_unclassified_input(monkeypatch, capsys,

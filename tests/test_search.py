@@ -23,7 +23,14 @@ from rmlab import (
     ybe_objective,
 )
 from rmlab.errors import DomainError, ShapeError
-from rmlab.search import _polish, _reunitarize, ordered_map
+from rmlab.search import (
+    _defect_jacobian,
+    _geodesic,
+    _polish,
+    _reunitarize,
+    _skew,
+    ordered_map,
+)
 
 RNG = np.random.default_rng(99)
 
@@ -149,7 +156,9 @@ def test_search_single_seed_converges():
 
 def _reference_descent(d, seed, max_iterations):
     """Reference descent on np.kron factors, building the defect once
-    for the objective and again inside the gradient."""
+    for the objective and again inside the gradient.  Each step
+    exponentiates through one eigh of i(-xi) and starts at the last
+    accepted step size, doubled (up to 1) after a first-try accept."""
     def objective(u):
         eye = np.eye(d, dtype=complex)
         a, b = np.kron(u, eye), np.kron(eye, u)
@@ -158,7 +167,7 @@ def _reference_descent(d, seed, max_iterations):
 
     u = haar_unitary(d * d, np.random.default_rng(seed))
     target = 1e-8 ** 2
-    step, steps, backtracks = 1.0, 0, 0
+    t, steps, backtracks = 1.0, 0, 0
     value = objective(u)
     for _ in range(max_iterations):
         if value <= target:
@@ -168,19 +177,23 @@ def _reference_descent(d, seed, max_iterations):
         if grad_norm < 1e-14:
             break
         slope = -2.0 * grad_norm ** 2
-        t = min(step * 4.0, 1.0)
+        w, v = np.linalg.eigh(1j * -xi)
+        halvings = 0
         accepted = False
         while t >= 1e-18:
-            trial = u @ scipy.linalg.expm(-t * xi)
+            trial = (u @ v * np.exp(-1j * t * w)) @ v.conj().T
             trial_value = objective(trial)
             if trial_value <= value + 1e-4 * t * slope:
                 accepted = True
                 break
             t /= 2.0
-            backtracks += 1
+            halvings += 1
+        backtracks += halvings
         if not accepted:
             break
-        u, value, step = trial, trial_value, t
+        u, value = trial, trial_value
+        if halvings == 0:
+            t = min(2.0 * t, 1.0)
         steps += 1
         if steps % 64 == 0:
             u = _reunitarize(u)
@@ -218,6 +231,70 @@ def test_descent_matches_the_reference_loop_bitwise(d, seed,
     assert (run.steps, run.backtracks, run.objective) == (
         steps, backtracks, value)
     assert np.array_equal(run.matrix, u)
+
+
+def test_trials_count_every_accepted_and_rejected_point():
+    for seed in (0, 2):
+        run = search_unitary_solution(2, seed=seed)
+        assert run.converged
+        assert run.backtracks > 0
+        assert run.trials == run.steps + run.backtracks
+
+
+@pytest.mark.parametrize("n", [4, 9, 16])
+def test_eigh_exponential_matches_expm_and_stays_unitary(n):
+    rng = np.random.default_rng(n)
+    u = haar_unitary(n, rng)
+    xi = _skew(rng.standard_normal((n, n)))
+    path = _geodesic(u, xi)
+    for t in (-0.7, 1e-3, 1.0, 2.5):
+        point = path(t)
+        want = u @ scipy.linalg.expm(t * xi)
+        assert np.abs(point - want).max() <= 1e-14 * max(1.0, abs(t))
+        assert np.abs(point.conj().T @ point - np.eye(n)).max() <= 1e-14
+
+
+def test_skew_coordinates_span_the_skew_hermitian_matrices():
+    n = 3
+    basis = _skew(np.eye(n * n).reshape(-1, n, n))
+    assert np.array_equal(basis, -basis.conj().transpose(0, 2, 1))
+    flat = np.concatenate([basis.real, basis.imag], axis=1)
+    assert np.linalg.matrix_rank(flat.reshape(n * n, -1)) == n * n
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_polish_jacobian_matches_central_differences(d):
+    rng = np.random.default_rng(40 + d)
+    n = d * d
+    u = haar_unitary(n, rng)
+    jac = _defect_jacobian(u, d, rmlab.rmatrix.braid_defect(u, d))
+    assert jac.shape == (2 * d ** 6, n * n)
+    h = 1e-6
+
+    def defect(x):
+        m = ybe_defect(_geodesic(u, _skew(x.reshape(n, n)))(1.0), d)
+        return np.concatenate([m.real.ravel(), m.imag.ravel()])
+
+    for _ in range(3):
+        x = rng.standard_normal(n * n)
+        numeric = (defect(h * x) - defect(-h * x)) / (2.0 * h)
+        assert np.abs(jac @ x - numeric).max() <= 1e-7 * np.abs(numeric).max()
+
+
+@pytest.mark.parametrize("name", [
+    name for name, r in rmlab.all_builtins().items() if r.d in (2, 3)
+])
+def test_polish_returns_perturbed_builtins_to_solutions(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    r = rmlab.random_conjugate(rmlab.builtin(name), rng)
+    n = r.d * r.d
+    omega = _skew(rng.standard_normal((n, n)))
+    start = _geodesic(r.matrix, omega / np.linalg.norm(omega))(1e-6)
+    before = np.linalg.norm(ybe_defect(start, r.d))
+    polished = rmlab.verify(_polish(start, r.d), r.d)
+    # The flips are solutions to first order along every direction, so
+    # their start is only about 1e-12 off; the others start near 2e-6.
+    assert polished.ybe_residual <= min(1e-12, before / 100)
 
 
 def test_find_solution_returns_verified_solution():
