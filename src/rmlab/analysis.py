@@ -653,8 +653,6 @@ def _feasible_fixed_cap(d: int, cap: int) -> int:
     return n
 
 
-
-
 def _jsonable(value):
     """The JSON form of a report value: dataclasses and named tuples
     become {field: ...}, arrays their row-major entries, tuples lists,
@@ -697,12 +695,13 @@ def _spectrum_text(spectrum) -> str:
 def _tower(r, report, name: str) -> dict:
     """Levels 1 to ``n_cap`` of the commutant tower ``name``, filled into
     ``report.commutants`` one by one so a failing level keeps those
-    below it."""
+    below it.  The levels of L share one dict of braid closures A_m."""
     build = {"M": relative_commutant_M, "N": relative_commutant_N,
              "L": relative_commutant_L}[name]
+    shared = {"closures": {}} if name == "L" else {}
     for n in range(1, report.n_cap + 1):
         report.commutants.setdefault(n, {})[name] = build(
-            r, n, seed=report.seed)
+            r, n, seed=report.seed, **shared)
     return report.commutants
 
 

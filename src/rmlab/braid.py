@@ -143,6 +143,8 @@ def character(r: RMatrix, word: BraidWord) -> complex:
     if not word.letters:
         return 1.0 + 0.0j
     (gen, exp), d = word.letters[-1], r.d
+    strands = max(g for g, _ in word.letters) + 1
+    require_dense(d ** (2 * strands), f"a {strands}-strand word")
     prod, level = _product(r, word.letters[:-1])
     top = max(level, gen + 1)
     a = pad_right(prod, d, top - level)

@@ -459,7 +459,10 @@ def main(argv=None) -> int:
         # An empty or unset RMLAB_SEED means 0; read on every call.
         seed = _int_at_least(0, "RMLAB_SEED",
                              os.environ.get("RMLAB_SEED") or "0")
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help, or argparse's usage error
+            return EXIT_INPUT if exc.code else EXIT_OK
         if getattr(args, "seed", 0) is None:
             args.seed = seed
         # By name, so that a patched cmd_* function is the one called.

@@ -9,7 +9,8 @@ solution R, all as explicit Hilbert-Schmidt-orthonormal bases:
   lambda(x) = u (1 (x) x) u*, conjugation with that word after the shift.
 * L: the algebra generated by E_n(A_m), the trace-preserving
   expectation onto F^n of the algebra A_m generated by the m-strand
-  braid generator images; :func:`generated_algebra` closes both.
+  braid generator images; :func:`generated_algebra` closes both.  A_m
+  does not depend on n, so the levels of one report share each closure.
 
 M and N share one operator T, the matrix of lambda in Kraus form: with
 u split into blocks U_i over its first input slot, T = sum U_i (x)
@@ -35,12 +36,13 @@ General sets, whose commutant need not be *-closed (a Jordan block),
 and the Wedderburn center keep the full matrix-unit or explicit span.
 
 Subspaces are SVD null or row spaces with a relative cutoff of 1e-9 on
-singular values, kept as orthonormal columns, and dense operators are
-checked against ``DENSE_ENTRY_CAP`` before they are built.  Block
-structure (the Wedderburn profile) is detected on first read, with a
-seeded randomized center construction, and reported as a sorted tuple
-of full matrix block sizes; detection can fail on degenerate draws, in
-which case the profile is left unresolved rather than guessed.
+singular values (for commutants, of 2 max |m| over the inputs m), kept
+as orthonormal columns, and dense operators are checked against
+``DENSE_ENTRY_CAP`` before they are built.  Block structure (the
+Wedderburn profile) is detected on first read, with a seeded randomized
+center construction, and reported as a sorted tuple of full matrix block
+sizes; detection can fail on degenerate draws, in which case the profile
+is left unresolved rather than guessed.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from .tensor import (
     as_complex_matrix,
     eig_normal,
     embed,
-    frobenius_norm,
     pad_left,
     pad_right,
     shifted_product,
@@ -102,16 +103,18 @@ PROBE_MERGE_TOL = 1e-3
 CERTIFY_ATOL = 1e-9
 
 
-def _svd_cutoff(s: np.ndarray, rtol: float) -> float:
-    return max(rtol * float(s[0]), NULLSPACE_ATOL)
+def _svd_cutoff(s: np.ndarray, rtol: float, scale=None) -> float:
+    return max(rtol * float(s[0] if scale is None else scale),
+               NULLSPACE_ATOL)
 
 
-def nullspace(a: np.ndarray, rtol: float = NULLSPACE_RTOL) -> np.ndarray:
+def nullspace(a: np.ndarray, rtol: float = NULLSPACE_RTOL,
+              scale: float | None = None) -> np.ndarray:
     """Orthonormal basis (columns) of the null space of ``a``.
 
-    Singular values below ``rtol`` times the largest (or below the
-    absolute noise floor) are treated as zero.  An all-zero or empty
-    matrix has a full null space.
+    Singular values below ``rtol`` times ``scale`` (by default the
+    largest one), or below the absolute noise floor, are treated as
+    zero.  An all-zero or empty matrix has a full null space.
     """
     a = np.asarray(a, dtype=complex)
     if not a.any():
@@ -121,7 +124,7 @@ def nullspace(a: np.ndarray, rtol: float = NULLSPACE_RTOL) -> np.ndarray:
     if a.shape[0] > a.shape[1]:
         a = np.linalg.qr(a, mode="r")
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    rank = int(np.sum(s > _svd_cutoff(s, rtol)))
+    rank = int(np.sum(s > _svd_cutoff(s, rtol, scale)))
     return vh[rank:].conj().T
 
 
@@ -208,9 +211,7 @@ class SubalgebraBasis:
 
     def _matrices(self) -> list:
         dim = self.d ** self.level
-        scale = math.sqrt(dim)
-        return [self.columns[:, i].reshape(dim, dim) * scale
-                for i in range(self.dimension)]
+        return list(self.columns.T.reshape(-1, dim, dim) * math.sqrt(dim))
 
     @functools.cached_property
     def basis(self) -> tuple:
@@ -335,24 +336,27 @@ def _generator_images(r: RMatrix, m: int) -> np.ndarray:
 
 
 def relative_commutant_L(r: RMatrix, n: int, max_strands: int = 4,
-                         seed: int = 0) -> SubalgebraBasis:
+                         seed: int = 0, closures: dict | None = None
+                         ) -> SubalgebraBasis:
     """The algebra generated by E_n(A_m) at the largest strand count m.
 
     m runs from max(n, 2) to max(max_strands, n); ``meta["dims"]`` holds
     dim E_n(A_m) for each m, and the result is ``converged`` when the
-    last two agree (a single strand count never is).
+    last two agree (a single strand count never is).  ``closures``
+    caches the columns of A_m by m, for this R and across levels.
     """
     d = r.d
     if n < 1 or max_strands < 2:
         raise DomainError("need n >= 1 and max_strands >= 2")
+    closures = {} if closures is None else closures
     dims = []
     for m in range(max(n, 2), max(max_strands, n) + 1):
+        if m not in closures:
+            closures[m] = generated_algebra(_generator_images(r, m))
         # E_n traces out the last m - n slots with the normalized trace.
         rest, size = d ** (m - n), d ** m
-        expect = _row_space_basis(np.stack([
-            trace_out_last(col.reshape(size, size), rest).reshape(-1) / rest
-            for col in generated_algebra(_generator_images(r, m)).T
-        ]))
+        images = trace_out_last(closures[m].T.reshape(-1, size, size), rest)
+        expect = _row_space_basis(images.reshape(len(images), -1) / rest)
         dims.append(expect.shape[1])
     gens = expect.T.reshape(-1, d ** n, d ** n) * math.sqrt(d ** n)
     return SubalgebraBasis(d, n, generated_algebra(gens), seed,
@@ -378,6 +382,8 @@ def commutant_of(mats, span=None) -> np.ndarray:
     the matrix units, gives the row-major columns ``SubalgebraBasis``
     stores.  One preallocated array holds the commutator rows of every m;
     its null space is the result, so an empty ``mats`` gives everything.
+    The rank cutoff scales with 2 max |m|_F, a bound on |x m - m x| for
+    unit x, so a system that is all rounding noise keeps its null space.
     """
     mats = np.asarray(mats, dtype=complex)
     dim = mats.shape[-1]
@@ -390,7 +396,8 @@ def commutant_of(mats, span=None) -> np.ndarray:
             np.subtract(pad_left(m.T, dim, 1), pad_right(m, dim, 1), out=block)
         else:
             block[:] = (span @ m - m @ span).reshape(width, -1).T
-    return nullspace(rows)
+    scale = 2.0 * float(np.linalg.norm(mats, axis=(1, 2)).max(initial=0.0))
+    return nullspace(rows, NULLSPACE_RTOL, scale)
 
 
 def _star_commutant(mats, seed: int) -> np.ndarray:
@@ -443,25 +450,21 @@ def hermitian_probe(mats, rng) -> np.ndarray:
 
 
 def _check_algebra(mats, cols, tol: float = 1e-9) -> None:
-    """Validate unital, *-closed, multiplicatively closed span."""
-    dim = mats[0].shape[0]
-    proj = cols @ cols.conj().T
+    """Validate unital, *-closed, multiplicatively closed span; each
+    check projects one stack: the unit, the adjoints, or a @ mats."""
 
-    def distance(m):
-        v = m.reshape(-1)
-        return float(np.linalg.norm(v - proj @ v))
+    def residual(stack) -> float:
+        # The largest distance from the span over max(1, Frobenius norm).
+        v = stack.reshape(len(stack), -1)
+        far = np.linalg.norm(v - (v @ cols.conj()) @ cols.T, axis=1)
+        return float((far / np.maximum(1.0, np.linalg.norm(v, axis=1))).max())
 
-    eye_res = distance(np.eye(dim, dtype=complex)) / math.sqrt(dim)
-    if eye_res > tol:
+    if (eye_res := residual(np.eye(mats.shape[-1])[None])) > tol:
         raise DomainError(f"span is not unital (residual {eye_res:.3e})")
-    for m in mats:
-        if distance(m.conj().T) > tol * max(1.0, frobenius_norm(m)):
-            raise DomainError("span is not closed under adjoints")
-    for a in mats:
-        for b in mats:
-            p = a @ b
-            if distance(p) > tol * max(1.0, frobenius_norm(p)):
-                raise DomainError("span is not closed under products")
+    if residual(mats.conj().transpose(0, 2, 1)) > tol:
+        raise DomainError("span is not closed under adjoints")
+    if any(residual(a @ mats) > tol for a in mats):
+        raise DomainError("span is not closed under products")
 
 
 def wedderburn_decompose(span, tol: float = 1e-9, seed: int = 0,
@@ -488,44 +491,37 @@ def wedderburn_decompose(span, tol: float = 1e-9, seed: int = 0,
     cols = _row_space_basis(np.stack([m.reshape(-1) for m in mats]))
     k = cols.shape[1]
     require_dense(k * dim * dim * k, "the Wedderburn center system")
-    basis = [cols[:, i].reshape(dim, dim) for i in range(k)]
+    basis = cols.T.reshape(k, dim, dim)
     _check_algebra(basis, cols, tol=tol)
 
     # Center: the commutant of the algebra inside its own span.
-    center_coords = commutant_of(basis, span=np.array(basis))
+    center_coords = commutant_of(basis, span=basis)
     m_dim = center_coords.shape[1]
     center = [(cols @ center_coords[:, i]).reshape(dim, dim)
               for i in range(m_dim)]
 
     rng = np.random.default_rng(seed)
     last_error = ""
-    for attempt in range(max_retries):
-        g = hermitian_probe(center, rng)
-        clusters = eig_normal(g)
+    for _ in range(max_retries):
+        clusters = eig_normal(hermitian_probe(center, rng))
         if len(clusters) != m_dim:
-            last_error = (
-                f"central probe found {len(clusters)} clusters, "
-                f"expected {m_dim}"
-            )
+            last_error = (f"central probe found {len(clusters)} clusters, "
+                          f"expected {m_dim}")
             continue
-        blocks = []
-        ok = True
-        for cl in clusters:
-            p = cl.projection
-            compressed = np.stack([(p @ b @ p).reshape(-1) for b in basis])
-            rank = _row_space_basis(compressed).shape[1]
-            size = math.sqrt(rank)
-            if abs(size - round(size)) > 1e-6 or round(size) < 1:
-                last_error = f"non-square block dimension {rank}"
-                ok = False
-                break
-            blocks.append(int(round(size)))
-        if ok and sum(b * b for b in blocks) == k:
+        # Each compression p A p is a full matrix block: its dimension
+        # is a nonzero square.
+        ranks = [_row_space_basis(np.stack([
+            (cl.projection @ b @ cl.projection).reshape(-1) for b in basis
+        ])).shape[1] for cl in clusters]
+        blocks = [math.isqrt(rank) for rank in ranks]
+        odd = [x for x, b in zip(ranks, blocks) if x < 1 or b * b != x]
+        if odd:
+            last_error = f"non-square block dimension {odd[0]}"
+        elif sum(ranks) != k:
+            last_error = (f"block sizes {blocks} inconsistent with "
+                          f"dimension {k}")
+        else:
             return tuple(sorted(blocks))
-        if ok:
-            last_error = (
-                f"block sizes {blocks} inconsistent with dimension {k}"
-            )
     raise DegeneracyError(
         f"block detection failed after {max_retries} attempts: {last_error}",
         retries=max_retries,

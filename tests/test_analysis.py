@@ -288,6 +288,8 @@ def _invariants(family: int, params: dict) -> list:
 @given(family=st.integers(1, 4), flag=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(family=4, flag=False, seed=136048)
+@example(family=4, flag=False, seed=9692)
+@example(family=4, flag=False, seed=38079)
 def test_classify_recovers_drawn_families_under_conjugation(family, flag,
                                                             seed):
     # flag draws the symmetric family-2 and the special family-3 members
@@ -321,6 +323,20 @@ def test_close_probe_eigenvalues_keep_the_family4_fixed_points():
     c = classify_dim2(r)
     assert c.family == 4
     assert c.residual <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [9692, 38079])
+def test_a_noise_only_reduced_system_keeps_the_family4_fixed_points(seed):
+    # The probe's two eigenvalues are 1.45e-3 (9692) and 2.05e-3 (38079)
+    # apart, relative, so they stay separate clusters, and the reduced
+    # 4 x 2 system is all rounding noise, 1.2e-12: above the absolute
+    # floor, far below 1e-9 of its inputs.
+    rng = np.random.default_rng(seed)
+    r = random_conjugate(random_family4(rng)[0], rng)
+    assert fixed_subalgebra(r, 1, seed=0).dimension == 2
+    c = classify_dim2(r)
+    assert c.family == 4
+    assert c.residual <= 1e-8
 
 
 # r = q^2 / p e^{i eps} puts R^2 = p r on e00, e11 and q^2 on e01, e10
@@ -451,7 +467,7 @@ def test_concentration_grid_matches_the_pointwise_loop(name):
 def test_a_failing_tower_keeps_the_other_towers(monkeypatch):
     import rmlab.analysis
 
-    def closure_fails(r, n, seed=0):
+    def closure_fails(r, n, seed=0, closures=None):
         raise InternalConsistencyError("closure failed")
 
     def refuse(*args, **kwargs):

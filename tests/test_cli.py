@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rmlab
 from rmlab.cli import main, parse_blocks, parse_phase, parse_word
@@ -479,3 +483,36 @@ def test_oversized_d_exits_1_before_allocating(monkeypatch, capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: ")
     assert f"needs {30 ** 6} entries, above the cap" in err
+
+
+# Tokens that make bad command lines: unknown names, missing files,
+# out-of-range or unparsable values, stray flags.  Every input is bad,
+# and no count can be large, so no command runs for long.
+_FUZZ_COMMANDS = ["verify", "analyze", "classify2", "character",
+                  "equivalent", "search", "table9", "nosuch"]
+_FUZZ_TOKENS = [
+    "--builtin", "nosuch", "flip", "/nonexistent/r.json", ".", "-",
+    "--d", "--seed", "--samples", "--restarts", "--jobs", "--n-cap",
+    "--fixed-cap", "--strands", "--length", "--word", "--tol", "--format",
+    "--target", "--p", "--blocks", "--bogus", "-x", "--help",
+    "-1", "0", "x", "2.5", "", "1e3", "nan", "inf", "99", "1,a", "2:x",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(_FUZZ_COMMANDS),
+       rest=st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=6))
+def test_fuzzed_command_lines_exit_0_1_or_2(command, rest):
+    # main returns, and raises nothing, not even argparse's SystemExit.
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, *rest])
+    assert code in (0, 1, 2)
+
+
+def test_a_word_past_the_dense_cap_is_an_error_not_a_crash(capsys):
+    code, out, err = run(capsys, "character", "--builtin", "r2",
+                         "--word", "99")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: a 100-strand word needs ")

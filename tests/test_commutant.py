@@ -1,5 +1,6 @@
 """Commutant towers, fixed points, and algebra-structure detection."""
 
+import math
 import os
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from rmlab import (
     wedderburn_decompose,
 )
 from rmlab.commutant import (
+    _check_algebra,
     _generator_images,
     _row_space_basis,
     commutant_of,
@@ -109,6 +111,48 @@ def test_wedderburn_refuses_the_center_system_before_building(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 9 ** 3)
     assert wedderburn_decompose(units) == (3,)
+
+
+_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+_E01 = np.array([[0, 1], [0, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize("span,message", [
+    ([np.diag([1.0, 0.0])], r"span is not unital \(residual 7\.071e-01\)"),
+    ([np.eye(2), _E01], "span is not closed under adjoints"),
+    ([np.eye(2), _PAULI_X, _PAULI_Z], "span is not closed under products"),
+], ids=["unital", "adjoints", "products"])
+def test_check_algebra_names_the_first_failing_property(span, message):
+    mats = np.array(span, dtype=complex)
+    cols = _row_space_basis(mats.reshape(len(mats), -1))
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        _check_algebra(cols.T.reshape(-1, 2, 2), cols)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        wedderburn_decompose(span)
+
+
+@pytest.mark.parametrize("name", rmlab.builtin_names())
+def test_every_tower_span_passes_the_algebra_check(name):
+    r = rmlab.builtin(name)
+    closures = {}
+    for n in (1, 2):
+        towers = [relative_commutant_M(r, n), relative_commutant_N(r, n)]
+        # diag3's 639-dimensional A_4 takes seconds to close.
+        if name != "diag3":
+            towers.append(relative_commutant_L(r, n, closures=closures))
+        for b in towers:
+            cols = b.span_columns()
+            _check_algebra(cols.T.reshape(-1, r.d ** n, r.d ** n), cols)
+
+
+def test_commutant_of_keeps_what_commutes_up_to_rounding():
+    # Within 1e-11 of the identity: every commutator is rounding-sized
+    # against the inputs, though above the absolute floor of 1e-12.
+    h = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
+    near_one = np.eye(4) + 1e-11 * (h + h.conj().T)
+    assert commutant_of(near_one[None]).shape == (16, 16)
+    assert commutant_of(np.array([_PAULI_X, _PAULI_Z])).shape == (4, 1)
 
 
 def test_wedderburn_commutative_algebra():
@@ -403,6 +447,44 @@ def test_l_with_one_strand_count_is_not_converged():
     l = relative_commutant_L(rmlab.builtin("r2"), 3, max_strands=3)
     assert l.meta["dims"] == (l.dimension,)
     assert not l.converged
+
+
+@pytest.mark.parametrize("name", ["r2", "box21", "flip3", "uf"])
+def test_analyze_builds_L_bitwise_equal_to_standalone_calls(name):
+    r = rmlab.builtin(name)
+    report = rmlab.analyze(r)
+    for n in (1, 2):
+        shared, alone = report.commutants[n]["L"], relative_commutant_L(r, n)
+        assert shared.columns.tobytes() == alone.columns.tobytes()
+        assert shared.meta == alone.meta
+        assert shared.converged == alone.converged
+
+
+def test_analyze_closes_each_braid_algebra_once(monkeypatch):
+    r = rmlab.builtin("box21")
+    close = rmlab.commutant.generated_algebra
+    strands = []
+
+    def counted(mats):
+        m = round(math.log(mats.shape[-1], r.d))
+        if np.array_equal(mats, _generator_images(r, m)):
+            strands.append(m)
+        return close(mats)
+
+    monkeypatch.setattr(rmlab.commutant, "generated_algebra", counted)
+    report = rmlab.analyze(r)
+    assert not report.errors
+    assert strands == [2, 3, 4]
+
+
+def test_shared_closures_are_filled_once_and_reused():
+    r, closures = rmlab.builtin("r2"), {}
+    first = relative_commutant_L(r, 1, closures=closures)
+    assert sorted(closures) == [2, 3, 4]
+    kept = {m: cols for m, cols in closures.items()}
+    second = relative_commutant_L(r, 1, closures=closures)
+    assert all(closures[m] is kept[m] for m in kept)
+    assert first.columns.tobytes() == second.columns.tobytes()
 
 
 def test_require_dense_reads_the_cap_at_call_time(monkeypatch):
