@@ -396,8 +396,8 @@ def commutant_of(mats, span=None) -> np.ndarray:
             np.subtract(pad_left(m.T, dim, 1), pad_right(m, dim, 1), out=block)
         else:
             block[:] = (span @ m - m @ span).reshape(width, -1).T
-    scale = 2.0 * float(np.linalg.norm(mats, axis=(1, 2)).max(initial=0.0))
-    return nullspace(rows, NULLSPACE_RTOL, scale)
+    norm2 = max((np.vdot(m, m).real for m in mats), default=0.0)
+    return nullspace(rows, NULLSPACE_RTOL, 2.0 * math.sqrt(norm2))
 
 
 def _star_commutant(mats, seed: int) -> np.ndarray:
