@@ -481,7 +481,7 @@ def test_shared_closures_are_filled_once_and_reused():
     r, closures = rmlab.builtin("r2"), {}
     first = relative_commutant_L(r, 1, closures=closures)
     assert sorted(closures) == [2, 3, 4]
-    kept = {m: cols for m, cols in closures.items()}
+    kept = dict(closures)
     second = relative_commutant_L(r, 1, closures=closures)
     assert all(closures[m] is kept[m] for m in kept)
     assert first.columns.tobytes() == second.columns.tobytes()
