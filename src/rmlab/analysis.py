@@ -442,14 +442,9 @@ class Dim2Classification:
         return self.family is not None
 
 
-_FAM2_SUPPORT = ((0, 0), (1, 2), (2, 1), (3, 3))
-_FAM3_SUPPORT = ((0, 3), (1, 1), (2, 2), (3, 0))
-
-
-def _off_support_norm(m: np.ndarray, support) -> float:
-    masked = m.copy()
-    masked[tuple(zip(*support))] = 0.0
-    return frobenius_norm(masked)
+#: 0 on the supports of the diagonal and antidiagonal families, 1 off.
+_FAM2_OFF = 1.0 - np.eye(4)[[0, 2, 1, 3]]
+_FAM3_OFF = 1.0 - np.eye(4)[[3, 1, 2, 0]]
 
 
 def _basis_unitary_from_vector(v: np.ndarray) -> np.ndarray:
@@ -459,15 +454,6 @@ def _basis_unitary_from_vector(v: np.ndarray) -> np.ndarray:
     v = v * (np.conj(v[k]) / abs(v[k]))
     w = np.array([-np.conj(v[1]), np.conj(v[0])], dtype=complex)
     return np.stack([v.conj(), w.conj()], axis=0)
-
-
-def _unitary_from_angles(theta: float, phase: float) -> np.ndarray:
-    """The basis change of the unit vector at these Bloch angles."""
-    return _basis_unitary_from_vector(np.array(
-        [math.cos(theta / 2.0),
-         np.exp(1j * phase) * math.sin(theta / 2.0)],
-        dtype=complex,
-    ))
 
 
 def _family4_canonical(q: complex) -> np.ndarray:
@@ -553,15 +539,39 @@ def _support_residual(r: RMatrix, w: np.ndarray) -> float:
     """How far R, conjugated by w (x) w, is off the support of the
     diagonal or the antidiagonal family, whichever is nearer."""
     aligned = conjugate_by_square(r.matrix, w)
-    return min(_off_support_norm(aligned, _FAM2_SUPPORT),
-               _off_support_norm(aligned, _FAM3_SUPPORT))
+    return min(frobenius_norm(aligned * _FAM2_OFF),
+               frobenius_norm(aligned * _FAM3_OFF))
+
+
+def _polish_seed(r: RMatrix, v: np.ndarray) -> np.ndarray:
+    """The basis change of v after six Gauss-Newton steps toward the
+    support nearer at v, in the two real coordinates z of the line
+    v + z v_perp, with a forward-difference Jacobian of step h."""
+    h = 1e-7
+    w = _basis_unitary_from_vector(v)
+    aligned = conjugate_by_square(r.matrix, w)
+    off = min(_FAM2_OFF, _FAM3_OFF,
+              key=lambda mask: frobenius_norm(aligned * mask))
+
+    def residual(u: np.ndarray) -> np.ndarray:
+        m = conjugate_by_square(r.matrix, _basis_unitary_from_vector(u))
+        return (m * off).view(float).ravel()
+
+    for _ in range(6):
+        v, perp = w.conj()  # the rows of w are v* and v_perp*
+        f = residual(v)
+        jac = np.stack([residual(v + h * perp) - f,
+                        residual(v + 1j * h * perp) - f], axis=1) / h
+        x = np.linalg.lstsq(jac, -f, rcond=None)[0]
+        w = _basis_unitary_from_vector(v + complex(x[0], x[1]) * perp)
+    return w
 
 
 def _extract_product_family(r: RMatrix, w: np.ndarray, tol: float
                             ) -> Dim2Classification | None:
     aligned = conjugate_by_square(r.matrix, w)
-    s2 = _off_support_norm(aligned, _FAM2_SUPPORT)
-    s3 = _off_support_norm(aligned, _FAM3_SUPPORT)
+    s2 = frobenius_norm(aligned * _FAM2_OFF)
+    s3 = frobenius_norm(aligned * _FAM3_OFF)
     if min(s2, s3) > tol:
         return None
     if s2 <= s3:
@@ -592,9 +602,10 @@ def classify_dim2(r: RMatrix, tol: float = 1e-8, seed: int = 0
     Decision order: scalar solutions; solutions with nontrivial
     endomorphism fixed points (the Pauli-type family); then closed-form
     seeds for a product eigenbasis exposing the diagonal and
-    antidiagonal families, and a local polish of those seeds only when
-    none is exact.  Unclassifiable inputs are returned with
-    ``family=None`` and the best residual found.
+    antidiagonal families, and, only when no seed is exact, each seed
+    again after a Gauss-Newton polish (``_polish_seed``).
+    Unclassifiable inputs are returned with ``family=None`` and the
+    best residual found.
     """
     if r.d != 2:
         raise DomainError(f"classification needs d = 2, got d = {r.d}")
@@ -624,23 +635,12 @@ def classify_dim2(r: RMatrix, tol: float = 1e-8, seed: int = 0
 
     # No seed is exact: near a degenerate point of R^2 the seeds are
     # accurate only to about rounding / gap, so polish each one locally.
-    import scipy.optimize  # slow to import; loaded on first use
-
-    def objective(angles) -> float:
-        return _support_residual(r, _unitary_from_angles(*angles))
-
     for v in seeds:
-        start = [2.0 * math.atan2(abs(v[1]), abs(v[0])),
-                 float(np.angle(v[1]) - np.angle(v[0]))]
-        res = scipy.optimize.minimize(
-            objective, start, method="Nelder-Mead",
-            options={"maxiter": 400, "xatol": 1e-12, "fatol": 1e-14},
-        )
-        best_resid = min(best_resid, float(res.fun))
-        if res.fun <= tol:
-            out = _extract_product_family(r, _unitary_from_angles(*res.x), tol)
-            if out is not None:
-                return out
+        w = _polish_seed(r, v)
+        out = _extract_product_family(r, w, tol)
+        if out is not None:
+            return out
+        best_resid = min(best_resid, _support_residual(r, w))
     return Dim2Classification(None, {}, None, float(best_resid))
 
 

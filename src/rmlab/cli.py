@@ -53,6 +53,7 @@ from .rmatrix import (
     make_normal_form,
     make_trivial,
     is_trivial,
+    verify,
 )
 from .search import find_solution, fingerprint, ordered_map
 from .serialize import load_solution, solution_to_dict
@@ -149,7 +150,8 @@ def _resolve_input(args) -> RMatrix:
     if getattr(args, "input", None):
         return load_solution(args.input, tol=tol)
     if getattr(args, "builtin", None):
-        return _build_builtin(args)
+        r = _build_builtin(args)
+        return verify(r.matrix, r.d, tol=tol, label=r.label)
     raise ParseError("no input: give a JSON file or --builtin NAME")
 
 

@@ -138,17 +138,14 @@ def _row_space_basis(rows: np.ndarray, rtol: float = NULLSPACE_RTOL
     return vh[:rank].T
 
 
-def word_ordered(r: RMatrix, n: int) -> np.ndarray:
-    """phi^(n-1)(R) ... phi(R) R as a level n + 1 matrix."""
+def _lambda_operator(r: RMatrix, n: int) -> np.ndarray:
+    """Row-major matrix T of lambda on F^n, in the module's Kraus form,
+    from the ordered word phi^(n-1)(R) ... phi(R) R at level n + 1."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    return shifted_product(r.matrix, r.d, 2, n + 1, range(n - 1, -1, -1))
-
-
-def _lambda_operator(r: RMatrix, n: int) -> np.ndarray:
-    """Row-major matrix T of lambda on F^n, in the module's Kraus form."""
     dim = r.d ** n
-    u = word_ordered(r, n).reshape(r.d * dim, r.d, dim)
+    u = shifted_product(r.matrix, r.d, 2, n + 1, range(n - 1, -1, -1))
+    u = u.reshape(r.d * dim, r.d, dim)
     return np.einsum("xia,yib->xyab", u, u.conj()).reshape(-1, dim * dim)
 
 

@@ -79,15 +79,27 @@ def test_verify_tampered_file_fails(capsys, tmp_path):
 def test_tolerance_outside_zero_to_infinity_is_exit_2(capsys, tmp_path,
                                                       command, tol):
     # The all-ones matrix has unitarity residual 15.1; with --tol nan
-    # it used to verify, and analyze went on to analyze it.
+    # it used to verify, and analyze went on to analyze it.  Builtins
+    # used to ignore --tol altogether.
     doc = rmlab.solution_to_dict(rmlab.make_flip(2))
     doc["entries"] = [[1.0, 0.0]] * 16
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, command, str(path), f"--tol={tol}")
-    assert code == 2
-    assert out == ""
-    assert "input error" in err and "tolerance" in err
+    for source in ([str(path)], ["--builtin", "r2"]):
+        code, out, err = run(capsys, command, *source, f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert "input error" in err and "tolerance" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_builtins_fail_a_tolerance_below_their_residual(capsys, command):
+    code, out, err = run(capsys, command, "--builtin", "r2", "--tol=1e-30")
+    assert code == 1
+    if command == "verify":
+        assert out.startswith("FAIL ")
+    else:
+        assert out == "" and "verification failed" in err
 
 
 def test_search_target_nan_is_exit_2(capsys):
@@ -406,63 +418,61 @@ def _conjugated_r3_file(tmp_path) -> str:
 
 def test_the_cli_and_its_scipy_free_commands_load_no_scipy_module(
         tmp_path):
-    # scipy is slow to import; only the classifier's fallback needs
-    # it, and it imports it on first use
+    # The package runs on numpy alone: with scipy unimportable, every
+    # command still works, the classifier's seed polish included.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
     path = _conjugated_r3_file(tmp_path)
+    # A near-special family-3 draw that no closed-form seed classifies.
+    rng = np.random.default_rng(0)
+    p, q = rmlab.random_unimodular(rng), rmlab.random_unimodular(rng)
+    near = str(tmp_path / "near.json")
+    base = rmlab.family_r3(p, q, q * q / p * np.exp(1e-7j))
+    rmlab.dump_solution(near, rmlab.random_conjugate(base, rng))
+    found = str(tmp_path / "found.jsonl")
     script = (
-        "import sys, rmlab.cli\n"
-        "def scipy_loaded():\n"
-        "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
-        "loaded = [scipy_loaded()]\n"
+        "import contextlib, io, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import rmlab.analysis, rmlab.cli\n"
+        "polish, polished = rmlab.analysis._polish_seed, []\n"
+        "def counted(*args):\n"
+        "    polished.append(args)\n"
+        "    return polish(*args)\n"
+        "rmlab.analysis._polish_seed = counted\n"
         "for argv, code in ((['analyze', '--builtin', 'trivial2'], 0),\n"
         "                   (['table9', '--samples', '2'], 0),\n"
         f"                   (['classify2', {path!r}], 0),\n"
         "                   (['verify', '--builtin', 'r3'], 0),\n"
-        "                   (['equivalent', 'r2', 'r3'], 1)):\n"
-        "    assert rmlab.cli.main(argv) == code, argv\n"
-        "    loaded.append(scipy_loaded())\n"
-        "print(loaded)\n"
+        "                   (['equivalent', 'r2', 'r3'], 1),\n"
+        f"                   (['search', '--d', '2', '--restarts', '1',\n"
+        f"                     '--out', {found!r}], 0),\n"
+        f"                   (['search', '--d', '3', '--restarts', '1',\n"
+        f"                     '--out', {found!r}], 0),\n"
+        f"                   (['classify2', {near!r}], 0)):\n"
+        "    polished.clear()\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert rmlab.cli.main(argv) == code, argv\n"
+        "print(len(polished))\n"
+        "print(out.getvalue(), end='')\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == str([False] * 6)
-
-
-def test_search_loads_no_scipy_module(tmp_path):
-    # The descent, its exponential and the polish are numpy alone.
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = str(tmp_path / "found.jsonl")
-    script = (
-        "import sys, rmlab.cli\n"
-        "loaded = []\n"
-        "for d in ('2', '3'):\n"
-        "    argv = ['search', '--d', d, '--restarts', '1', '--out', "
-        f"{out!r}]\n"
-        "    assert rmlab.cli.main(argv) == 0, argv\n"
-        "    loaded.append(sorted(m for m in sys.modules\n"
-        "                         if m.split('.')[0] == 'scipy'))\n"
-        "print(loaded)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[[], []]"
-    with open(out, encoding="utf-8") as fh:
+    calls, family, residual = proc.stdout.splitlines()[:3]
+    assert int(calls) > 0
+    assert family.startswith("family 3 ")
+    assert float(residual.removeprefix("residual ")) <= 1e-8
+    with open(found, encoding="utf-8") as fh:
         assert [json.loads(line)["d"] for line in fh] == [2, 3]
 
 
 def test_classify2_reports_an_unclassified_input(monkeypatch, capsys,
                                                  tmp_path):
-    # From this one wrong seed the local polish settles in a wrong
-    # local minimum of the support residual.
+    # From this one wrong seed the Gauss-Newton polish does not reach
+    # either family's support.
     path = _conjugated_r3_file(tmp_path)
     monkeypatch.setattr(rmlab.analysis, "_diag_seed_vectors",
                         lambda r: [np.array([1.0, 1.0]) / np.sqrt(2.0)])

@@ -667,7 +667,11 @@ def test_fixed_points_commute_with_the_word_blocks(name, n):
 def test_closed_form_operators_match_the_per_unit_build(name, n):
     r = rmlab.builtin(name)
     d = r.d
-    u = rmlab.commutant.word_ordered(r, n)
+    # The ordered word phi^(n-1)(R) ... phi(R) R, as a Kronecker loop.
+    u = np.eye(d ** (n + 1))
+    for k in range(n - 1, -1, -1):
+        u = u @ np.kron(np.kron(np.eye(d ** k), r.matrix),
+                        np.eye(d ** (n - 1 - k)))
     one = np.eye(d)
     want = _operator_matrix(lambda x: u @ np.kron(one, x) @ u.conj().T, d, n)
     t = rmlab.commutant._lambda_operator(r, n)

@@ -14,7 +14,7 @@ import pytest
 import rmlab
 from rmlab import characters_equal
 from rmlab.braid import _character_gram, _short_words
-from rmlab.commutant import hermitian_probe, word_ordered, word_product
+from rmlab.commutant import hermitian_probe, word_product
 from rmlab.rmatrix import cabling_power
 from rmlab.search import ordered_map
 from rmlab.tensor import (
@@ -223,7 +223,9 @@ def test_word_products_match_kronecker_loops(name):
             product = product @ shifted[k]
             ordered = ordered @ shifted[n - 1 - k]
         assert np.allclose(word_product(r, n), product, atol=1e-12)
-        assert np.allclose(word_ordered(r, n), ordered, atol=1e-12)
+        reversed_product = shifted_product(r.matrix, d, 2, n + 1,
+                                           range(n - 1, -1, -1))
+        assert np.allclose(reversed_product, ordered, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3])

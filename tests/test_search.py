@@ -6,6 +6,8 @@ import os
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rmlab
 from rmlab import (
@@ -322,12 +324,14 @@ def test_find_solution_parallel_matches_serial():
     assert np.array_equal(serial.solution.matrix, parallel.solution.matrix)
 
 
-def test_fingerprint_invariant_under_basis_change():
-    r = rmlab.builtin("r2")
-    fp = fingerprint(r)
-    for seed in (1, 2):
-        u = haar_unitary(2, np.random.default_rng(seed))
-        assert fingerprints_close(fp, fingerprint(quasifree_conjugate(r, u)))
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(rmlab.builtin_names()),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fingerprint_invariant_under_basis_change(name, seed):
+    r = rmlab.builtin(name)
+    u = haar_unitary(r.d, np.random.default_rng(seed))
+    assert fingerprints_close(fingerprint(r),
+                              fingerprint(quasifree_conjugate(r, u)))
 
 
 def test_fingerprint_separates_flip_from_trivial():
