@@ -429,7 +429,6 @@ def test_the_cli_and_its_scipy_free_commands_load_no_scipy_module(
     near = str(tmp_path / "near.json")
     base = rmlab.family_r3(p, q, q * q / p * np.exp(1e-7j))
     rmlab.dump_solution(near, rmlab.random_conjugate(base, rng))
-    found = str(tmp_path / "found.jsonl")
     script = (
         "import contextlib, io, sys\n"
         "sys.modules['scipy'] = None\n"
@@ -444,10 +443,6 @@ def test_the_cli_and_its_scipy_free_commands_load_no_scipy_module(
         f"                   (['classify2', {path!r}], 0),\n"
         "                   (['verify', '--builtin', 'r3'], 0),\n"
         "                   (['equivalent', 'r2', 'r3'], 1),\n"
-        f"                   (['search', '--d', '2', '--restarts', '1',\n"
-        f"                     '--out', {found!r}], 0),\n"
-        f"                   (['search', '--d', '3', '--restarts', '1',\n"
-        f"                     '--out', {found!r}], 0),\n"
         f"                   (['classify2', {near!r}], 0)):\n"
         "    polished.clear()\n"
         "    out = io.StringIO()\n"
@@ -465,7 +460,34 @@ def test_the_cli_and_its_scipy_free_commands_load_no_scipy_module(
     assert int(calls) > 0
     assert family.startswith("family 3 ")
     assert float(residual.removeprefix("residual ")) <= 1e-8
-    with open(found, encoding="utf-8") as fh:
+
+
+def test_search_loads_no_scipy_module(tmp_path):
+    # The descent, its exponential and the polish are numpy alone: with
+    # scipy unimportable the searches run and no scipy module loads.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = str(tmp_path / "found.jsonl")
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import rmlab.cli\n"
+        "loaded = []\n"
+        "for d in ('2', '3'):\n"
+        "    argv = ['search', '--d', d, '--restarts', '1', '--out', "
+        f"{out!r}]\n"
+        "    assert rmlab.cli.main(argv) == 0, argv\n"
+        "    loaded.append(sorted(m for m in sys.modules\n"
+        "                         if m.startswith('scipy.')))\n"
+        "print(loaded)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[[], []]"
+    with open(out, encoding="utf-8") as fh:
         assert [json.loads(line)["d"] for line in fh] == [2, 3]
 
 
