@@ -13,46 +13,24 @@ Everything here is deterministic given the inputs and the seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InternalConsistencyError,
-    NormalFormError,
-    RmlabError,
-)
-from .commutant import (
-    SubalgebraBasis,
-    fixed_subalgebra,
-    hermitian_probe,
-    relative_commutant_L,
-    relative_commutant_M,
-    relative_commutant_N,
-)
-from .rmatrix import (
-    DENSE_ENTRY_CAP,
-    NormalFormSpec,
-    RMatrix,
-    conjugate_by_square,
-    is_involutive,
-    is_trivial,
-    quasifree_conjugate,
-    verify,
-)
-from .tensor import (
-    eig_normal,
-    frobenius_norm,
-    operator_norm_estimate,
-    pad_left,
-    pad_right,
-    partial_trace_left,
-    partial_trace_right,
-    trace_out_last,
-)
+from .errors import (DomainError, InternalConsistencyError, NormalFormError,
+                     RmlabError)
+from .commutant import (SubalgebraBasis, fixed_subalgebra, hermitian_probe,
+                        relative_commutant_L, relative_commutant_M,
+                        relative_commutant_N)
+from .rmatrix import (DENSE_ENTRY_CAP, NormalFormSpec, RMatrix,
+                      conjugate_by_square, is_involutive, is_trivial,
+                      quasifree_conjugate, verify)
+from .tensor import (eig_normal, frobenius_norm, operator_norm_estimate,
+                     pad_left, pad_right, partial_trace_left,
+                     partial_trace_right, trace_out_last)
 
 __all__ = [
     "AnalysisReport",
@@ -535,14 +513,6 @@ def _diag_seed_vectors(r: RMatrix) -> list:
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
-def _support_residual(r: RMatrix, w: np.ndarray) -> float:
-    """How far R, conjugated by w (x) w, is off the support of the
-    diagonal or the antidiagonal family, whichever is nearer."""
-    aligned = conjugate_by_square(r.matrix, w)
-    return min(frobenius_norm(aligned * _FAM2_OFF),
-               frobenius_norm(aligned * _FAM3_OFF))
-
-
 def _polish_seed(r: RMatrix, v: np.ndarray) -> np.ndarray:
     """The basis change of v after six Gauss-Newton steps toward the
     support nearer at v, in the two real coordinates z of the line
@@ -568,31 +538,42 @@ def _polish_seed(r: RMatrix, v: np.ndarray) -> np.ndarray:
 
 
 def _extract_product_family(r: RMatrix, w: np.ndarray, tol: float
-                            ) -> Dim2Classification | None:
+                            ) -> Dim2Classification:
+    """The diagonal or antidiagonal family R shows in the basis w, or,
+    when R is not within ``tol`` of either support there, family None
+    with the distance to the nearer support."""
     aligned = conjugate_by_square(r.matrix, w)
     s2 = frobenius_norm(aligned * _FAM2_OFF)
     s3 = frobenius_norm(aligned * _FAM3_OFF)
+    miss = Dim2Classification(None, {}, None, float(min(s2, s3)))
     if min(s2, s3) > tol:
-        return None
+        return miss
     if s2 <= s3:
         p, q = complex(aligned[0, 0]), complex(aligned[1, 2])
         rr, s = complex(aligned[2, 1]), complex(aligned[3, 3])
         on_overlap = max(abs(p - s), abs(q - rr), abs(q + p)) <= max(tol, s2)
         if on_overlap:
             promoted = _extract_product_family(r, _HADAMARD @ w, tol)
-            if promoted is not None and promoted.family == 3:
+            if promoted.family == 3:
                 return promoted
         params = {"p": p, "q": q, "r": rr, "s": s}
         return Dim2Classification(2, params, w, float(s2))
     mid = abs(aligned[1, 1] - aligned[2, 2])
     if mid > tol:
-        return None
+        return miss
     params = {
         "p": complex(aligned[0, 3]),
         "q": complex((aligned[1, 1] + aligned[2, 2]) / 2.0),
         "r": complex(aligned[3, 0]),
     }
     return Dim2Classification(3, params, w, float(s3))
+
+
+#: The last resort of ``classify_dim2`` accepts a support residual up to
+#: this multiple of sqrt(ybe_residual): the solution variety is singular
+#: on the supports, so a solution with defect delta can lie about
+#: sqrt(delta) off them (capped d = 2 searches: up to 0.73 sqrt(delta)).
+LAST_RESORT_C = 2.0
 
 
 def classify_dim2(r: RMatrix, tol: float = 1e-8, seed: int = 0
@@ -603,9 +584,11 @@ def classify_dim2(r: RMatrix, tol: float = 1e-8, seed: int = 0
     endomorphism fixed points (the Pauli-type family); then closed-form
     seeds for a product eigenbasis exposing the diagonal and
     antidiagonal families, and, only when no seed is exact, each seed
-    again after a Gauss-Newton polish (``_polish_seed``).
-    Unclassifiable inputs are returned with ``family=None`` and the
-    best residual found.
+    again after a Gauss-Newton polish (``_polish_seed``), R^2's
+    projection seeds first.  When all of these fail at ``tol``, the
+    candidate nearest a support gets a last chance at ``LAST_RESORT_C``
+    times the square root of ``r.ybe_residual``.  Unclassifiable inputs
+    are returned with ``family=None`` and the best residual found.
     """
     if r.d != 2:
         raise DomainError(f"classification needs d = 2, got d = {r.d}")
@@ -624,24 +607,19 @@ def classify_dim2(r: RMatrix, tol: float = 1e-8, seed: int = 0
         if out is not None:
             return out
 
+    # Near a degenerate point of R^2 the seeds are accurate only to about
+    # rounding / gap; polished, the projection seeds are the ones to land.
     seeds = _diag_seed_vectors(r)
-    best_resid = math.inf
-    for v in seeds:
-        w = _basis_unitary_from_vector(v)
+    tried = []
+    for w in itertools.chain(map(_basis_unitary_from_vector, seeds),
+                             (_polish_seed(r, v) for v in reversed(seeds))):
         out = _extract_product_family(r, w, tol)
-        if out is not None:
+        if out.classified:
             return out
-        best_resid = min(best_resid, _support_residual(r, w))
-
-    # No seed is exact: near a degenerate point of R^2 the seeds are
-    # accurate only to about rounding / gap, so polish each one locally.
-    for v in seeds:
-        w = _polish_seed(r, v)
-        out = _extract_product_family(r, w, tol)
-        if out is not None:
-            return out
-        best_resid = min(best_resid, _support_residual(r, w))
-    return Dim2Classification(None, {}, None, float(best_resid))
+        tried.append((out.residual, w))
+    w = min(tried, key=lambda pair: pair[0])[1]
+    loose = LAST_RESORT_C * math.sqrt(r.ybe_residual)
+    return _extract_product_family(r, w, max(tol, loose))
 
 
 def _feasible_fixed_cap(d: int, cap: int) -> int:

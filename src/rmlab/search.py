@@ -4,8 +4,9 @@ The objective is the squared Frobenius norm of the braid defect
 (U x 1)(1 x U)(U x 1) - (1 x U)(U x 1)(1 x U) over U(d^2).  Riemannian
 steepest descent follows the closed-form gradient's skew-Hermitian
 tangent coordinate along an eigh exponential with warm-started Armijo
-steps; a converged run gets a Gauss-Newton polish and re-verification.
-Seeds make every run reproducible.
+steps.  A converged run is projected onto U(d^2) and polished by
+Gauss-Newton steps on one SVD-factored Jacobian, reused while each step
+halves the objective.  Seeds make every run reproducible.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import numpy as np
 from .braid import BraidWord, character
 from .errors import DomainError, ShapeError, VerificationError
 from .rmatrix import RMatrix, braid_defect, require_dense, verify
-from .tensor import (kron, partial_trace_left, trace_out_first,
-                     trace_out_last)
+from .tensor import partial_trace_left, trace_out_first, trace_out_last
 
 __all__ = [
     "Fingerprint",
@@ -156,41 +156,65 @@ def _skew(x: np.ndarray) -> np.ndarray:
 def _defect_jacobian(u: np.ndarray, d: int, state: tuple) -> np.ndarray:
     """Real Jacobian of the defect of U exp(xi) at xi = 0 in the
     coordinates of xi: rows the real, then imaginary parts of D's
-    entries, dD = dA BA + A dB A + AB dA - dB AB - B dA B - BA dB."""
+    entries, dD = dA BA + A dB A + AB dA - dB AB - B dA B - BA dB.
+    Each m (x) 1 or 1 (x) m acts on one slot of a reshaped product (no
+    Kronecker product is formed); the six terms accumulate in place."""
     a, b, ab, ba, _ = state
-    n = d * d
+    n, big = d * d, d ** 3
     du = u @ _skew(np.eye(n * n).reshape(-1, n, n))
-    eye = np.eye(d, dtype=complex)
-    da, db = kron(du, eye), kron(eye, du)
-    dd = (da @ ba + a @ db @ a + ab @ da
-          - db @ ab - b @ da @ b - ba @ db).reshape(len(du), -1).T
+    shape = (len(du), big, big)
+
+    def left(m, x, lead):  # (1_lead (x) m (x) 1) x
+        y = x.reshape(-1, lead, n, big * big // (lead * n))
+        return (m.reshape(-1, 1, n, n) @ y).reshape(shape)
+
+    def right(x, lead):  # x (1_lead (x) dU (x) 1), through the transpose
+        return left(du.swapaxes(1, 2), x.T, lead).swapaxes(1, 2)
+
+    dd = left(du, ba, 1)
+    dd += left(u, left(du, a, d), 1)
+    dd += right(ab, 1)
+    dd -= left(du, ab, d)
+    dd -= left(u, left(du, b, 1), d)
+    dd -= right(ba, d)
+    dd = dd.reshape(len(du), -1).T
     return np.concatenate([dd.real, dd.imag])
 
 
 def _polish(u: np.ndarray, d: int) -> np.ndarray:
-    """Gauss-Newton on the defect over U exp(xi), then projection.
+    """Gauss-Newton on the defect over U exp(xi), from and back to the
+    polar projection of U.
 
-    Minimum-norm steps drop singular values below 1e-8 relative (the
-    conjugation orbit makes the Jacobian rank-deficient); the best
-    iterate is kept.  Stops at an objective of 1e-30, after three
-    steps without improvement, or after 60 steps.
+    The real Jacobian is factored by SVD without singular values at or
+    below 1e-8 relative (the conjugation orbit makes it rank-deficient);
+    its factors give minimum-norm steps while each step at least halves
+    the objective.  A step that does not is dropped.  On old factors it
+    triggers a refactorization at the current point; on fresh ones it
+    ends the polish, as do an objective of 1e-30 and 60 steps.
     """
+    u = _reunitarize(u)
     state = braid_defect(u, d)
-    best, best_value, stale = u, _squared_norm(state[-1]), 0
+    value, factors = _squared_norm(state[-1]), None
     for _ in range(60):
-        if best_value <= 1e-30 or stale == 3:
+        if value <= 1e-30:
             break
+        if factors is None:
+            w, s, vh = np.linalg.svd(_defect_jacobian(u, d, state),
+                                     full_matrices=False)
+            keep = s > 1e-8 * s[0]
+            factors, fresh = (w[:, keep] / -s[keep], vh[keep]), True
         delta = state[-1].reshape(-1)
-        x = np.linalg.lstsq(_defect_jacobian(u, d, state),
-                            -np.concatenate([delta.real, delta.imag]),
-                            rcond=1e-8)[0]
-        u = _geodesic(u, _skew(x.reshape(u.shape)))(1.0)
-        state = braid_defect(u, d)
-        value = _squared_norm(state[-1])
-        stale = 0 if value < best_value else stale + 1
-        if not stale:
-            best, best_value = u, value
-    return _reunitarize(best)
+        x = np.concatenate([delta.real, delta.imag]) @ factors[0] @ factors[1]
+        trial = _geodesic(u, _skew(x.reshape(u.shape)))(1.0)
+        trial_state = braid_defect(trial, d)
+        trial_value = _squared_norm(trial_state[-1])
+        if trial_value <= value / 2:
+            u, state, value, fresh = trial, trial_state, trial_value, False
+        elif fresh:
+            break
+        else:
+            factors = None
+    return _reunitarize(u)
 
 
 @dataclass(frozen=True)

@@ -283,6 +283,43 @@ def test_polish_jacobian_matches_central_differences(d):
         assert np.abs(jac @ x - numeric).max() <= 1e-7 * np.abs(numeric).max()
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_polish_jacobian_matches_the_kronecker_formula(d):
+    # The slot-wise products sum the six terms in another order, so
+    # the columns agree to rounding.
+    rng = np.random.default_rng(50 + d)
+    n = d * d
+    u = haar_unitary(n, rng)
+    state = rmlab.rmatrix.braid_defect(u, d)
+    a, b, ab, ba, _ = state
+    jac = _defect_jacobian(u, d, state)
+    eye = np.eye(d)
+    for k, x in enumerate(np.eye(n * n)):
+        du = u @ _skew(x.reshape(n, n))
+        da, db = np.kron(du, eye), np.kron(eye, du)
+        dd = da @ ba + a @ db @ a + ab @ da - db @ ab - b @ da @ b - ba @ db
+        want = np.concatenate([dd.real.ravel(), dd.imag.ravel()])
+        assert np.abs(jac[:, k] - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_polish_builds_at_most_two_jacobians(d, monkeypatch):
+    # One factorization serves every step that halves the objective;
+    # a failed step refactors once, and a failure on fresh factors ends
+    # the polish.
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return _defect_jacobian(*args)
+
+    monkeypatch.setattr(rmlab.search, "_defect_jacobian", counted)
+    run = search_unitary_solution(d, seed=0)
+    assert run.converged
+    assert 1 <= len(builds) <= 2
+    assert rmlab.verify(run.matrix, d).ybe_residual <= 1e-13
+
+
 @pytest.mark.parametrize("name", [
     name for name, r in rmlab.all_builtins().items() if r.d in (2, 3)
 ])
