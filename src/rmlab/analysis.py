@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import (DomainError, InternalConsistencyError, NormalFormError,
                      RmlabError)
-from .commutant import (SubalgebraBasis, fixed_subalgebra, hermitian_probe,
-                        relative_commutant_L, relative_commutant_M,
-                        relative_commutant_N)
+from .commutant import (SubalgebraBasis, _probe_eigenspaces,
+                        fixed_subalgebra, relative_commutant_L,
+                        relative_commutant_M, relative_commutant_N)
 from .rmatrix import (DENSE_ENTRY_CAP, NormalFormSpec, RMatrix,
                       conjugate_by_square, is_involutive, is_trivial,
                       quasifree_conjugate, verify)
@@ -312,17 +312,6 @@ class ReductionResult:
         return self.spec.blocks
 
 
-def _split_projection(m: SubalgebraBasis, rng) -> np.ndarray:
-    """A proper projection inside a non-scalar algebra span."""
-    g = hermitian_probe([b.matrix for b in m.basis], rng)
-    clusters = eig_normal(g)
-    if len(clusters) < 2:
-        raise InternalConsistencyError(
-            "probe of a non-scalar algebra produced one spectral cluster"
-        )
-    return clusters[0].projection
-
-
 def reduce_involutive(r: RMatrix, tol: float = 1e-8, seed: int = 0
                       ) -> ReductionResult:
     """Recursively split an involutive solution along its commutant.
@@ -364,15 +353,14 @@ def reduce_involutive(r: RMatrix, tol: float = 1e-8, seed: int = 0
                     f"class (partial trace residual {resid:.3e})"
                 )
             return ReductionLeaf("flip", sign, d)
-        p = _split_projection(m, rng)
-        evals, vecs = np.linalg.eigh(p)
-        order = np.argsort(-evals)
-        rank = int(round(float(np.sum(evals > 0.5))))
-        if rank < 1 or rank >= d:
+        # The probe's first eigenspace is a proper projection in M.
+        vecs, groups = _probe_eigenspaces([b.matrix for b in m.basis], rng)
+        if len(groups) < 2:
             raise InternalConsistencyError(
-                f"split projection has improper rank {rank}"
+                "probe of a non-scalar algebra produced one spectral cluster"
             )
-        u = vecs[:, order].conj().T
+        rank = len(groups[0])
+        u = vecs.conj().T
         aligned = quasifree_conjugate(cur, u).matrix
         ww = [i * d + j for i in range(rank) for j in range(rank)]
         cc = [i * d + j for i in range(rank, d) for j in range(rank, d)]
@@ -450,10 +438,9 @@ def _family4_canonical(q: complex) -> np.ndarray:
 
 def _try_family4(r: RMatrix, fixed: SubalgebraBasis, tol: float,
                  rng) -> Dim2Classification | None:
-    g = hermitian_probe([b.matrix for b in fixed.basis], rng)
-    for p in [cl.projection for cl in eig_normal(g) if cl.multiplicity == 1]:
-        evals, vecs = np.linalg.eigh(p)
-        w = _basis_unitary_from_vector(vecs[:, int(np.argmax(evals))])
+    vecs, groups = _probe_eigenspaces([b.matrix for b in fixed.basis], rng)
+    for i in [g[0] for g in groups if len(g) == 1]:
+        w = _basis_unitary_from_vector(vecs[:, i])
         aligned = conjugate_by_square(r.matrix, w)
         off = aligned.copy()
         off[:2, :2] = 0.0

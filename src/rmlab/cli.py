@@ -145,20 +145,24 @@ def _build_builtin(args) -> RMatrix:
     return builtin(name)
 
 
+def _reverified(r: RMatrix, tol: float) -> RMatrix:
+    """A builtin checked again at the requested tolerance."""
+    return verify(r.matrix, r.d, tol=tol, label=r.label)
+
+
 def _resolve_input(args) -> RMatrix:
     tol = getattr(args, "tol", DEFAULT_TOL)
     if getattr(args, "input", None):
         return load_solution(args.input, tol=tol)
     if getattr(args, "builtin", None):
-        r = _build_builtin(args)
-        return verify(r.matrix, r.d, tol=tol, label=r.label)
+        return _reverified(_build_builtin(args), tol)
     raise ParseError("no input: give a JSON file or --builtin NAME")
 
 
 def _resolve_name_or_path(text: str, tol: float) -> RMatrix:
     if os.path.exists(text):
         return load_solution(text, tol=tol)
-    return builtin(text)
+    return _reverified(builtin(text), tol)
 
 
 def _canonical_json(obj) -> str:
@@ -295,60 +299,44 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+#: Per d = 2 family: row name, expected structure, a draw of the base
+#: solution for sample k, M_1's profile for even and odd k, ergodicity.
+_TABLE9 = {
+    1: ("1 (scalar)", "[1], non-ergodic",
+        lambda rng, k: make_trivial(2, random_unimodular(rng)),
+        ((1,), (1,)), False),
+    # Full block exactly when r = p and s = q.
+    2: ("2 (diagonal)", "[2] iff r=p,s=q else [1,1]; ergodic",
+        lambda rng, k: random_family2(rng, symmetric=k % 2 == 0)[0],
+        ((2,), (1, 1)), True),
+    # Split block exactly when q^2 = p r.
+    3: ("3 (antidiagonal)", "[1,1] iff q^2=pr else [1]; ergodic",
+        lambda rng, k: random_family3(rng, special=k % 2 == 0)[0],
+        ((1, 1), (1,)), True),
+    # Fixed points double per level.
+    4: ("4 (Pauli-type)", "[1]; non-ergodic; fixed 2,4,8,16",
+        lambda rng, k: random_family4(rng)[0], ((1,), (1,)), False),
+}
+
+
 def _table9_row(family: int, samples: int, seed: int):
     """One summary-table row; rows draw from independent rng streams."""
+    name, expected, draw, profiles, ergodic = _TABLE9[family]
     rng = np.random.default_rng([seed, family])
-
-    def profile_of(r) -> tuple:
-        m = relative_commutant_M(r, 1, seed=seed)
-        return m.block_profile
-
     ok = True
     hits = 0
-    if family == 1:
-        for _ in range(samples):
-            r = random_conjugate(make_trivial(2, random_unimodular(rng)), rng)
-            ok &= is_trivial(r) and profile_of(r) == (1,)
-            ok &= not is_ergodic(r).ergodic
-            hits += classify_dim2(r, seed=seed).family == 1
-        return ("1 (scalar)", samples, "[1], non-ergodic", ok, hits)
-    if family == 2:
-        # Full block exactly when r = p and s = q.
-        for k in range(samples):
-            sym = k % 2 == 0
-            base, _ = random_family2(rng, symmetric=sym)
-            r = random_conjugate(base, rng)
-            expected = (2,) if sym else (1, 1)
-            ok &= profile_of(r) == expected
-            ok &= is_ergodic(r).ergodic
-            hits += classify_dim2(r, seed=seed).family == 2
-        return ("2 (diagonal)", samples,
-                "[2] iff r=p,s=q else [1,1]; ergodic", ok, hits)
-    if family == 3:
-        # Split block exactly when q^2 = p r.
-        for k in range(samples):
-            special = k % 2 == 0
-            base, _ = random_family3(rng, special=special)
-            r = random_conjugate(base, rng)
-            expected = (1, 1) if special else (1,)
-            ok &= profile_of(r) == expected
-            ok &= is_ergodic(r).ergodic
-            hits += classify_dim2(r, seed=seed).family == 3
-        return ("3 (antidiagonal)", samples,
-                "[1,1] iff q^2=pr else [1]; ergodic", ok, hits)
-    # Family 4: fixed points double per level.
-    for _ in range(samples):
-        base, _ = random_family4(rng)
-        r = random_conjugate(base, rng)
-        ok &= profile_of(r) == (1,)
-        ok &= not is_ergodic(r).ergodic
-        dims = tuple(
-            fixed_subalgebra(r, n, seed=seed).dimension for n in (1, 2, 3, 4)
-        )
-        ok &= dims == (2, 4, 8, 16)
-        hits += classify_dim2(r, seed=seed).family == 4
-    return ("4 (Pauli-type)", samples,
-            "[1]; non-ergodic; fixed 2,4,8,16", ok, hits)
+    for k in range(samples):
+        r = random_conjugate(draw(rng, k), rng)
+        m = relative_commutant_M(r, 1, seed=seed)
+        ok &= m.block_profile == profiles[k % 2]
+        ok &= is_ergodic(r).ergodic == ergodic
+        if family == 1:
+            ok &= is_trivial(r)
+        if family == 4:
+            ok &= tuple(fixed_subalgebra(r, n, seed=seed).dimension
+                        for n in (1, 2, 3, 4)) == (2, 4, 8, 16)
+        hits += classify_dim2(r, seed=seed).family == family
+    return (name, samples, expected, ok, hits)
 
 
 def cmd_table9(args) -> int:
@@ -428,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
                    type=functools.partial(_int_at_least, 1, "--length"))
     p.add_argument(
         "--tol", type=float, default=DEFAULT_TOL,
-        help="verification tolerance for JSON inputs; characters are "
-             "always compared at 1e-9",
+        help="verification tolerance; characters are always compared "
+             "at 1e-9",
     )
 
     p = sub.add_parser("search", help="optimize for new solutions")

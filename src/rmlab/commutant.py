@@ -18,31 +18,33 @@ conj(U_i).  As u* (x (x) 1) u = 1 (x) x iff lambda(x) = x (x) 1,
 M = ker(T - J), J the matrix of x -> x (x) 1; the two systems differ by
 a unitary, so their singular values and rank decisions agree.
 
-Fixed points, braid-image commutants and Wedderburn centers are all
-commutants, computed by one kernel, :func:`commutant_of`.  In
-particular x in F^n is fixed iff x (x) 1 commutes with the word
-u = R phi(R) ... phi^(n-1)(R); writing u = sum u_ij (x) e_ij over the
-last slot, the fixed points are the commutant {u_ij}'.
+Fixed points and braid-image commutants are commutants, computed by
+one kernel, :func:`commutant_of`.  In particular x in F^n is fixed iff
+x (x) 1 commutes with the word u = R phi(R) ... phi^(n-1)(R); writing
+u = sum u_ij (x) e_ij over the last slot, the fixed points are the
+commutant {u_ij}'.
 
-Fixed points and braid-image commutants are solved on a probe-reduced
-span.  Both commutants are *-closed: u is unitary, so x (x) 1 commutes
-with u iff it commutes with u* = sum u_ij* (x) e_ji, and the braid
-generators are unitary.  Every solution x then commutes with a random
-Hermitian h drawn from the sets and their adjoints, so it is block
-diagonal in h's eigenbasis, and only the sum of m^2 over h's eigenvalue
-multiplicities m unknowns remain instead of D^2; they are solved
-against a second probe and certified (:func:`_star_commutant`).
-General sets, whose commutant need not be *-closed (a Jordan block),
-and the Wedderburn center keep the full matrix-unit or explicit span.
+Both are solved on a probe-reduced span, as both commutants are
+*-closed: u is unitary, so x (x) 1 commutes with u iff it commutes
+with u* = sum u_ij* (x) e_ji, and the braid generators are unitary.
+Every solution x then commutes with a random Hermitian h drawn from
+the sets and their adjoints, so it is block diagonal in h's
+eigenbasis, and only the sum of m^2 over h's eigenvalue multiplicities
+m unknowns remain instead of D^2; they are solved against a second
+probe and certified (:func:`_star_commutant`).  General sets, whose
+commutant need not be *-closed (a Jordan block), keep the full
+matrix-unit span.
 
 Subspaces are SVD null or row spaces with a relative cutoff of 1e-9 on
 singular values (for commutants, of 2 max |m| over the inputs m), kept
 as orthonormal columns, and dense operators are checked against
 ``DENSE_ENTRY_CAP`` before they are built.  Block structure (the
-Wedderburn profile) is detected on first read, with a seeded randomized
-center construction, and reported as a sorted tuple of full matrix block
-sizes; detection can fail on degenerate draws, in which case the profile
-is left unresolved rather than guessed.
+Wedderburn profile) is detected on first read from the eigenspaces of
+one seeded random Hermitian element of the algebra, drawn by the same
+:func:`_probe_eigenspaces` as the commutant probes, and reported as a
+sorted tuple of full matrix block sizes; detection can fail on
+degenerate draws, in which case the profile is left unresolved rather
+than guessed.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from .rmatrix import RMatrix, require_dense
 from .tensor import (
     AlgebraElement,
     as_complex_matrix,
-    eig_normal,
     embed,
     pad_left,
     pad_right,
@@ -417,12 +418,11 @@ def _star_commutant(mats, seed: int) -> np.ndarray:
     if not len(mats):
         return commutant_of(mats)
     rng = np.random.default_rng(seed)
-    evals, vecs = np.linalg.eigh(hermitian_probe(mats, rng))
-    radius = PROBE_MERGE_TOL * max(1.0, float(np.abs(evals).max()))
-    dim = len(evals)
+    vecs, groups = _probe_eigenspaces(mats, rng)
+    dim = len(vecs)
     span = np.concatenate([
         np.einsum("pi,qj->ijpq", v, v.conj()).reshape(-1, dim, dim)
-        for v in (vecs[:, i] for i in spectral_clusters(evals, radius).groups)
+        for v in (vecs[:, i] for i in groups)
     ])
     to_units = span.reshape(len(span), -1).T
     cols = to_units @ commutant_of(hermitian_probe(mats, rng)[None], span)
@@ -431,6 +431,16 @@ def _star_commutant(mats, seed: int) -> np.ndarray:
     if worst > CERTIFY_ATOL:
         cols = to_units @ commutant_of(mats, span=span)
     return cols
+
+
+def _probe_eigenspaces(mats, rng) -> tuple:
+    """Eigenvectors of one :func:`hermitian_probe` of ``mats``, as
+    columns in ascending eigenvalue order, and the runs of their
+    indices whose eigenvalues lie within ``PROBE_MERGE_TOL`` times the
+    spectral scale of each other."""
+    evals, vecs = np.linalg.eigh(hermitian_probe(mats, rng))
+    radius = PROBE_MERGE_TOL * max(1.0, float(np.abs(evals).max()))
+    return vecs, spectral_clusters(evals, radius).groups
 
 
 def hermitian_probe(mats, rng) -> np.ndarray:
@@ -466,15 +476,18 @@ def _check_algebra(mats, cols, tol: float = 1e-9) -> None:
 
 def wedderburn_decompose(span, tol: float = 1e-9, seed: int = 0,
                          max_retries: int = 6) -> tuple:
-    """Matrix block sizes of a finite-dimensional unital *-algebra.
+    """Matrix block sizes of a finite-dimensional unital *-algebra A.
 
     The input span (algebra elements or raw matrices) is validated to
     be a unital *-closed multiplicatively closed subspace, then probed
-    with a seeded random Hermitian central element: its spectral
-    projections cut the algebra into the central summands, and each
-    block size is the square root of that compression's linear
-    dimension.  Eigenvalue collisions trigger a retry with fresh
-    coefficients; persistent failure raises a degeneracy error.
+    with a seeded random Hermitian element of A.  For a generic probe
+    each eigenspace projection p_a is minimal in A, so
+    links[a, b] = dim p_a A p_b = sum_i |V_a* b_i V_b|_F^2, over an
+    orthonormal basis b_i and with V_a the eigenvectors of p_a, is 1
+    within a matrix block and 0 across blocks; the block sizes are its
+    row sums.  Colliding probe eigenvalues leave links off that form
+    and trigger a retry with fresh coefficients; persistent failure
+    raises a degeneracy error.
 
     Returns the block sizes as a sorted tuple, e.g. (1, 1, 2).
     """
@@ -487,38 +500,33 @@ def wedderburn_decompose(span, tol: float = 1e-9, seed: int = 0,
 
     cols = _row_space_basis(np.stack([m.reshape(-1) for m in mats]))
     k = cols.shape[1]
-    require_dense(k * dim * dim * k, "the Wedderburn center system")
+    require_dense(k * dim * dim, "the Wedderburn probe stack")
     basis = cols.T.reshape(k, dim, dim)
     _check_algebra(basis, cols, tol=tol)
-
-    # Center: the commutant of the algebra inside its own span.
-    center_coords = commutant_of(basis, span=basis)
-    m_dim = center_coords.shape[1]
-    center = [(cols @ center_coords[:, i]).reshape(dim, dim)
-              for i in range(m_dim)]
 
     rng = np.random.default_rng(seed)
     last_error = ""
     for _ in range(max_retries):
-        clusters = eig_normal(hermitian_probe(center, rng))
-        if len(clusters) != m_dim:
-            last_error = (f"central probe found {len(clusters)} clusters, "
-                          f"expected {m_dim}")
-            continue
-        # Each compression p A p is a full matrix block: its dimension
-        # is a nonzero square.
-        ranks = [_row_space_basis(np.stack([
-            (cl.projection @ b @ cl.projection).reshape(-1) for b in basis
-        ])).shape[1] for cl in clusters]
-        blocks = [math.isqrt(rank) for rank in ranks]
-        odd = [x for x, b in zip(ranks, blocks) if x < 1 or b * b != x]
-        if odd:
-            last_error = f"non-square block dimension {odd[0]}"
-        elif sum(ranks) != k:
-            last_error = (f"block sizes {blocks} inconsistent with "
-                          f"dimension {k}")
+        vecs, groups = _probe_eigenspaces(basis, rng)
+        # The runs are contiguous: sum the compressions' weights over
+        # each pair of runs.
+        starts = [int(g[0]) for g in groups]
+        weight = (np.abs(vecs.conj().T @ basis @ vecs) ** 2).sum(axis=0)
+        links = np.add.reduceat(np.add.reduceat(weight, starts, axis=0),
+                                starts, axis=1)
+        ones = np.rint(links)
+        sizes = ones.sum(axis=1)
+        if np.abs(links - ones).max() > tol or ones.max() > 1:
+            last_error = f"probe compressions of dimension {links.max():.3g}"
+        elif not np.array_equal(ones @ ones, ones * sizes[:, None]):
+            last_error = "probe compressions do not form blocks"
+        elif sizes.sum() != k:
+            last_error = (f"probe compressions sum to {sizes.sum():.0f}, "
+                          f"not the dimension {k}")
         else:
-            return tuple(sorted(blocks))
+            # One row per block: the first projection of each.
+            first = ~np.tril(ones, -1).any(axis=1)
+            return tuple(sorted(int(x) for x in sizes[first]))
     raise DegeneracyError(
         f"block detection failed after {max_retries} attempts: {last_error}",
         retries=max_retries,

@@ -185,7 +185,8 @@ def test_normal_form_decoding_flip_and_trivial():
     assert normal_form_of_involutive(make_flip(2)).blocks == ((1, 1), (1, 1))
     assert normal_form_of_involutive(make_flip(3)).blocks == ((1, 1),) * 3
     assert normal_form_of_involutive(make_trivial(2, 1.0)).blocks == ((2, 1),)
-    assert normal_form_of_involutive(make_trivial(2, -1.0)).blocks == ((2, -1),)
+    spec = normal_form_of_involutive(make_trivial(2, -1.0))
+    assert spec.blocks == ((2, -1),)
 
 
 def test_normal_form_round_trip_under_conjugation():

@@ -75,7 +75,7 @@ def test_verify_tampered_file_fails(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
-@pytest.mark.parametrize("command", ["verify", "analyze"])
+@pytest.mark.parametrize("command", ["verify", "analyze", "equivalent"])
 def test_tolerance_outside_zero_to_infinity_is_exit_2(capsys, tmp_path,
                                                       command, tol):
     # The all-ones matrix has unitarity residual 15.1; with --tol nan
@@ -85,16 +85,21 @@ def test_tolerance_outside_zero_to_infinity_is_exit_2(capsys, tmp_path,
     doc["entries"] = [[1.0, 0.0]] * 16
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    for source in ([str(path)], ["--builtin", "r2"]):
+    sources = ([str(path)], ["--builtin", "r2"])
+    if command == "equivalent":
+        sources = ([str(path), "r2"], ["r2", "r2sym"])
+    for source in sources:
         code, out, err = run(capsys, command, *source, f"--tol={tol}")
         assert code == 2
         assert out == ""
         assert "input error" in err and "tolerance" in err
 
 
-@pytest.mark.parametrize("command", ["verify", "analyze"])
+@pytest.mark.parametrize("command", ["verify", "analyze", "equivalent"])
 def test_builtins_fail_a_tolerance_below_their_residual(capsys, command):
-    code, out, err = run(capsys, command, "--builtin", "r2", "--tol=1e-30")
+    source = ["r2", "r2sym"] if command == "equivalent" else [
+        "--builtin", "r2"]
+    code, out, err = run(capsys, command, *source, "--tol=1e-30")
     assert code == 1
     if command == "verify":
         assert out.startswith("FAIL ")
@@ -396,7 +401,8 @@ def test_analyze_reports_a_runaway_closure_as_a_section_error(eps):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0
-    assert "* [error] commutants.L: algebra closure exceeded 256" in proc.stdout
+    assert ("* [error] commutants.L: algebra closure exceeded 256"
+            in proc.stdout)
     assert "* level 1: M:" in proc.stdout
 
 

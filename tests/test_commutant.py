@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rmlab
@@ -33,7 +33,8 @@ from rmlab.commutant import (
     commutant_of,
     generated_algebra,
 )
-from rmlab.errors import DomainError, InternalConsistencyError, ResourceError
+from rmlab.errors import (DegeneracyError, DomainError,
+                          InternalConsistencyError, ResourceError)
 from rmlab.rmatrix import require_dense
 
 RNG = np.random.default_rng(31)
@@ -93,24 +94,69 @@ def test_wedderburn_full_matrix_algebra():
     assert wedderburn_decompose(units) == (3,)
 
 
-def test_wedderburn_refuses_the_center_system_before_building(monkeypatch):
+def test_wedderburn_refuses_the_probe_stack_before_building(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the center system was built")
+        raise AssertionError("the algebra was checked or probed")
 
-    units = []
-    for k in range(9):
-        m = np.zeros((3, 3), dtype=complex)
-        m[k // 3, k % 3] = 1.0
-        units.append(m)
-    # k * D^2 rows by k columns: 9 * 9 * 9 entries.
-    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 9 ** 3 - 1)
+    units = np.eye(9, dtype=complex).reshape(9, 3, 3)
+    # The k x D x D stack of the basis and its products: 9 * 3 * 3.
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 9 * 9 - 1)
     monkeypatch.setattr(rmlab.commutant, "_check_algebra", refuse)
-    monkeypatch.setattr(rmlab.commutant, "commutant_of", refuse)
-    with pytest.raises(ResourceError, match="needs 729 entries"):
+    monkeypatch.setattr(rmlab.commutant, "hermitian_probe", refuse)
+    with pytest.raises(ResourceError, match="needs 81 entries"):
         wedderburn_decompose(units)
     monkeypatch.undo()
-    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 9 ** 3)
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 9 * 9)
     assert wedderburn_decompose(units) == (3,)
+
+
+def test_wedderburn_leaves_a_profile_unresolved_after_its_retries(
+        monkeypatch):
+    # A scalar probe has one eigenspace, which is minimal only in C.
+    monkeypatch.setattr(rmlab.commutant, "hermitian_probe",
+                        lambda mats, rng: np.eye(len(mats[0])))
+    with pytest.raises(DegeneracyError) as info:
+        wedderburn_decompose(np.eye(4, dtype=complex).reshape(4, 2, 2))
+    assert info.value.retries == 6
+    r = rmlab.make_flip(2)
+    assert relative_commutant_M(r, 1).block_profile is None
+    report = rmlab.analyze(r, n_cap=1, fixed_cap=1)
+    assert "unresolved" in report.to_markdown()
+
+
+def _fit_ten(blocks):
+    """The (k, m) pairs, in order, that keep the sum of k * m <= 10."""
+    kept = []
+    for k, m in blocks:
+        if sum(a * b for a, b in kept) + k * m <= 10:
+            kept.append((k, m))
+    return kept
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                min_size=1, max_size=5).map(_fit_ten),
+       st.integers(0, 2 ** 32 - 1))
+@example([(2, 2), (2, 2)], 1)
+@example([(1, 3), (1, 3), (2, 2)], 2)
+@example([(3, 1), (3, 1), (1, 4)], 3)
+def test_wedderburn_reads_planted_profiles(blocks, seed):
+    """(+) M_k (x) 1_m in a Haar-random basis: the profile is the k's."""
+    rng = np.random.default_rng(seed)
+    dim = sum(k * m for k, m in blocks)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, tri = np.linalg.qr(z)
+    q = q * (np.diagonal(tri) / np.abs(np.diagonal(tri)))
+    mats, start = [], 0
+    for k, m in blocks:
+        for unit in np.eye(k * k).reshape(-1, k, k):
+            x = np.zeros((dim, dim), dtype=complex)
+            x[start:start + k * m, start:start + k * m] = np.kron(
+                unit, np.eye(m))
+            mats.append(q @ x @ q.conj().T)
+        start += k * m
+    want = tuple(sorted(k for k, _ in blocks))
+    assert wedderburn_decompose(mats) == want
 
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -193,12 +239,13 @@ def test_apply_endo_level_one_is_conjugation():
 
 
 def test_m_profiles_on_known_examples():
-    assert relative_commutant_M(rmlab.make_flip(2), 1).block_profile == (2,)
-    assert relative_commutant_M(rmlab.make_flip(3), 1).block_profile == (3,)
-    assert relative_commutant_M(rmlab.make_trivial(2, 1j), 1).block_profile == (1,)
-    assert relative_commutant_M(rmlab.builtin("r2"), 1).block_profile == (1, 1)
-    assert relative_commutant_M(rmlab.builtin("r2sym"), 1).block_profile == (2,)
-    assert relative_commutant_M(rmlab.builtin("r3"), 1).block_profile == (1,)
+    for r, profile in [(rmlab.make_flip(2), (2,)),
+                       (rmlab.make_flip(3), (3,)),
+                       (rmlab.make_trivial(2, 1j), (1,)),
+                       (rmlab.builtin("r2"), (1, 1)),
+                       (rmlab.builtin("r2sym"), (2,)),
+                       (rmlab.builtin("r3"), (1,))]:
+        assert relative_commutant_M(r, 1).block_profile == profile
 
 
 def test_m_detects_split_for_special_family3():

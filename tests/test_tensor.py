@@ -152,7 +152,8 @@ def test_expectation_to_level_iterates_right_trace():
 
 def test_normalized_trace_of_identity():
     for d, level in ((2, 1), (2, 3), (3, 2)):
-        assert normalized_trace(identity_element(d, level)) == pytest.approx(1.0)
+        one = identity_element(d, level)
+        assert normalized_trace(one) == pytest.approx(1.0)
 
 
 def test_trace_compatible_with_expectation():
