@@ -26,6 +26,7 @@ from .tensor import (
     frobenius_norm,
     pad_left,
     pad_right,
+    shifted_product,
 )
 
 __all__ = [
@@ -113,17 +114,12 @@ def _letter(r: RMatrix, gen: int, exp: int) -> np.ndarray:
 
 
 def _product(r: RMatrix, letters):
-    """Product of represented letters at the minimal running level.
-
-    At each step the lower of the running product and the letter is
-    padded on the right to the larger of their levels.
-    """
-    prod, level = np.eye(1, dtype=complex), 0
-    for gen, exp in letters:
-        top = max(level, gen + 1)
-        letter = pad_right(_letter(r, gen, exp), r.d, top - gen - 1)
-        prod, level = pad_right(prod, r.d, top - level) @ letter, top
-    return prod, level
+    """Product of represented letters at the minimal running level,
+    and that level."""
+    # R or R* per letter, shifted by gen - 1.
+    prod = shifted_product(((gen - 1, _letter(r, 1, exp))
+                            for gen, exp in letters), r.d, 2)
+    return prod, max((gen + 1 for gen, _ in letters), default=0)
 
 
 def represent(r: RMatrix, word: BraidWord) -> AlgebraElement:

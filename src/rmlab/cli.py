@@ -355,7 +355,7 @@ def cmd_table9(args) -> int:
     return EXIT_OK if all(row[3] for row in rows) else EXIT_VERDICT
 
 
-def _add_input_options(sub, with_tol: bool = True) -> None:
+def _add_input_options(sub) -> None:
     sub.add_argument("input", nargs="?", help="JSON solution file")
     sub.add_argument(
         "--builtin",
@@ -368,11 +368,8 @@ def _add_input_options(sub, with_tol: bool = True) -> None:
             f"--{flag}", help=f"family parameter {flag} (unit modulus)"
         )
     sub.add_argument("--blocks", help="normal form blocks, e.g. 2:+,1:-")
-    if with_tol:
-        sub.add_argument(
-            "--tol", type=float, default=DEFAULT_TOL,
-            help="verification tolerance",
-        )
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                     help="verification tolerance")
 
 
 @functools.cache

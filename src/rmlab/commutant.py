@@ -3,41 +3,44 @@
 Three towers of subalgebras of F^n = M_d^(x) n are computed for a
 solution R, all as explicit Hilbert-Schmidt-orthonormal bases:
 
-* M: solutions of a twisted intertwining equation against the ordered
-  word u = phi^{n-1}(R) ... R.
+* M: the x with lambda(x) = x (x) 1, where lambda(x) = u (1 (x) x) u*
+  for the ordered word u = phi^{n-1}(R) ... R.
 * N: the largest subalgebra carried into its own right-padded copy by
-  lambda(x) = u (1 (x) x) u*, conjugation with that word after the shift.
+  lambda.
 * L: the algebra generated by E_n(A_m), the trace-preserving
   expectation onto F^n of the algebra A_m generated by the m-strand
   braid generator images; :func:`generated_algebra` closes both.  A_m
   does not depend on n, so the levels of one report share each closure.
 
-M and N share one operator T, the matrix of lambda in Kraus form: with
-u split into blocks U_i over its first input slot, T = sum U_i (x)
-conj(U_i).  As u* (x (x) 1) u = 1 (x) x iff lambda(x) = x (x) 1,
-M = ker(T - J), J the matrix of x -> x (x) 1; the two systems differ by
-a unitary, so their singular values and rank decisions agree.
+M, the fixed points and the braid-image commutants are commutants,
+computed by one kernel, :func:`commutant_of`.  With K_ab the block of
+u at last output slot b and first input slot a, u (1 (x) x) =
+(x (x) 1) u iff K_ab x = x K_ab for all a, b, and sum_ab |K_ab x -
+x K_ab|^2 = |lambda(x) - x (x) 1|^2: M = {K_ab}', the fixed points of
+the unital trace-preserving channel E_n lambda = sum_ab K_ab . K_ab*/d.
+N applies lambda to its current basis by conjugation.  Likewise x in
+F^n is fixed iff x (x) 1 commutes with the word w = R phi(R) ...
+phi^(n-1)(R); writing w = sum w_ij (x) e_ij over the last slot, the
+fixed points are the commutant {w_ij}'.
 
-Fixed points and braid-image commutants are commutants, computed by
-one kernel, :func:`commutant_of`.  In particular x in F^n is fixed iff
-x (x) 1 commutes with the word u = R phi(R) ... phi^(n-1)(R); writing
-u = sum u_ij (x) e_ij over the last slot, the fixed points are the
-commutant {u_ij}'.
-
-Both are solved on a probe-reduced span, as both commutants are
-*-closed: u is unitary, so x (x) 1 commutes with u iff it commutes
-with u* = sum u_ij* (x) e_ji, and the braid generators are unitary.
+Those two are solved on a probe-reduced span, as both commutants are
+*-closed: w is unitary, so x (x) 1 commutes with w iff it commutes
+with w* = sum w_ij* (x) e_ji, and the braid generators are unitary.
 Every solution x then commutes with a random Hermitian h drawn from
 the sets and their adjoints, so it is block diagonal in h's
 eigenbasis, and only the sum of m^2 over h's eigenvalue multiplicities
 m unknowns remain instead of D^2; they are solved against a second
-probe and certified (:func:`_star_commutant`).  General sets, whose
-commutant need not be *-closed (a Jordan block), keep the full
-matrix-unit span.
+probe and certified (:func:`_star_commutant`).  M's blocks, and
+general sets, whose commutant need not be *-closed (a Jordan block),
+keep the full matrix-unit span.
 
-Subspaces are SVD null or row spaces with a relative cutoff of 1e-9 on
-singular values (for commutants, of 2 max |m| over the inputs m), kept
-as orthonormal columns, and dense operators are checked against
+Subspaces are SVD null or row spaces, kept as orthonormal columns.  A
+null space keeps the singular values above 1e-9 times a bound on its
+system for unit x (2 max |m|_F over a commutant's inputs m, 2 sqrt(d)
+for a round of N), so a system that is all rounding noise keeps its
+whole null space.  A row space (closure frontiers, E_n images, the
+Wedderburn input) keeps those above 1e-9 of its own largest one.  Both
+have a floor of 1e-12, and dense operators are checked against
 ``DENSE_ENTRY_CAP`` before they are built.  Block structure (the
 Wedderburn profile) is detected on first read from the eigenspaces of
 one seeded random Hermitian element of the algebra, drawn by the same
@@ -96,6 +99,9 @@ NULLSPACE_RTOL = 1e-9
 #: this small is rounding noise even when the whole matrix is noise.
 NULLSPACE_ATOL = 1e-12
 
+#: Probes drawn before a block profile is left unresolved.
+WEDDERBURN_RETRIES = 6
+
 #: Relative distance within which probe eigenvalues share a cluster.
 PROBE_MERGE_TOL = 1e-3
 
@@ -104,17 +110,16 @@ PROBE_MERGE_TOL = 1e-3
 CERTIFY_ATOL = 1e-9
 
 
-def _svd_cutoff(s: np.ndarray, rtol: float, scale=None) -> float:
-    return max(rtol * float(s[0] if scale is None else scale),
+def _svd_cutoff(s: np.ndarray, scale=None) -> float:
+    return max(NULLSPACE_RTOL * float(s[0] if scale is None else scale),
                NULLSPACE_ATOL)
 
 
-def nullspace(a: np.ndarray, rtol: float = NULLSPACE_RTOL,
-              scale: float | None = None) -> np.ndarray:
+def nullspace(a: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Orthonormal basis (columns) of the null space of ``a``.
 
-    Singular values below ``rtol`` times ``scale`` (by default the
-    largest one), or below the absolute noise floor, are treated as
+    Singular values below ``NULLSPACE_RTOL`` times ``scale`` (by default
+    the largest one), or below the absolute noise floor, are treated as
     zero.  An all-zero or empty matrix has a full null space.
     """
     a = np.asarray(a, dtype=complex)
@@ -125,36 +130,33 @@ def nullspace(a: np.ndarray, rtol: float = NULLSPACE_RTOL,
     if a.shape[0] > a.shape[1]:
         a = np.linalg.qr(a, mode="r")
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    rank = int(np.sum(s > _svd_cutoff(s, rtol, scale)))
+    rank = int(np.sum(s > _svd_cutoff(s, scale)))
     return vh[rank:].conj().T
 
 
-def _row_space_basis(rows: np.ndarray, rtol: float = NULLSPACE_RTOL
-                     ) -> np.ndarray:
+def _row_space_basis(rows: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the span of the given row vectors."""
     if rows.size == 0:
         return np.zeros((rows.shape[1], 0), dtype=complex)
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(s > _svd_cutoff(s, rtol)))
+    rank = int(np.sum(s > _svd_cutoff(s)))
     return vh[:rank].T
-
-
-def _lambda_operator(r: RMatrix, n: int) -> np.ndarray:
-    """Row-major matrix T of lambda on F^n, in the module's Kraus form,
-    from the ordered word phi^(n-1)(R) ... phi(R) R at level n + 1."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    dim = r.d ** n
-    u = shifted_product(r.matrix, r.d, 2, n + 1, range(n - 1, -1, -1))
-    u = u.reshape(r.d * dim, r.d, dim)
-    return np.einsum("xia,yib->xyab", u, u.conj()).reshape(-1, dim * dim)
 
 
 def word_product(r: RMatrix, n: int) -> np.ndarray:
     """R phi(R) ... phi^(n-1)(R) as a level n + 1 matrix."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    return shifted_product(r.matrix, r.d, 2, n + 1, range(n))
+    return shifted_product(((k, r.matrix) for k in range(n)), r.d, 2)
+
+
+def _lambda_word(r: RMatrix, n: int) -> np.ndarray:
+    """phi^(n-1)(R) ... phi(R) R as a level n + 1 matrix: the u of
+    lambda(x) = u (1 (x) x) u*."""
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    return shifted_product(((k, r.matrix) for k in range(n - 1, -1, -1)),
+                           r.d, 2)
 
 
 def apply_endo(r: RMatrix, x: AlgebraElement) -> AlgebraElement:
@@ -243,17 +245,14 @@ def profile_string(profile) -> str:
 
 def relative_commutant_M(r: RMatrix, n: int, seed: int = 0
                          ) -> SubalgebraBasis:
-    """Level-n relative commutant M_{R,n}.
-
-    The defining equation, with u the ordered word phi^(n-1)(R)...R at
-    level n + 1: u* (x (x) 1) u = 1 (x) x, solved as lambda(x) = x (x) 1.
-    """
+    """Level-n relative commutant M_{R,n} = {x : lambda(x) = x (x) 1}:
+    the commutant of the blocks K_ab of the lambda word u, at its last
+    output slot b and first input slot a."""
     d, dim = r.d, r.d ** n
     require_dense(d ** (4 * n + 2), f"the level-{n} M operator")
-    t = _lambda_operator(r, n)
-    units = np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
-    t -= pad_right(units, d, 1).reshape(dim * dim, -1).T
-    return SubalgebraBasis(d, n, nullspace(t), seed)
+    u = _lambda_word(r, n).reshape(dim, d, d, dim)
+    blocks = u.transpose(2, 1, 0, 3).reshape(d * d, dim, dim)
+    return SubalgebraBasis(d, n, commutant_of(blocks), seed)
 
 
 def fixed_subalgebra(r: RMatrix, n: int, seed: int = 0) -> SubalgebraBasis:
@@ -278,18 +277,20 @@ def relative_commutant_N(r: RMatrix, n: int, seed: int = 0
     """
     d, dim = r.d, r.d ** n
     require_dense(d ** (4 * n + 2), f"the level-{n} N operator")
-    t_op = _lambda_operator(r, n)
+    u = _lambda_word(r, n)
     q = np.eye(dim * dim, dtype=complex)
     for _ in range(dim * dim + 1):
-        tq = t_op @ q
-        # Each column z of tq compresses to E(z) = tr_last(z) / d; the
-        # part outside the padded copy is z - E(z) (x) 1.
-        images = tq.T.reshape(-1, dim * d, dim * d)
+        # Each image z = lambda(x) of a basis column x compresses to
+        # E(z) = tr_last(z) / d; its part outside the padded copy is
+        # z - E(z) (x) 1, of norm at most |z| = sqrt(d) for unit x, and
+        # the drift of E(z) from the basis is at most 1.
+        images = u @ pad_left(q.T.reshape(-1, dim, dim), d, 1) @ u.conj().T
         compressed = trace_out_last(images, d) / d
-        outside = tq - pad_right(compressed, d, 1).reshape(len(images), -1).T
+        outside = images - pad_right(compressed, d, 1)
+        outside = outside.reshape(len(images), -1).T
         compressed = compressed.reshape(len(images), -1).T
         drift = compressed - q @ (q.conj().T @ compressed)
-        keep = nullspace(np.vstack([outside, drift]))
+        keep = nullspace(np.vstack([outside, drift]), 2.0 * math.sqrt(d))
         if keep.shape[1] == q.shape[1]:
             break
         q = q @ keep
@@ -395,7 +396,7 @@ def commutant_of(mats, span=None) -> np.ndarray:
         else:
             block[:] = (span @ m - m @ span).reshape(width, -1).T
     norm2 = max((np.vdot(m, m).real for m in mats), default=0.0)
-    return nullspace(rows, NULLSPACE_RTOL, 2.0 * math.sqrt(norm2))
+    return nullspace(rows, 2.0 * math.sqrt(norm2))
 
 
 def _star_commutant(mats, seed: int) -> np.ndarray:
@@ -474,8 +475,7 @@ def _check_algebra(mats, cols, tol: float = 1e-9) -> None:
         raise DomainError("span is not closed under products")
 
 
-def wedderburn_decompose(span, tol: float = 1e-9, seed: int = 0,
-                         max_retries: int = 6) -> tuple:
+def wedderburn_decompose(span, tol: float = 1e-9, seed: int = 0) -> tuple:
     """Matrix block sizes of a finite-dimensional unital *-algebra A.
 
     The input span (algebra elements or raw matrices) is validated to
@@ -506,7 +506,7 @@ def wedderburn_decompose(span, tol: float = 1e-9, seed: int = 0,
 
     rng = np.random.default_rng(seed)
     last_error = ""
-    for _ in range(max_retries):
+    for _ in range(WEDDERBURN_RETRIES):
         vecs, groups = _probe_eigenspaces(basis, rng)
         # The runs are contiguous: sum the compressions' weights over
         # each pair of runs.
@@ -528,6 +528,6 @@ def wedderburn_decompose(span, tol: float = 1e-9, seed: int = 0,
             first = ~np.tril(ones, -1).any(axis=1)
             return tuple(sorted(int(x) for x in sizes[first]))
     raise DegeneracyError(
-        f"block detection failed after {max_retries} attempts: {last_error}",
-        retries=max_retries,
+        f"block detection failed after {WEDDERBURN_RETRIES} attempts: "
+        f"{last_error}", retries=WEDDERBURN_RETRIES,
     )

@@ -440,8 +440,8 @@ def cabling_power(r: RMatrix, n: int) -> RMatrix:
         return _derive(r.matrix, d, f"cable({r.label}, 1)")
     # R_n = R phi(R) ... phi^(n-1)(R) at level n + 1, then
     # phi^(n-1)(R_n) ... phi(R_n) R_n at level 2n.
-    rn = shifted_product(r.matrix, d, 2, n + 1, range(n))
-    acc = shifted_product(rn, d, n + 1, 2 * n, range(n - 1, -1, -1))
+    rn = shifted_product(((k, r.matrix) for k in range(n)), d, 2)
+    acc = shifted_product(((k, rn) for k in range(n - 1, -1, -1)), d, n + 1)
     return _derive(acc, d ** n, f"cable({r.label}, {n})")
 
 

@@ -114,18 +114,18 @@ def _geodesic(u: np.ndarray, xi: np.ndarray):
 
 
 def directional_derivative_check(u: np.ndarray, d: int,
-                                 rng: np.random.Generator,
-                                 directions: int = 4,
-                                 h: float = 1e-5) -> float:
+                                 rng: np.random.Generator) -> float:
     """Worst relative mismatch of analytic vs central-difference slopes.
 
-    Random normalized skew-Hermitian directions are exponentiated
-    around U; mismatches are scaled by max(1, |analytic slope|).
+    Four random normalized skew-Hermitian directions are exponentiated
+    around U with step h = 1e-5; mismatches are scaled by
+    max(1, |analytic slope|).
     """
+    h = 1e-5
     g = ybe_euclidean_gradient(u, d)
     worst = 0.0
     n = u.shape[0]
-    for _ in range(directions):
+    for _ in range(4):
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         omega = (z - z.conj().T) / 2.0
         omega /= np.linalg.norm(omega)
@@ -320,13 +320,12 @@ def ordered_map(fn, args: list, jobs: int = 1):
 
 
 def find_solution(d: int, restarts: int = 16, seed: int = 0,
-                  max_iterations: int = 2000,
-                  target_residual: float = 1e-8,
-                  polish_tol: float = 1e-10, jobs: int = 1) -> SearchResult:
+                  max_iterations: int = 2000, target_residual: float = 1e-8,
+                  jobs: int = 1) -> SearchResult:
     """Restart the descent until a run converges and verifies.
 
     Success needs both gates: objective below the squared target and
-    acceptance by :func:`rmlab.rmatrix.verify` at ``polish_tol``.  The
+    acceptance by :func:`rmlab.rmatrix.verify` at ``DEFAULT_TOL``.  The
     per-restart final objectives are always reported; with no
     convergence the best run comes back with ``success`` False.
 
@@ -344,7 +343,7 @@ def find_solution(d: int, restarts: int = 16, seed: int = 0,
             best = run
         if run.converged:
             try:
-                solution = verify(run.matrix, d, tol=polish_tol,
+                solution = verify(run.matrix, d,
                                   label=f"search(d={d}, seed={seed + k})")
             except VerificationError:
                 continue

@@ -124,16 +124,21 @@ def pad_left(m: np.ndarray, d: int, k: int) -> np.ndarray:
     return m if k == 0 else kron(np.eye(d ** k, dtype=complex), m)
 
 
-def shifted_product(m: np.ndarray, d: int, m_level: int, level: int,
-                    ks) -> np.ndarray:
-    """Product of shift(m, k) embedded at ``level``, over k in ``ks``.
+def shifted_product(factors, d: int, m_level: int) -> np.ndarray:
+    """Product of shift(m, k) over the (k, m) ``factors``, in order.
 
-    ``m`` is a raw matrix at level ``m_level``; the factors multiply in
-    the order of ``ks``, starting from the identity.
+    Each m is a raw matrix at level ``m_level``.  The running product
+    stays at the least level that holds it: at each step the lower of
+    the product and the next factor is padded on the right to the
+    larger of their levels, so the result is at level m_level + max k
+    (the 1 x 1 identity when there are no factors).
     """
-    acc = np.eye(d ** level, dtype=complex)
-    for k in ks:
-        acc = acc @ pad_right(pad_left(m, d, k), d, level - m_level - k)
+    acc, level = np.eye(1, dtype=complex), 0
+    for k, m in factors:
+        top = max(level, m_level + k)
+        acc = pad_right(acc, d, top - level) @ pad_right(
+            pad_left(m, d, k), d, top - m_level - k)
+        level = top
     return acc
 
 

@@ -277,6 +277,40 @@ def test_n_contains_m():
         assert span_columns_contain(n, m)
 
 
+@pytest.mark.parametrize("eps,dims", [
+    (1e-12, (4, 16)), (1e-10, (4, 16)), (1e-8, (2, 6)),
+])
+def test_m_and_n_of_near_degenerate_family_two(eps, dims):
+    # r = p + eps: at eps = 0 the member has M = N = M_2 and M_4 at
+    # n = 1, 2.  Below the 1e-9 cutoff both systems read as that member,
+    # above it both as the generic member's C^2 and C^2 (+) M_2.
+    r = rmlab.family_r2(np.exp(0.5j), np.exp(-1.3j),
+                        np.exp(1j * (0.5 + eps)), np.exp(-1.3j))
+    for n, dim in zip((1, 2), dims):
+        m, nn = relative_commutant_M(r, n), relative_commutant_N(r, n)
+        assert (m.dimension, nn.dimension) == (dim, dim)
+        assert m.block_profile is not None
+        assert nn.block_profile == m.block_profile
+
+
+def _random_m_n_draw(case, rng):
+    if case == "simple":
+        d = int(rng.integers(2, 4))
+        return rmlab.random_conjugate(
+            rmlab.make_simple(rmlab.random_simple_spec(d, rng)), rng)
+    return _random_draw(case, rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from([2, 3, 4, "simple"]), n=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 16))
+def test_m_inside_n_on_random_draws(case, n, seed):
+    r = _random_m_n_draw(case, np.random.default_rng(seed))
+    m = relative_commutant_M(r, n).span_columns()
+    q = relative_commutant_N(r, n).span_columns()
+    assert np.abs(m - q @ (q.conj().T @ m)).max(initial=0.0) <= 1e-9
+
+
 def test_n_full_for_uf():
     # non-scalar diagonal u: N is everything, M is the diagonal part
     n = relative_commutant_N(rmlab.builtin("uf"), 1)
@@ -552,7 +586,7 @@ def test_operators_refuse_before_building(monkeypatch, build):
     r = rmlab.builtin("r2")
     # Each level-1 operator has d^(4n + 2) = 64 entries.
     monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 63)
-    monkeypatch.setattr(rmlab.commutant, "_lambda_operator", refuse)
+    monkeypatch.setattr(rmlab.commutant, "_lambda_word", refuse)
     monkeypatch.setattr(rmlab.commutant, "commutant_of", refuse)
     with pytest.raises(ResourceError):
         build(r, 1)
@@ -719,12 +753,11 @@ def test_closed_form_operators_match_the_per_unit_build(name, n):
     for k in range(n - 1, -1, -1):
         u = u @ np.kron(np.kron(np.eye(d ** k), r.matrix),
                         np.eye(d ** (n - 1 - k)))
-    one = np.eye(d)
-    want = _operator_matrix(lambda x: u @ np.kron(one, x) @ u.conj().T, d, n)
-    t = rmlab.commutant._lambda_operator(r, n)
-    assert t.shape == want.shape
-    assert np.abs(t - want).max() <= 1e-15
+    got = rmlab.commutant._lambda_word(r, n)
+    assert got.shape == u.shape
+    assert np.abs(got - u).max() <= 1e-15
     # M is the null space of the defining equation u* (x (x) 1) u = 1 (x) x.
+    one = np.eye(d)
     old = _operator_matrix(
         lambda x: u.conj().T @ np.kron(x, one) @ u - np.kron(one, x), d, n)
     _assert_same_subspace(relative_commutant_M(r, n), nullspace(old))

@@ -223,8 +223,8 @@ def test_word_products_match_kronecker_loops(name):
             product = product @ shifted[k]
             ordered = ordered @ shifted[n - 1 - k]
         assert np.allclose(word_product(r, n), product, atol=1e-12)
-        reversed_product = shifted_product(r.matrix, d, 2, n + 1,
-                                           range(n - 1, -1, -1))
+        reversed_product = shifted_product(
+            ((k, r.matrix) for k in range(n - 1, -1, -1)), d, 2)
         assert np.allclose(reversed_product, ordered, atol=1e-12)
 
 
@@ -249,9 +249,14 @@ def test_shifted_product_and_pads():
     assert np.array_equal(pad_left(m, 2, 1), np.kron(eye(2, 1), m))
     assert np.array_equal(pad_right(m, 2, 2), np.kron(m, eye(2, 2)))
     assert pad_left(m, 2, 0) is m and pad_right(m, 2, 0) is m
-    assert np.array_equal(shifted_product(m, 2, 2, 3, []), eye(2, 3))
+    assert np.array_equal(shifted_product([], 2, 2), eye(2, 0))
     want = np.kron(np.eye(2), m) @ np.kron(m, np.eye(2))
-    assert np.allclose(shifted_product(m, 2, 2, 3, [1, 0]), want,
+    assert np.allclose(shifted_product([(1, m), (0, m)], 2, 2), want,
+                       atol=1e-12)
+    # The running product starts at the first factor's level and is
+    # padded on the right when a later factor reaches higher.
+    want = np.kron(m, np.eye(4)) @ np.kron(np.eye(4), m)
+    assert np.allclose(shifted_product([(0, m), (2, m)], 2, 2), want,
                        atol=1e-12)
 
 
