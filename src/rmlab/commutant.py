@@ -34,13 +34,14 @@ probe and certified (:func:`_star_commutant`).  M's blocks, and
 general sets, whose commutant need not be *-closed (a Jordan block),
 keep the full matrix-unit span.
 
-Subspaces are SVD null or row spaces, kept as orthonormal columns.  A
-null space keeps the singular values above 1e-9 times a bound on its
-system for unit x (2 max |m|_F over a commutant's inputs m, 2 sqrt(d)
-for a round of N), so a system that is all rounding noise keeps its
-whole null space.  A row space (closure frontiers, E_n images, the
-Wedderburn input) keeps those above 1e-9 of its own largest one.  Both
-have a floor of 1e-12, and dense operators are checked against
+Subspaces are SVD null or row spaces, kept as orthonormal columns.
+Every rank decision keeps the singular values above max(1e-9 scale,
+1e-12), with scale the largest norm of the rows before any
+cancellation, or a bound on it: 2 max |m|_F over a commutant's inputs
+m, 2 sqrt(d) for a round of N, a closure round's products before the
+basis is projected out, and the rows themselves where nothing cancels
+(E_n images, the Wedderburn input).  So a residual that is all
+rounding noise is cut as noise.  Dense operators are checked against
 ``DENSE_ENTRY_CAP`` before they are built.  Block structure (the
 Wedderburn profile) is detected on first read from the eigenspaces of
 one seeded random Hermitian element of the algebra, drawn by the same
@@ -91,7 +92,7 @@ __all__ = [
     "nullspace",
 ]
 
-#: Relative singular value cutoff for rank and null space decisions.
+#: Rank cutoff, relative to the rows' scale before cancellation.
 NULLSPACE_RTOL = 1e-9
 
 #: Absolute floor under the relative cutoff.  All matrices entering
@@ -110,37 +111,36 @@ PROBE_MERGE_TOL = 1e-3
 CERTIFY_ATOL = 1e-9
 
 
-def _svd_cutoff(s: np.ndarray, scale=None) -> float:
-    return max(NULLSPACE_RTOL * float(s[0] if scale is None else scale),
-               NULLSPACE_ATOL)
+def _svd_cutoff(a: np.ndarray, scale: float | None) -> float:
+    """The rank cutoff; ``scale`` defaults to a's largest row norm."""
+    scale = np.linalg.norm(a, axis=1).max() if scale is None else scale
+    return max(NULLSPACE_RTOL * float(scale), NULLSPACE_ATOL)
 
 
 def nullspace(a: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Orthonormal basis (columns) of the null space of ``a``.
 
-    Singular values below ``NULLSPACE_RTOL`` times ``scale`` (by default
-    the largest one), or below the absolute noise floor, are treated as
-    zero.  An all-zero or empty matrix has a full null space.
-    """
+    Singular values at or below max(1e-9 scale, 1e-12) are zero; ``scale``
+    bounds the rows' norms before cancellation (by default their largest
+    norm).  An all-zero or empty matrix has a full null space."""
     a = np.asarray(a, dtype=complex)
     if not a.any():
         return np.eye(a.shape[1], dtype=complex)
+    cut = _svd_cutoff(a, scale)
     # A tall A = QR has the singular values and right singular vectors
     # of its square R; a wide A needs all of them for the null space.
     if a.shape[0] > a.shape[1]:
         a = np.linalg.qr(a, mode="r")
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    rank = int(np.sum(s > _svd_cutoff(s, scale)))
-    return vh[rank:].conj().T
+    return vh[int(np.sum(s > cut)):].conj().T
 
 
-def _row_space_basis(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the span of the given row vectors."""
+def _row_space_basis(rows: np.ndarray, scale=None) -> np.ndarray:
+    """Orthonormal columns spanning the rows, cut like :func:`nullspace`."""
     if rows.size == 0:
         return np.zeros((rows.shape[1], 0), dtype=complex)
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(s > _svd_cutoff(s)))
-    return vh[:rank].T
+    return vh[:int(np.sum(s > _svd_cutoff(rows, scale)))].T
 
 
 def word_product(r: RMatrix, n: int) -> np.ndarray:
@@ -305,9 +305,10 @@ def generated_algebra(mats) -> np.ndarray:
 
     Closes span{1} under right multiplication: each round multiplies the
     frontier by every matrix in one batched matmul, projects the basis
-    out twice, and keeps the residual's row space as the next frontier.
-    A basis wider than D^2 means rounding noise kept the frontier alive
-    (near-degenerate generators), so the closure stops with an error.
+    out twice, and keeps the residual's row space, cut against the
+    products' scale, as the next frontier.  A basis wider than D^2 means
+    rounding noise kept the frontier alive (near-degenerate generators),
+    so the closure stops with an error.
     """
     mats = np.asarray(mats, dtype=complex)
     dim = mats.shape[-1]
@@ -317,9 +318,10 @@ def generated_algebra(mats) -> np.ndarray:
         require_dense(dim * dim * width, "the generated algebra")
         rows = frontier.T.reshape(-1, 1, dim, dim) @ mats
         rows = rows.reshape(-1, dim * dim)
+        scale = float(np.linalg.norm(rows, axis=1).max())
         for _ in range(2):
             rows = rows - (rows @ basis.conj()) @ basis.T
-        frontier = _row_space_basis(rows)
+        frontier = _row_space_basis(rows, scale)
         basis = np.hstack([basis, frontier])
         if basis.shape[1] > dim * dim:
             raise InternalConsistencyError(
@@ -447,14 +449,12 @@ def _probe_eigenspaces(mats, rng) -> tuple:
 def hermitian_probe(mats, rng) -> np.ndarray:
     """A random real combination of the Hermitian and skew parts of mats.
 
-    Draws one standard normal coefficient per part from ``rng``.
+    Draws one standard normal coefficient per part from ``rng``, c_h and
+    c_s for (b + b*)/2 and (b - b*)/2i: x + x* for x = sum (c_h - i c_s)b/2.
     """
-    herm = []
-    for b in mats:
-        herm.append((b + b.conj().T) / 2.0)
-        herm.append((b - b.conj().T) / 2.0j)
-    coeffs = rng.standard_normal(len(herm))
-    return sum(c * h for c, h in zip(coeffs, herm))
+    coeffs = rng.standard_normal(2 * len(mats)).reshape(-1, 2)
+    x = np.tensordot((coeffs[:, 0] - 1j * coeffs[:, 1]) / 2, mats, axes=1)
+    return x + x.conj().T
 
 
 def _check_algebra(mats, cols, tol: float = 1e-9) -> None:

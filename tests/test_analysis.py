@@ -2,9 +2,6 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -360,13 +357,8 @@ print(hits)
 """
 
 
-def test_classify_near_special_family_three():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", _NEAR_SPECIAL_SWEEP],
-                          env=env, capture_output=True, text=True,
-                          timeout=300)
+def test_classify_near_special_family_three(run_python):
+    proc = run_python("-c", _NEAR_SPECIAL_SWEEP, threads=1, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "260"
 

@@ -3,9 +3,6 @@
 import contextlib
 import io
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -336,17 +333,13 @@ def test_bad_seed_env_is_exit_2(capsys, monkeypatch):
     assert "RMLAB_SEED" in err and "Traceback" not in err
 
 
-def test_bad_input_from_the_shell_prints_no_traceback(tmp_path):
+def test_bad_input_from_the_shell_prints_no_traceback(tmp_path,
+                                                      run_python):
     path = tmp_path / "neg-d.json"
     path.write_text(json.dumps({"d": -1, "entries": [[1, 0]]}))
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
     for argv, seed in (([str(path)], "0"), (["--builtin", "flip"], "abc")):
-        env["RMLAB_SEED"] = seed
-        proc = subprocess.run(
-            [sys.executable, "-m", "rmlab.cli", "verify", *argv],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = run_python("-m", "rmlab.cli", "verify", *argv,
+                          RMLAB_SEED=seed)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("input error: ")
@@ -373,37 +366,31 @@ def test_bad_input_from_the_shell_prints_no_traceback(tmp_path):
 ], ids=["flip-d0", "trivial-d0", "seed-flag", "seed-env", "samples-neg",
         "samples-zero", "n-cap-neg", "fixed-cap-zero", "search-jobs-zero",
         "table9-jobs-zero", "restarts-neg", "strands-one", "length-zero"])
-def test_out_of_range_integers_from_the_shell_are_exit_2(argv, seed, named):
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src, RMLAB_SEED=seed)
-    proc = subprocess.run(
-        [sys.executable, "-m", "rmlab.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+def test_out_of_range_integers_from_the_shell_are_exit_2(argv, seed, named,
+                                                         run_python):
+    proc = run_python("-m", "rmlab.cli", *argv, RMLAB_SEED=seed)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"input error: {named} ")
 
 
-@pytest.mark.parametrize("eps", [1e-6, 1e-8])
-def test_analyze_reports_a_runaway_closure_as_a_section_error(eps):
-    # Near-degenerate phases let rounding noise grow the L closure.
-    # Which noise survives depends on the BLAS's summation order (with
-    # two OpenBLAS threads eps = 1e-6 converges), so pin one BLAS thread.
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "rmlab.cli", "analyze", "--builtin", "r2",
-         "--p", "arg:0.5", "--q", "arg:-1.3", "--r", f"arg:{0.5 + eps}",
-         "--s", "arg:-1.3"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0
-    assert ("* [error] commutants.L: algebra closure exceeded 256"
-            in proc.stdout)
-    assert "* level 1: M:" in proc.stdout
+@pytest.mark.parametrize("eps", [1e-8])
+def test_analyze_reports_a_runaway_closure_as_a_section_error(eps,
+                                                              run_python):
+    # Near-degenerate phases let rounding noise grow the L closure: a
+    # residual of size eps, normalized, amplifies rounding by 1 / eps.
+    # At eps = 1e-8 that outgrows the cutoff under one BLAS thread and
+    # under two, whose summation orders differ.
+    for threads in (1, 2):
+        proc = run_python(
+            "-m", "rmlab.cli", "analyze", "--builtin", "r2", "--p",
+            "arg:0.5", "--q", "arg:-1.3", "--r", f"arg:{0.5 + eps}",
+            "--s", "arg:-1.3", threads=threads)
+        assert proc.returncode == 0
+        assert ("* [error] commutants.L: algebra closure exceeded 256"
+                in proc.stdout)
+        assert "* level 1: M:" in proc.stdout
 
 
 def test_analyze_caps_at_their_lower_bounds(capsys):
@@ -423,11 +410,9 @@ def _conjugated_r3_file(tmp_path) -> str:
 
 
 def test_the_cli_and_its_scipy_free_commands_load_no_scipy_module(
-        tmp_path):
+        tmp_path, run_python):
     # The package runs on numpy alone: with scipy unimportable, every
     # command still works, the classifier's seed polish included.
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
     path = _conjugated_r3_file(tmp_path)
     # A near-special family-3 draw that no closed-form seed classifies.
     rng = np.random.default_rng(0)
@@ -457,10 +442,7 @@ def test_the_cli_and_its_scipy_free_commands_load_no_scipy_module(
         "print(len(polished))\n"
         "print(out.getvalue(), end='')\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     calls, family, residual = proc.stdout.splitlines()[:3]
     assert int(calls) > 0
@@ -468,11 +450,9 @@ def test_the_cli_and_its_scipy_free_commands_load_no_scipy_module(
     assert float(residual.removeprefix("residual ")) <= 1e-8
 
 
-def test_search_loads_no_scipy_module(tmp_path):
+def test_search_loads_no_scipy_module(tmp_path, run_python):
     # The descent, its exponential and the polish are numpy alone: with
     # scipy unimportable the searches run and no scipy module loads.
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
     out = str(tmp_path / "found.jsonl")
     script = (
         "import sys\n"
@@ -487,10 +467,7 @@ def test_search_loads_no_scipy_module(tmp_path):
         "                         if m.startswith('scipy.')))\n"
         "print(loaded)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[[], []]"
     with open(out, encoding="utf-8") as fh:

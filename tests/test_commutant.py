@@ -1,9 +1,6 @@
 """Commutant towers, fixed points, and algebra-structure detection."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -610,12 +607,6 @@ def test_braid_image_commutant_refuses_before_building(monkeypatch):
     assert braid_image_commutant(r, 3).dimension >= 1
 
 
-# Which rounding noise survives a closure round depends on the BLAS's
-# summation order, which changes with its thread count, so the
-# near-degenerate closures run in a child process with one BLAS thread.
-_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-                    "MKL_NUM_THREADS": "1"}
-
 _NEAR_DEGENERATE_L = """
 import numpy as np
 import rmlab
@@ -632,23 +623,67 @@ except InternalConsistencyError as exc:
 """
 
 
-@pytest.mark.parametrize("eps", [1e-6, 1e-8])
-def test_closure_of_near_degenerate_generators_stops(eps):
-    # r = p + eps splits two eigenvalues by eps, so rounding noise keeps
-    # the closure's frontier alive past D^2 columns (with two OpenBLAS
-    # threads eps = 1e-6 happens to converge instead).  A closure of k
-    # generators in M_D never asks for more than (k + 1) D^2 columns, so
-    # the cap (k = 3, D = 16 at four strands) turns a runaway into a
-    # ResourceError instead of a hang; the closure must stop first.
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src, **_ONE_BLAS_THREAD)
-    proc = subprocess.run(
-        [sys.executable, "-c", _NEAR_DEGENERATE_L.format(eps=eps)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith(
-        "InternalConsistencyError: algebra closure exceeded 256")
+@pytest.mark.parametrize("eps", [1e-8])
+def test_closure_of_near_degenerate_generators_stops(eps, run_python):
+    # r = p + eps splits two eigenvalues by eps, so rounding noise,
+    # amplified by 1 / eps where a residual of size eps is normalized,
+    # keeps the closure's frontier alive past D^2 columns under either
+    # BLAS thread count.  A closure of k generators in M_D never asks
+    # for more than (k + 1) D^2 columns, so the cap (k = 3, D = 16 at
+    # four strands) turns a runaway into a ResourceError instead of a
+    # hang; the closure must stop first.
+    for threads in (1, 2):
+        proc = run_python("-c", _NEAR_DEGENERATE_L.format(eps=eps),
+                          threads=threads)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(
+            "InternalConsistencyError: algebra closure exceeded 256")
+
+
+# L and M at levels 1 and 2, with the closure's dimension at 4 strands.
+# Which rounding noise survives a closure round depends on the BLAS's
+# summation order, so each runs under one and two BLAS threads.
+_L_AGAINST_M = """
+import numpy as np
+import rmlab
+from rmlab.commutant import _generator_images, generated_algebra
+from rmlab.corpus import random_conjugate, random_family2
+{build}
+print(generated_algebra(_generator_images(r, 4)).shape[1])
+for n in (1, 2):
+    lb, mb = rmlab.relative_commutant_L(r, n), rmlab.relative_commutant_M(r, n)
+    a, b = lb.span_columns(), mb.span_columns()
+    print(lb.dimension, lb.converged, lb.block_profile, mb.block_profile,
+          np.abs(a - b @ (b.conj().T @ a)).max() <= 1e-9)
+"""
+
+_DEFECT_A = """
+rng = np.random.default_rng(0)
+for _ in range(13):
+    r = random_conjugate(random_family2(rng)[0], rng)
+"""
+
+
+@pytest.mark.parametrize("build", [
+    _DEFECT_A,
+    "r = rmlab.family_r2(np.exp(0.5j), np.exp(-1.3j), "
+    "np.exp(1j * (0.5 + 1e-5)), np.exp(-1.3j))",
+    "r = rmlab.family_r2(np.exp(0.5j), np.exp(-1.3j), "
+    "np.exp(1j * (0.5 + 1e-3)), np.exp(-1.3j))",
+], ids=["conjugate13", "eps1e-05", "eps1e-03"])
+def test_l_of_family_two_lies_in_m(build, run_python):
+    # Cut against its own residual, a closure round keeps rounding noise
+    # on these inputs: A_4 = 234 and L = M_2, M_4 outside M on the 13th
+    # family-2 conjugate of rng seed 0, and L_1 = 3 on the eps inputs.
+    # Cut against the products' scale, L is C^2 and C^2 (+) M_2, as M
+    # is, whatever the BLAS thread count.
+    want = ["70", "2 True (1, 1) (1, 1) True",
+            "6 True (1, 1, 2) (1, 1, 2) True"]
+    for threads in (1, 2):
+        proc = run_python("-c", _L_AGAINST_M.format(build=build),
+                          threads=threads)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == want
 
 
 def test_generated_algebra_refuses_before_each_round(monkeypatch):
@@ -939,9 +974,11 @@ def test_nullspace_of_tall_systems_matches_the_full_svd(rows, cols, rank,
           + 1j * rng.standard_normal((rows, rank)))
          @ (rng.standard_normal((rank, cols))
             + 1j * rng.standard_normal((rank, cols))))
-    # The reference is the SVD of the whole matrix, cut by the same rule.
+    # The reference is the SVD of the whole matrix, cut by the same rule:
+    # 1e-9 of the largest row norm, with a floor of 1e-12.
     _, s, vh = np.linalg.svd(a)
-    keep = int(np.sum(s > max(1e-9 * s[0], 1e-12))) if a.any() else 0
+    cut = max(1e-9 * np.linalg.norm(a, axis=1).max(), 1e-12)
+    keep = int(np.sum(s > cut)) if a.any() else 0
     want = vh[keep:].conj().T
     got = nullspace(a)
     assert got.shape == want.shape
