@@ -436,11 +436,28 @@ def _family4_canonical(q: complex) -> np.ndarray:
     return s * m
 
 
-def _try_family4(r: RMatrix, fixed: SubalgebraBasis, tol: float,
-                 rng) -> Dim2Classification | None:
-    vecs, groups = _probe_eigenspaces([b.matrix for b in fixed.basis], rng)
-    for i in [g[0] for g in groups if len(g) == 1]:
-        w = _basis_unitary_from_vector(vecs[:, i])
+def _fixed_point_axis(fixed: SubalgebraBasis) -> np.ndarray:
+    """The largest traceless Hermitian or skew part of a basis element
+    of a d = 2 fixed-point algebra.
+
+    For span{1, P} every such part is a multiple of P - 1/2, and for an
+    orthonormal basis the largest is at least 1/2 in norm, so its two
+    eigenvalues are far apart; a random combination can land near a
+    scalar and merge them.  The sign puts the lower eigenvector nearer
+    e_1, so an input already in canonical form keeps the identity basis.
+    """
+    parts = []
+    for b in fixed.basis:
+        t = b.matrix - np.trace(b.matrix) / 2.0 * np.eye(2)
+        parts += [(t + t.conj().T) / 2.0, (t - t.conj().T) / 2.0j]
+    h = max(parts, key=frobenius_norm)
+    return -h if h[0, 0].real > 0.0 else h
+
+
+def _try_family4(r: RMatrix, fixed: SubalgebraBasis,
+                 tol: float) -> Dim2Classification | None:
+    for v in np.linalg.eigh(_fixed_point_axis(fixed))[1].T:
+        w = _basis_unitary_from_vector(v)
         aligned = conjugate_by_square(r.matrix, w)
         off = aligned.copy()
         off[:2, :2] = 0.0
@@ -579,8 +596,6 @@ def classify_dim2(r: RMatrix, tol: float = 1e-8, seed: int = 0
     """
     if r.d != 2:
         raise DomainError(f"classification needs d = 2, got d = {r.d}")
-    rng = np.random.default_rng(seed)
-
     if is_trivial(r):
         q = complex(np.trace(r.matrix)) / 4.0
         resid = frobenius_norm(r.matrix - q * np.eye(4))
@@ -590,7 +605,7 @@ def classify_dim2(r: RMatrix, tol: float = 1e-8, seed: int = 0
 
     fixed = fixed_subalgebra(r, 1, seed=seed)
     if fixed.dimension > 1:
-        out = _try_family4(r, fixed, tol, rng)
+        out = _try_family4(r, fixed, tol)
         if out is not None:
             return out
 

@@ -288,6 +288,8 @@ def _invariants(family: int, params: dict) -> list:
 @example(family=4, flag=False, seed=136048)
 @example(family=4, flag=False, seed=9692)
 @example(family=4, flag=False, seed=38079)
+@example(family=4, flag=False, seed=3041)
+@example(family=4, flag=False, seed=421)
 def test_classify_recovers_drawn_families_under_conjugation(family, flag,
                                                             seed):
     # flag draws the symmetric family-2 and the special family-3 members
