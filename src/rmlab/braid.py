@@ -283,48 +283,56 @@ def _short_words(strands: int, length: int):
     return words, starts, parent, last, first, np.array(inverse)
 
 
-def _character_gram(sides, strands: int, short) -> np.ndarray:
-    """Weighted Gram matrix of the products of the words in ``short``.
+def _character_gram(sides, strands: int, short, rows) -> np.ndarray:
+    """Rows ``rows`` of the weighted Gram matrix of the products in ``short``.
 
     ``sides`` lists (R, weight) pairs and ``short`` comes from
     ``_short_words(strands, ...)``.  Entry (p, q) sums, over the sides,
     weight * tr(W_p W_q*) / d^strands with W the represented word at
-    level ``strands``.  A -1 letter is R*, so W_q* is the product of
-    q's inverse word and the entry is weight times the character of
-    p q^-1.  Row a of each product is built from row a of its parent's,
-    one GEMM per word length and last letter, so no product is ever
-    held whole.
+    level ``strands``; a -1 letter is R*, so that is weight times the
+    character of p q^-1.  Each pass builds d rows of every product from
+    its parent's, one GEMM per word length and last letter.
     """
     words, starts, parent, last = short[:4]
     n, k = len(words), 2 * (strands - 1)
-    steps = []
-    for m in range(1, len(starts) - 1):
-        layer = np.arange(starts[m], starts[m + 1])
-        for i in range(k):
-            kids = layer[last[layer] == i]
-            steps.append((kids, parent[kids], i))
-    gram = np.zeros((n, n), dtype=complex)
+    layers = [np.arange(a, b) for a, b in zip(starts[1:-1], starts[2:])]
+    steps = [(kids, parent[kids], i) for layer in layers for i in range(k)
+             for kids in [layer[last[layer] == i]]]
+    gram = np.zeros((len(rows), n), dtype=complex)
     for r, weight in sides:
         d, size = r.d, r.d ** strands
         # Letter gen acts on a row as I (x) B with B = R^(+-1) (x) I on
         # the last strands - gen + 1 slots, so only B is stored.
         letters = [pad_right(_letter(r, 1, exp), d, strands - gen - 1)
                    for gen in range(1, strands) for exp in (+1, -1)]
-        stack = np.zeros((n, size), dtype=complex)
-        conj = np.empty_like(stack)
-        for row in range(size):
-            stack[0] = 0.0
-            stack[0, row] = 1.0
+        # Rows a, ..., a + d - 1 of each product, side by side.
+        stack = np.zeros((n, d * size), dtype=complex)
+        for a in range(0, size, d):
+            stack[0] = np.eye(d, size, a).ravel()
             for kids, parents, i in steps:
                 b = letters[i]
                 stack[kids] = (stack[parents].reshape(-1, len(b))
-                               @ b).reshape(-1, size)
-            # tr(W_p W_q*) sums W_p[a, c] conj(W_q[a, c]) over rows a.
-            np.conjugate(stack, out=conj)
-            conj *= weight / size
-            gram += stack @ conj.T
+                               @ b).reshape(-1, d * size)
+            # conj tr(W_p W_q*) sums conj(W_p[a, c]) W_q[a, c] over rows a.
+            head = stack[rows]
+            np.conjugate(head, out=head)
+            head *= weight / size
+            gram += head @ stack.T
         # Free this side's buffers before the next side allocates its own.
-        del letters, stack, conj
+        del letters, stack, head
+    return np.conjugate(gram, out=gram)
+
+
+def _difference_gram(r: RMatrix, s: RMatrix, strands: int, short):
+    """Column 0 and the longest words' rows of chi_r - chi_s's Gram
+    matrix, from row 0 and one row per inverse pair; 0 elsewhere."""
+    starts, inverse = short[1], short[5]
+    own = [a for a in range(starts[-2], starts[-1]) if a < inverse[a]]
+    part = _character_gram(((r, 1), (s, -1)), strands, short, [0] + own)
+    gram = np.zeros((len(inverse),) * 2, dtype=complex)
+    # W_{a^-1} = W_a*, so G[a^-1, b^-1] = conj G[a, b] = G[b, a].
+    gram[own], gram[inverse[own]] = part[1:], part[1:, inverse].conj()
+    gram[:, 0] = part[0].conj()
     return gram
 
 
@@ -341,21 +349,20 @@ def characters_equal(r: RMatrix, s: RMatrix, max_strands: int = 4,
     otherwise ``deviation`` is the largest difference over all words
     compared.  Equality is only up to this truncation.
 
-    Products are formed only for the n words of at most
-    h = ceil(max_len / 2) letters, at level ``max_strands``.  A longer
-    word is P Q with |P| = h, and its character is tr(W_P W_Q) / D,
-    an entry of one n x n Gram matrix of those products (see
-    ``_character_gram``), accumulated for both inputs at once as
-    chi_r - chi_s.  So the cost is the products of the words of at
-    most h letters plus that Gram matrix, both built one row of the
-    products at a time.  Each character value agrees with the
-    Kronecker reference to 1e-12, and the deviation of an equal
-    verdict is rounding noise.
+    Products are formed, d rows at a time, only for the n words of at
+    most h = ceil(max_len / 2) letters at level ``max_strands``.  A
+    longer word is P Q with |P| = h, and its character is tr(W_P W_Q) / D,
+    a Gram entry of those products (see ``_character_gram``) taken for
+    both inputs at once as chi_r - chi_s.  Since W_{P^-1} = W_P*, only
+    row 0 and one row per inverse pair {P, P^-1} are computed.  Each
+    value agrees with the Kronecker reference to 1e-12; the deviation of
+    an equal verdict is rounding noise that moves with the summation order.
 
     Raises ``DomainError`` unless 0 <= tol < inf, and
     ``ResourceError`` before any allocation when the word count, the
     2 (max_strands - 1) d^(2 max_strands) entries that bound the
-    padded letters, or the n^2 Gram entries are above the dense cap.
+    padded letters, the n d^(max_strands + 1) entries of d rows of
+    every product, or the n^2 Gram entries are above the dense cap.
     """
     if max_strands < 2 or max_len < 1:
         raise DomainError("need max_strands >= 2 and max_len >= 1")
@@ -364,15 +371,14 @@ def characters_equal(r: RMatrix, s: RMatrix, max_strands: int = 4,
     k, half = 2 * (max_strands - 1), -(-max_len // 2)
     require_dense(_reduced_count(k, max_len), "the freely reduced words")
     # 64 levels of a d >= 2 letter table exceed the cap.
-    require_dense(k * max(r.d, s.d) ** (2 * min(max_strands, 64)),
-                  "the letter table")
-    # One row of every product, n d^max_strands entries, is below the
-    # larger of the two caps checked here.
+    d, levels = max(r.d, s.d), min(max_strands, 64)
+    require_dense(k * d ** (2 * levels), "the letter table")
     n = 1 + _reduced_count(k, half)
+    require_dense(n * d ** (levels + 1), "the product rows")
     require_dense(n * n, "the character Gram matrix")
     short = _short_words(max_strands, half)
     words, starts, _, last, first, inverse = short
-    gram = _character_gram(((r, 1.0), (s, -1.0)), max_strands, short)
+    gram = _difference_gram(r, s, max_strands, short)
     witness, deviation, worst, checked = None, 0.0, 0.0, 0
     # Lengths in increasing order, and P Q in row-major (P, Q) order,
     # so the first deviating word met is the shortlex-first.

@@ -1,5 +1,7 @@
 """Braid words, representations, characters, and Thoma values."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,17 +227,40 @@ def test_characters_equal_counts_words_before_walking(monkeypatch, strands,
     with pytest.raises(ResourceError,
                        match=f"Gram matrix needs {1457 ** 2} entries"):
         characters_equal(r, r, max_strands=3, max_len=11)
+    # Only d rows of every product are too large: on 2 strands, the 11
+    # words of at most 5 letters hold 11 * 3^3 entries at d = 3, above
+    # the 20 words, 2 * 3^4 letter entries and 11^2 Gram entries.
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 11 * 27 - 1)
+    for pair in ((r, flip3), (flip3, flip3)):
+        with pytest.raises(ResourceError,
+                           match=f"product rows needs {11 * 27} entries"):
+            characters_equal(*pair, max_strands=2, max_len=10)
     monkeypatch.undo()
-    # The letter table, 2 (strands - 1) d^(2 strands) entries, and the
-    # Gram matrix of the words of at most ceil(length / 2) letters must
-    # fit too.
+    # The letter table, 2 (strands - 1) d^(2 strands) entries, d rows of
+    # the products and the Gram matrix of the words of at most
+    # ceil(length / 2) letters must fit too.
     k = 2 * (strands - 1)
     short = 1 + sum(k * (k - 1) ** (n - 1)
                     for n in range(1, (length + 1) // 2 + 1))
-    need = max(words, k * 4 ** strands, short ** 2)
+    need = max(words, k * 4 ** strands, short * 2 ** (strands + 1),
+               short ** 2)
     monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", need)
     cmp = characters_equal(r, r, max_strands=strands, max_len=length)
     assert cmp.equal and cmp.words_checked == words
+
+
+def test_characters_equal_peak_memory_stays_small():
+    # d rows of the 187 products at d = 3 hold 187 * 243 entries; a
+    # larger row block, or a full conjugate copy of it, shows here.
+    r, s = rmlab.builtin("simple3"), rmlab.make_flip(3)
+    characters_equal(r, s)
+    tracemalloc.start()
+    try:
+        characters_equal(r, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
 
 
 def test_quasifree_conjugation_preserves_characters():

@@ -13,8 +13,9 @@ import pytest
 
 import rmlab
 from rmlab import characters_equal
-from rmlab.braid import _character_gram, _short_words
+from rmlab.braid import _character_gram, _difference_gram, _short_words
 from rmlab.commutant import hermitian_probe, word_product
+from rmlab.corpus import random_conjugate
 from rmlab.rmatrix import cabling_power
 from rmlab.search import ordered_map
 from rmlab.tensor import (
@@ -99,7 +100,8 @@ def test_gram_entries_are_literal_characters(name, strands, max_len):
     r = rmlab.builtin(name)
     short = _short_words(strands, max_len)
     words, *_, inverse = short
-    gram = _character_gram(((r, 1.0),), strands, short)
+    gram = _character_gram(((r, 1.0),), strands, short,
+                           np.arange(len(words)))
     cache = {}
     for p, q in itertools.product(range(len(words)), repeat=2):
         # The entry for (p, q) is the character of p q^-1.
@@ -108,6 +110,31 @@ def test_gram_entries_are_literal_characters(name, strands, max_len):
         if word not in cache:
             cache[word] = literal_character(r, word) if word else 1.0
         assert abs(gram[p, q] - cache[word]) < 1e-12, (p, q)
+
+
+@pytest.mark.parametrize("first,second,strands,max_len", [
+    ("r3", "r4", 4, 6), ("r2", "uf", 3, 5), ("simple3", "diag3", 4, 6),
+    ("simple3", "flip3", 3, 3), ("r2", "simple3", 2, 7),
+])
+def test_mirrored_gram_matches_the_full_kernel(first, second, strands,
+                                               max_len):
+    rng = np.random.default_rng([26, strands, max_len])
+    r, s = (random_conjugate(rmlab.builtin(name), rng)
+            for name in (first, second))
+    short = _short_words(strands, -(-max_len // 2))
+    starts, n = short[1], len(short[0])
+    full = _character_gram(((r, 1.0), (s, -1.0)), strands, short,
+                           np.arange(n))
+    gram = _difference_gram(r, s, strands, short)
+    # The rows of the longest words and column 0 are what
+    # characters_equal reads; half of those rows and the column are
+    # mirrored.
+    read = np.zeros((n, n), dtype=bool)
+    read[starts[-2]:] = read[:, 0] = True
+    # Complex entries, so a mirrored row that misses its conjugate fails.
+    assert np.abs(full[read].imag).max() > 0.1
+    assert np.abs(gram - full)[read].max() < 1e-12
+    assert not gram[~read].any()
 
 
 @pytest.mark.parametrize("name", ["r3", "simple3"])
@@ -168,7 +195,7 @@ def assert_matches_brute_force(cmp, want):
     ("r2", "r3"), ("r3", "r4"), ("r3special", "flip2"), ("flip2", "flip3"),
     ("r2", "flip3"),
 ])
-@pytest.mark.parametrize("strands,max_len", [(3, 4), (4, 3)])
+@pytest.mark.parametrize("strands,max_len", [(3, 4), (4, 3), (3, 5)])
 def test_characters_equal_matches_brute_force(first, second, strands,
                                               max_len):
     r, s = rmlab.builtin(first), rmlab.builtin(second)
@@ -178,7 +205,7 @@ def test_characters_equal_matches_brute_force(first, second, strands,
 
 
 @pytest.mark.parametrize("first,second,strands,max_len", [
-    ("r3", "r4", 3, 4), ("r2", "r4", 4, 3),
+    ("r3", "r4", 3, 4), ("r2", "r4", 4, 3), ("simple3", "flip3", 3, 4),
 ])
 def test_full_length_witness_comes_from_the_fold(first, second, strands,
                                                  max_len):
