@@ -8,7 +8,7 @@ and (for d = 2) an explicit classification into the four known
 families.  A failing section is recorded in ``report.errors`` instead
 of aborting the rest.
 
-Everything here is deterministic given the inputs and the seed.
+Everything is deterministic in the inputs: probes use ``PROBE_SEED``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (DomainError, InternalConsistencyError, NormalFormError,
                      RmlabError)
+from . import commutant
 from .commutant import (SubalgebraBasis, _probe_eigenspaces,
                         fixed_subalgebra, relative_commutant_L,
                         relative_commutant_M, relative_commutant_N)
@@ -149,9 +150,9 @@ def ergodicity_necessary_check(r: RMatrix) -> float:
     return abs(value - 1.0 / d ** 2)
 
 
-def is_irreducible(r: RMatrix, seed: int = 0) -> bool:
+def is_irreducible(r: RMatrix) -> bool:
     """True when the level-1 relative commutant is the scalars."""
-    return relative_commutant_M(r, 1, seed=seed).dimension == 1
+    return relative_commutant_M(r, 1).dimension == 1
 
 
 @dataclass(frozen=True)
@@ -312,8 +313,7 @@ class ReductionResult:
         return self.spec.blocks
 
 
-def reduce_involutive(r: RMatrix, tol: float = 1e-8, seed: int = 0
-                      ) -> ReductionResult:
+def reduce_involutive(r: RMatrix, tol: float = 1e-8) -> ReductionResult:
     """Recursively split an involutive solution along its commutant.
 
     Any proper projection p in the level-1 relative commutant induces
@@ -330,7 +330,7 @@ def reduce_involutive(r: RMatrix, tol: float = 1e-8, seed: int = 0
     """
     if not is_involutive(r, tol=max(tol, 1e-10)):
         raise DomainError("solution is not involutive")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(commutant.PROBE_SEED)
 
     def descend(cur: RMatrix):
         d = cur.d
@@ -342,7 +342,7 @@ def reduce_involutive(r: RMatrix, tol: float = 1e-8, seed: int = 0
                     f"scalar leaf value {c} is not +-1"
                 )
             return ReductionLeaf("trivial", sign, d)
-        m = relative_commutant_M(cur, 1, seed=int(rng.integers(2 ** 31)))
+        m = relative_commutant_M(cur, 1)
         if m.dimension == 1:
             phi = phi_image(cur)
             sign = 1 if np.trace(phi).real > 0 else -1
@@ -580,8 +580,7 @@ def _extract_product_family(r: RMatrix, w: np.ndarray, tol: float
 LAST_RESORT_C = 2.0
 
 
-def classify_dim2(r: RMatrix, tol: float = 1e-8, seed: int = 0
-                  ) -> Dim2Classification:
+def classify_dim2(r: RMatrix, tol: float = 1e-8) -> Dim2Classification:
     """Classify a d = 2 solution into the four known families.
 
     Decision order: scalar solutions; solutions with nontrivial
@@ -603,7 +602,7 @@ def classify_dim2(r: RMatrix, tol: float = 1e-8, seed: int = 0
             1, {"q": q}, np.eye(2, dtype=complex), float(resid)
         )
 
-    fixed = fixed_subalgebra(r, 1, seed=seed)
+    fixed = fixed_subalgebra(r, 1)
     if fixed.dimension > 1:
         out = _try_family4(r, fixed, tol)
         if out is not None:
@@ -680,8 +679,7 @@ def _tower(r, report, name: str) -> dict:
              "L": relative_commutant_L}[name]
     shared = {"closures": {}} if name == "L" else {}
     for n in range(1, report.n_cap + 1):
-        report.commutants.setdefault(n, {})[name] = build(
-            r, n, seed=report.seed, **shared)
+        report.commutants.setdefault(n, {})[name] = build(r, n, **shared)
     return report.commutants
 
 
@@ -706,7 +704,7 @@ def _towers_json(commutants) -> dict:
 def _irreducible(r, report) -> bool:
     m1 = report.commutants.get(1, {}).get("M")
     if m1 is None:
-        return is_irreducible(r, seed=report.seed)
+        return is_irreducible(r)
     return m1.dimension == 1
 
 
@@ -745,7 +743,7 @@ _SECTIONS = (
                lambda r, rep, x=x: _tower(r, rep, x),
                _towers_text, _towers_json) for x in "MNL"),
     _Section("fixed_dims", "fixed_dims", lambda r, rep: tuple(
-                 fixed_subalgebra(r, n, seed=rep.seed).dimension for n in
+                 fixed_subalgebra(r, n).dimension for n in
                  range(1, _feasible_fixed_cap(r.d, rep.fixed_cap) + 1)),
              lambda v, rep: "* fixed point dimensions: "
              + ", ".join(map(str, v))),
@@ -771,8 +769,8 @@ _SECTIONS = (
                  f"{n}:{'+' if sign > 0 else '-'}" for n, sign in v.blocks),
              lambda v: [{"dim": dim, "sign": sign} for dim, sign in v.blocks]),
     _Section("dim2", "dim2",
-             lambda r, rep: classify_dim2(r, seed=rep.seed)
-             if r.d == 2 else None, _dim2_text),
+             lambda r, rep: classify_dim2(r) if r.d == 2 else None,
+             _dim2_text),
     _Section("exact_index", "exact_index", _exact_index,
              lambda v, rep: f"* exact index: {v[0]:.6g} ({v[1]})",
              lambda v: {"value": v[0], "reason": v[1]}),
@@ -785,7 +783,6 @@ class AnalysisReport:
     d: int
     n_cap: int
     fixed_cap: int
-    seed: int
     ybe_residual: float
     unitarity_residual: float
     involutive: bool
@@ -814,7 +811,7 @@ class AnalysisReport:
 
     def to_dict(self) -> dict:
         out = {name: _jsonable(getattr(self, name)) for name in (
-            "label", "d", "n_cap", "fixed_cap", "seed", "ybe_residual",
+            "label", "d", "n_cap", "fixed_cap", "ybe_residual",
             "unitarity_residual", "involutive", "trivial", "errors")}
         for row, value in self._sections():
             out[row.name.partition(".")[0]] = row.encode(value)
@@ -836,16 +833,15 @@ class AnalysisReport:
         return "\n".join(lines + [""])
 
 
-def analyze(r: RMatrix, n_cap: int = 2, fixed_cap: int = 4,
-            seed: int = 0) -> AnalysisReport:
+def analyze(r: RMatrix, n_cap: int = 2, fixed_cap: int = 4
+            ) -> AnalysisReport:
     """Run every analysis section on a verified solution.
 
     Sections are independent; a failure is recorded under its name in
-    ``errors`` and the remaining sections still run.  The output is
-    deterministic in (r, n_cap, fixed_cap, seed).
+    ``errors`` and the remaining sections still run.
     """
     report = AnalysisReport(
-        r.label, r.d, n_cap, fixed_cap, seed, r.ybe_residual,
+        r.label, r.d, n_cap, fixed_cap, r.ybe_residual,
         r.unitarity_residual, is_involutive(r), is_trivial(r))
     for row in _SECTIONS:
         try:

@@ -7,8 +7,8 @@ accept unit-modulus values as ``re,im``, ``arg:theta``, or literals
 like ``i``/``-1``, and block lists as ``dim:sign`` comma lists.
 
 Exit codes: 0 success, 1 domain or verdict failure, 2 input error.
-All commands are deterministic under a fixed ``--seed`` (default from
-the RMLAB_SEED environment variable, else 0).
+All commands are deterministic; ``search`` and ``table9`` draw data from
+``--seed`` (default from the RMLAB_SEED environment variable, else 0).
 """
 
 from __future__ import annotations
@@ -195,9 +195,7 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     r = _resolve_input(args)
-    report = analyze(
-        r, n_cap=args.n_cap, fixed_cap=args.fixed_cap, seed=args.seed
-    )
+    report = analyze(r, n_cap=args.n_cap, fixed_cap=args.fixed_cap)
     if args.format == "json":
         _emit(_canonical_json(report.to_dict()), args.out)
     else:
@@ -207,7 +205,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_classify2(args) -> int:
     r = _resolve_input(args)
-    result = classify_dim2(r, seed=args.seed)
+    result = classify_dim2(r)
     if result.family is None:
         print(f"unclassified (best residual {result.residual:.3e})")
         return EXIT_VERDICT
@@ -286,7 +284,7 @@ def cmd_search(args) -> int:
     if args.out:
         with open(args.out, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    family = classify_dim2(sol, seed=args.seed) if args.d == 2 else None
+    family = classify_dim2(sol) if args.d == 2 else None
     family_text = (
         "unclassified" if family is None or family.family is None
         else f"family {family.family}"
@@ -327,15 +325,15 @@ def _table9_row(family: int, samples: int, seed: int):
     hits = 0
     for k in range(samples):
         r = random_conjugate(draw(rng, k), rng)
-        m = relative_commutant_M(r, 1, seed=seed)
+        m = relative_commutant_M(r, 1)
         ok &= m.block_profile == profiles[k % 2]
         ok &= is_ergodic(r).ergodic == ergodic
         if family == 1:
             ok &= is_trivial(r)
         if family == 4:
-            ok &= tuple(fixed_subalgebra(r, n, seed=seed).dimension
+            ok &= tuple(fixed_subalgebra(r, n).dimension
                         for n in (1, 2, 3, 4)) == (2, 4, 8, 16)
-        hits += classify_dim2(r, seed=seed).family == family
+        hits += classify_dim2(r).family == family
     return (name, samples, expected, ok, hits)
 
 
@@ -392,13 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
                    type=functools.partial(_int_at_least, 0, "--n-cap"))
     p.add_argument("--fixed-cap", default=4, dest="fixed_cap",
                    type=functools.partial(_int_at_least, 1, "--fixed-cap"))
-    p.add_argument("--seed", type=seed)
     p.add_argument("--format", choices=("md", "json"), default="md")
     p.add_argument("-o", "--out", help="write to file instead of stdout")
 
     p = sub.add_parser("classify2", help="d = 2 family classification")
     _add_input_options(p)
-    p.add_argument("--seed", type=seed)
 
     p = sub.add_parser("character", help="character of a braid word")
     _add_input_options(p)

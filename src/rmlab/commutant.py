@@ -44,7 +44,7 @@ basis is projected out, and the rows themselves where nothing cancels
 rounding noise is cut as noise.  Dense operators are checked against
 ``DENSE_ENTRY_CAP`` before they are built.  Block structure (the
 Wedderburn profile) is detected on first read from the eigenspaces of
-one seeded random Hermitian element of the algebra, drawn by the same
+one random Hermitian element of the algebra, drawn by the same
 :func:`_probe_eigenspaces` as the commutant probes, and reported as a
 sorted tuple of full matrix block sizes; detection can fail on
 degenerate draws, in which case the profile is left unresolved rather
@@ -102,6 +102,10 @@ NULLSPACE_ATOL = 1e-12
 
 #: Probes drawn before a block profile is left unresolved.
 WEDDERBURN_RETRIES = 6
+
+#: Seed of every probe generator, read at call time.  Probes are
+#: certified or retried, so no result depends on it.
+PROBE_SEED = 0
 
 #: Relative distance within which probe eigenvalues share a cluster.
 PROBE_MERGE_TOL = 1e-3
@@ -185,8 +189,7 @@ class SubalgebraBasis:
     the basis, read-only; the elements (``basis``) and the block
     profile are derived from it on first read and then cached.
     ``block_profile`` is the sorted tuple of matrix block sizes of the
-    algebra (so the squares sum to the dimension), or None when the
-    randomized detection, seeded with ``seed``, could not resolve it.
+    algebra (so the squares sum to the dimension), or None if unresolved.
     ``converged`` is False only for truncation-based computations that
     hit their budget.
     """
@@ -194,7 +197,6 @@ class SubalgebraBasis:
     d: int
     level: int
     columns: np.ndarray = field(repr=False)
-    seed: int = 0
     converged: bool = True
     meta: dict = field(default_factory=dict)
 
@@ -204,10 +206,6 @@ class SubalgebraBasis:
     @property
     def dimension(self) -> int:
         return self.columns.shape[1]
-
-    def span_columns(self) -> np.ndarray:
-        """l2-orthonormal vectorizations of the basis, as columns."""
-        return self.columns
 
     def _matrices(self) -> list:
         dim = self.d ** self.level
@@ -221,7 +219,7 @@ class SubalgebraBasis:
     @functools.cached_property
     def block_profile(self) -> tuple | None:
         try:
-            return wedderburn_decompose(self._matrices(), seed=self.seed)
+            return wedderburn_decompose(self._matrices())
         except (DomainError, DegeneracyError):
             return None
 
@@ -243,8 +241,7 @@ def profile_string(profile) -> str:
     return " (+) ".join(parts) if parts else "0"
 
 
-def relative_commutant_M(r: RMatrix, n: int, seed: int = 0
-                         ) -> SubalgebraBasis:
+def relative_commutant_M(r: RMatrix, n: int) -> SubalgebraBasis:
     """Level-n relative commutant M_{R,n} = {x : lambda(x) = x (x) 1}:
     the commutant of the blocks K_ab of the lambda word u, at its last
     output slot b and first input slot a."""
@@ -252,10 +249,10 @@ def relative_commutant_M(r: RMatrix, n: int, seed: int = 0
     require_dense(d ** (4 * n + 2), f"the level-{n} M operator")
     u = _lambda_word(r, n).reshape(dim, d, d, dim)
     blocks = u.transpose(2, 1, 0, 3).reshape(d * d, dim, dim)
-    return SubalgebraBasis(d, n, commutant_of(blocks), seed)
+    return SubalgebraBasis(d, n, commutant_of(blocks))
 
 
-def fixed_subalgebra(r: RMatrix, n: int, seed: int = 0) -> SubalgebraBasis:
+def fixed_subalgebra(r: RMatrix, n: int) -> SubalgebraBasis:
     """Fixed points of the canonical endomorphism in F^n: the commutant
     of the last-slot blocks u_ij of R phi(R) ... phi^(n-1)(R)."""
     d = r.d
@@ -263,11 +260,10 @@ def fixed_subalgebra(r: RMatrix, n: int, seed: int = 0) -> SubalgebraBasis:
     dim = d ** n
     u = word_product(r, n).reshape(dim, d, dim, d)
     blocks = u.transpose(1, 3, 0, 2).reshape(d * d, dim, dim)
-    return SubalgebraBasis(d, n, _star_commutant(blocks, seed), seed)
+    return SubalgebraBasis(d, n, _star_commutant(blocks))
 
 
-def relative_commutant_N(r: RMatrix, n: int, seed: int = 0
-                         ) -> SubalgebraBasis:
+def relative_commutant_N(r: RMatrix, n: int) -> SubalgebraBasis:
     """Largest subalgebra V of F^n with u phi(V) u* inside V (x) 1.
 
     Computed by shrinking from the full algebra: at each round, keep
@@ -296,7 +292,7 @@ def relative_commutant_N(r: RMatrix, n: int, seed: int = 0
         q = q @ keep
     else:
         raise InternalConsistencyError("stabilization did not terminate")
-    return SubalgebraBasis(d, n, q, seed)
+    return SubalgebraBasis(d, n, q)
 
 
 def generated_algebra(mats) -> np.ndarray:
@@ -337,8 +333,7 @@ def _generator_images(r: RMatrix, m: int) -> np.ndarray:
 
 
 def relative_commutant_L(r: RMatrix, n: int, max_strands: int = 4,
-                         seed: int = 0, closures: dict | None = None
-                         ) -> SubalgebraBasis:
+                         closures: dict | None = None) -> SubalgebraBasis:
     """The algebra generated by E_n(A_m) at the largest strand count m.
 
     m runs from max(n, 2) to max(max_strands, n); ``meta["dims"]`` holds
@@ -360,20 +355,18 @@ def relative_commutant_L(r: RMatrix, n: int, max_strands: int = 4,
         expect = _row_space_basis(images.reshape(len(images), -1) / rest)
         dims.append(expect.shape[1])
     gens = expect.T.reshape(-1, d ** n, d ** n) * math.sqrt(d ** n)
-    return SubalgebraBasis(d, n, generated_algebra(gens), seed,
+    return SubalgebraBasis(d, n, generated_algebra(gens),
                            converged=len(dims) > 1 and dims[-1] == dims[-2],
                            meta={"dims": tuple(dims)})
 
 
-def braid_image_commutant(r: RMatrix, n: int, seed: int = 0
-                          ) -> SubalgebraBasis:
+def braid_image_commutant(r: RMatrix, n: int) -> SubalgebraBasis:
     """Commutant of the braid generator images in F^n (all of it if n < 2)."""
     d = r.d
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
     require_dense((n - 1) * d ** (4 * n), f"the level-{n} braid operator")
-    return SubalgebraBasis(d, n, _star_commutant(_generator_images(r, n),
-                                                 seed), seed)
+    return SubalgebraBasis(d, n, _star_commutant(_generator_images(r, n)))
 
 
 def commutant_of(mats, span=None) -> np.ndarray:
@@ -401,7 +394,7 @@ def commutant_of(mats, span=None) -> np.ndarray:
     return nullspace(rows, 2.0 * math.sqrt(norm2))
 
 
-def _star_commutant(mats, seed: int) -> np.ndarray:
+def _star_commutant(mats) -> np.ndarray:
     """:func:`commutant_of` ``mats`` as row-major columns: probe, solve,
     certify.
 
@@ -420,7 +413,7 @@ def _star_commutant(mats, seed: int) -> np.ndarray:
     mats = np.asarray(mats, dtype=complex)
     if not len(mats):
         return commutant_of(mats)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PROBE_SEED)
     vecs, groups = _probe_eigenspaces(mats, rng)
     dim = len(vecs)
     span = np.concatenate([
@@ -475,12 +468,12 @@ def _check_algebra(mats, cols, tol: float = 1e-9) -> None:
         raise DomainError("span is not closed under products")
 
 
-def wedderburn_decompose(span, tol: float = 1e-9, seed: int = 0) -> tuple:
+def wedderburn_decompose(span, tol: float = 1e-9) -> tuple:
     """Matrix block sizes of a finite-dimensional unital *-algebra A.
 
     The input span (algebra elements or raw matrices) is validated to
     be a unital *-closed multiplicatively closed subspace, then probed
-    with a seeded random Hermitian element of A.  For a generic probe
+    with a random Hermitian element of A.  For a generic probe
     each eigenspace projection p_a is minimal in A, so
     links[a, b] = dim p_a A p_b = sum_i |V_a* b_i V_b|_F^2, over an
     orthonormal basis b_i and with V_a the eigenvectors of p_a, is 1
@@ -504,7 +497,7 @@ def wedderburn_decompose(span, tol: float = 1e-9, seed: int = 0) -> tuple:
     basis = cols.T.reshape(k, dim, dim)
     _check_algebra(basis, cols, tol=tol)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PROBE_SEED)
     last_error = ""
     for _ in range(WEDDERBURN_RETRIES):
         vecs, groups = _probe_eigenspaces(basis, rng)

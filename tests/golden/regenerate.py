@@ -56,7 +56,7 @@ def cases() -> list:
 
 def run_case(argv: list, out_path: str | None) -> tuple:
     """(exit code, stdout) of ``rmlab ARGV`` with ``{out}`` filled in."""
-    argv = [out_path if a == "{out}" else a for a in argv]
+    argv = [str(out_path) if a == "{out}" else a for a in argv]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)

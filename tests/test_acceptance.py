@@ -64,7 +64,7 @@ def report(number: int, ok: bool, budget: float, elapsed: float,
 
 
 def inclusion_residual(inner, outer) -> float:
-    cols = outer.span_columns()
+    cols = outer.columns
     proj = cols @ cols.conj().T
     worst = 0.0
     for el in inner.basis:
@@ -259,7 +259,7 @@ def test_criterion_5_operation_identities():
         )
 
         m_new = relative_commutant_M(new, 1)
-        cols = m_new.span_columns()
+        cols = m_new.columns
         proj = cols @ cols.conj().T
         for side, offset in ((s, 0), (t, d)):
             for el in relative_commutant_M(side, 1).basis:

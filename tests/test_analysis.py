@@ -314,12 +314,12 @@ def test_classify_recovers_drawn_families_under_conjugation(family, flag,
 
 
 def test_close_probe_eigenvalues_keep_the_family4_fixed_points():
-    # The seed-0 fixed-point probe of this draw has two eigenvalues
+    # The fixed-point probe of this draw has two eigenvalues
     # 9e-4 apart; solved as separate clusters they left a rounding
     # singular value above the null space floor and lost a direction.
     rng = np.random.default_rng(136048)
     r = random_conjugate(random_family4(rng)[0], rng)
-    assert fixed_subalgebra(r, 1, seed=0).dimension == 2
+    assert fixed_subalgebra(r, 1).dimension == 2
     c = classify_dim2(r)
     assert c.family == 4
     assert c.residual <= 1e-12
@@ -333,7 +333,7 @@ def test_a_noise_only_reduced_system_keeps_the_family4_fixed_points(seed):
     # floor, far below 1e-9 of its inputs.
     rng = np.random.default_rng(seed)
     r = random_conjugate(random_family4(rng)[0], rng)
-    assert fixed_subalgebra(r, 1, seed=0).dimension == 2
+    assert fixed_subalgebra(r, 1).dimension == 2
     c = classify_dim2(r)
     assert c.family == 4
     assert c.residual <= 1e-8
@@ -410,7 +410,7 @@ def test_classify_rejects_other_dimensions():
 
 
 def test_analyze_report_is_clean_and_serializable():
-    report = analyze(rmlab.builtin("r2"), seed=5)
+    report = analyze(rmlab.builtin("r2"))
     assert report.errors == {}
     assert report.d == 2
     assert not report.trivial
@@ -501,7 +501,7 @@ def test_concentration_grid_matches_the_pointwise_loop(name):
 def test_a_failing_tower_keeps_the_other_towers(monkeypatch):
     import rmlab.analysis
 
-    def closure_fails(r, n, seed=0, closures=None):
+    def closure_fails(r, n, closures=None):
         raise InternalConsistencyError("closure failed")
 
     def refuse(*args, **kwargs):

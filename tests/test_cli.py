@@ -211,7 +211,7 @@ def test_analyze_json_is_deterministic(capsys, tmp_path):
     for path in (a, b):
         code, _, _ = run(
             capsys, "analyze", "--builtin", "r3", "--format", "json",
-            "--seed", "11", "-o", str(path),
+            "-o", str(path),
         )
         assert code == 0
     assert a.read_text() == b.read_text()
@@ -288,13 +288,12 @@ def test_table9_jobs_deterministic(capsys, tmp_path):
 
 def test_seed_env_default(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("RMLAB_SEED", "11")
-    a = tmp_path / "a.json"
+    a = tmp_path / "a.jsonl"
     code, _, _ = run(
-        capsys, "analyze", "--builtin", "r3", "--format", "json",
-        "-o", str(a),
+        capsys, "search", "--restarts", "1", "--out", str(a),
     )
     assert code == 0
-    assert json.loads(a.read_text())["seed"] == 11
+    assert json.loads(a.read_text())["config"]["seed"] == 11
 
 
 @pytest.mark.parametrize("d,entries", [
@@ -315,12 +314,12 @@ def test_main_builds_the_parser_once_and_calls_commands_by_name(
     parser = rmlab.cli.build_parser()
     seen = []
     monkeypatch.delenv("RMLAB_SEED", raising=False)
-    monkeypatch.setattr(rmlab.cli, "cmd_classify2",
+    monkeypatch.setattr(rmlab.cli, "cmd_table9",
                         lambda args: seen.append(args.seed) or 0)
-    assert run(capsys, "classify2", "--builtin", "r4")[0] == 0
+    assert run(capsys, "table9")[0] == 0
     monkeypatch.setenv("RMLAB_SEED", "7")
-    assert run(capsys, "classify2", "--builtin", "r4")[0] == 0
-    assert run(capsys, "classify2", "--builtin", "r4", "--seed", "3")[0] == 0
+    assert run(capsys, "table9")[0] == 0
+    assert run(capsys, "table9", "--seed", "3")[0] == 0
     assert seen == [0, 7, 3]
     assert rmlab.cli.build_parser() is parser
 
@@ -331,6 +330,16 @@ def test_bad_seed_env_is_exit_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "RMLAB_SEED" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify2"])
+def test_probe_commands_take_no_seed(capsys, command):
+    # Their random probes draw from a constant; --seed is unknown.
+    code, out, err = run(capsys, command, "--builtin", "r4", "--seed", "3")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --seed" in err
+    assert "Traceback" not in err
 
 
 def test_bad_input_from_the_shell_prints_no_traceback(tmp_path,

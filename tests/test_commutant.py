@@ -51,7 +51,7 @@ def _operator_matrix(map_fn, d, level):
 
 
 def span_columns_contain(outer, inner, tol=1e-9):
-    cols = outer.span_columns()
+    cols = outer.columns
     proj = cols @ cols.conj().T
     for el in inner.basis:
         v = el.matrix.reshape(-1)
@@ -185,7 +185,7 @@ def test_every_tower_span_passes_the_algebra_check(name):
         if name != "diag3":
             towers.append(relative_commutant_L(r, n, closures=closures))
         for b in towers:
-            cols = b.span_columns()
+            cols = b.columns
             _check_algebra(cols.T.reshape(-1, r.d ** n, r.d ** n), cols)
 
 
@@ -303,8 +303,8 @@ def _random_m_n_draw(case, rng):
        seed=st.integers(0, 2 ** 16))
 def test_m_inside_n_on_random_draws(case, n, seed):
     r = _random_m_n_draw(case, np.random.default_rng(seed))
-    m = relative_commutant_M(r, n).span_columns()
-    q = relative_commutant_N(r, n).span_columns()
+    m = relative_commutant_M(r, n).columns
+    q = relative_commutant_N(r, n).columns
     assert np.abs(m - q @ (q.conj().T @ m)).max(initial=0.0) <= 1e-9
 
 
@@ -397,12 +397,12 @@ def test_block_profile_is_detected_once_on_first_read(monkeypatch, name,
         return wedderburn_decompose(*args, **kwargs)
 
     monkeypatch.setattr(rmlab.commutant, "wedderburn_decompose", counted)
-    b = build(rmlab.builtin(name), n, seed=7)
+    b = build(rmlab.builtin(name), n)
     assert calls == []
     profile = b.block_profile
     assert b.block_profile == profile
-    assert calls == [{"seed": 7}]
-    assert profile == wedderburn_decompose(b.basis, seed=7)
+    assert calls == [{}]
+    assert profile == wedderburn_decompose(b.basis)
 
 
 @pytest.mark.parametrize("b", [
@@ -412,7 +412,7 @@ def test_block_profile_is_detected_once_on_first_read(monkeypatch, name,
     braid_image_commutant(rmlab.builtin("r2"), 1),
 ], ids=["M", "N", "L", "braid"])
 def test_span_columns_are_read_only_and_orthonormal(b):
-    cols = b.span_columns()
+    cols = b.columns
     assert cols.shape == (b.d ** (2 * b.level), b.dimension)
     assert not cols.flags.writeable
     with pytest.raises(ValueError):
@@ -652,7 +652,7 @@ from rmlab.corpus import random_conjugate, random_family2
 print(generated_algebra(_generator_images(r, 4)).shape[1])
 for n in (1, 2):
     lb, mb = rmlab.relative_commutant_L(r, n), rmlab.relative_commutant_M(r, n)
-    a, b = lb.span_columns(), mb.span_columns()
+    a, b = lb.columns, mb.columns
     print(lb.dimension, lb.converged, lb.block_profile, mb.block_profile,
           np.abs(a - b @ (b.conj().T @ a)).max() <= 1e-9)
 """
@@ -805,7 +805,7 @@ def _last_slot_blocks(r, n):
 
 
 def _assert_same_subspace(b, reference, tol=1e-12):
-    cols = b.span_columns()
+    cols = b.columns
     assert cols.shape == reference.shape
     assert not cols.flags.writeable
     assert np.allclose(cols.conj().T @ cols, np.eye(b.dimension),
@@ -832,8 +832,8 @@ def test_reduced_commutants_match_the_matrix_unit_reference(name, n):
 def test_reduced_commutants_do_not_depend_on_the_probe(monkeypatch, probe,
                                                        name, n):
     r = rmlab.builtin(name)
-    want = [fixed_subalgebra(r, n).span_columns(),
-            braid_image_commutant(r, n).span_columns()]
+    want = [fixed_subalgebra(r, n).columns,
+            braid_image_commutant(r, n).columns]
     draw = rmlab.commutant.hermitian_probe
     if probe == "zero":
         # One cluster: the span is every matrix unit.
@@ -897,10 +897,14 @@ def _random_draw(family, rng):
 def test_certified_commutants_match_the_full_system(case, seed):
     family, n = case
     r = _random_draw(family, np.random.default_rng(seed))
-    _assert_same_subspace(fixed_subalgebra(r, n, seed=seed),
-                          commutant_of(_last_slot_blocks(r, n)), tol=1e-10)
-    _assert_same_subspace(braid_image_commutant(r, n, seed=seed),
-                          commutant_of(_generator_images(r, n)), tol=1e-10)
+    # Each example also draws its probes from its own seed.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rmlab.commutant, "PROBE_SEED", seed)
+        fixed, braid = fixed_subalgebra(r, n), braid_image_commutant(r, n)
+    _assert_same_subspace(fixed, commutant_of(_last_slot_blocks(r, n)),
+                          tol=1e-10)
+    _assert_same_subspace(braid, commutant_of(_generator_images(r, n)),
+                          tol=1e-10)
 
 
 @pytest.mark.parametrize("build,name,n,second", [
@@ -915,7 +919,7 @@ def test_certified_commutants_match_the_full_system(case, seed):
 def test_a_failed_certificate_falls_back_to_every_matrix(monkeypatch, build,
                                                           name, n, second):
     r = rmlab.builtin(name)
-    want = build(r, n).span_columns()
+    want = build(r, n).columns
     draw, solve = rmlab.commutant.hermitian_probe, commutant_of
     probes, solved = [], []
 

@@ -1,23 +1,28 @@
-"""The golden corpus: command outputs compared structurally.
+"""The golden corpus: command outputs compared structurally; probe seeds.
 
 ``tests/golden/cases.json`` lists the command lines; each case reruns
-here through ``rmlab.cli.main`` and must match its stored outputs.
+here as ``tests/golden/regenerate.py`` ran it, through
+``rmlab.cli.main``, and must match its stored outputs.
 Integers, booleans, strings (profiles and family labels among them) and
 exit codes match exactly.  Floats, in JSON and in text lines, match
 within ``RTOL`` relative with an ``ATOL`` absolute floor, so rounding-
 level fields (a residual of 2.5e-15) may move with the BLAS thread
-count.  Regenerate with ``tests/golden/regenerate.py``.
+count.  Regenerate the corpus with that script.
+
+The random probes of the algebra layer all draw from the constant
+``rmlab.commutant.PROBE_SEED``; no output may depend on its value.
 """
 
-import contextlib
-import io
+import functools
 import json
 import os
 import re
 
+import numpy as np
 import pytest
 
-from rmlab.cli import main
+import rmlab
+from golden.regenerate import run_case
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 RTOL, ATOL = 1e-9, 1e-12
@@ -91,15 +96,6 @@ def output_diffs(name: str, want: str, got: str) -> list:
     return text_diffs(want, got)
 
 
-def run_case(argv, out_path) -> tuple:
-    """(exit code, stdout) of ``rmlab ARGV`` with ``{out}`` filled in."""
-    argv = [str(out_path) if a == "{out}" else a for a in argv]
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(argv)
-    return code, buf.getvalue()
-
-
 @pytest.mark.parametrize("case", _cases(), ids=lambda c: c["name"])
 def test_command_output_matches_the_golden_corpus(case, monkeypatch,
                                                    tmp_path):
@@ -139,3 +135,39 @@ def test_text_lines_compare_numbers_by_kind(want, got, same):
 ])
 def test_json_values_compare_by_kind(want, got, same):
     assert (json_diffs(want, got) == []) == same
+
+
+# analyze is byte-identical across probe seeds on these builtins.
+_PROBE_BUILTINS = [name for name in rmlab.builtin_names()
+                   if rmlab.builtin(name).d == 2] + ["flip3"]
+
+
+def _probe_outputs() -> tuple:
+    """At the current probe seed: the ``analyze`` JSON text of each of
+    ``_PROBE_BUILTINS``, and the parsed JSON of six random conjugates,
+    two each of families 2, 3 and 4."""
+    texts = [run_case(["analyze", "--builtin", name, "--format", "json"],
+                      None) for name in _PROBE_BUILTINS]
+    rng = np.random.default_rng(5)
+    draws = [rmlab.random_conjugate(family(rng)[0], rng) for _ in range(2)
+             for family in (rmlab.random_family2, rmlab.random_family3,
+                            rmlab.random_family4)]
+    return texts, [json.loads(json.dumps(rmlab.analyze(r).to_dict()))
+                   for r in draws]
+
+
+@functools.cache
+def _probe_seed_zero_outputs() -> tuple:
+    assert rmlab.commutant.PROBE_SEED == 0
+    return _probe_outputs()
+
+
+@pytest.mark.parametrize("probe_seed", [1, 2, 12345])
+def test_probe_seeds_change_no_output(monkeypatch, probe_seed):
+    want_texts, want_draws = _probe_seed_zero_outputs()
+    monkeypatch.setattr(rmlab.commutant, "PROBE_SEED", probe_seed)
+    texts, draws = _probe_outputs()
+    assert texts == want_texts
+    # Family 4's dim2 q, conjugator and residual move at rounding level.
+    assert [json_diffs(a, b) for a, b in zip(want_draws, draws)] == [
+        []] * len(draws)
