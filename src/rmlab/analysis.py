@@ -576,7 +576,7 @@ def _extract_product_family(r: RMatrix, w: np.ndarray, tol: float
 #: The last resort of ``classify_dim2`` accepts a support residual up to
 #: this multiple of sqrt(ybe_residual): the solution variety is singular
 #: on the supports, so a solution with defect delta can lie about
-#: sqrt(delta) off them (capped d = 2 searches: up to 0.73 sqrt(delta)).
+#: sqrt(delta) off them (d = 2 search endpoints: up to 0.75 sqrt(delta)).
 LAST_RESORT_C = 2.0
 
 

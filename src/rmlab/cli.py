@@ -151,11 +151,12 @@ def _reverified(r: RMatrix, tol: float) -> RMatrix:
 
 
 def _resolve_input(args) -> RMatrix:
-    tol = getattr(args, "tol", DEFAULT_TOL)
-    if getattr(args, "input", None):
-        return load_solution(args.input, tol=tol)
-    if getattr(args, "builtin", None):
-        return _reverified(_build_builtin(args), tol)
+    if args.input and args.builtin:
+        raise ParseError("two inputs: give a JSON file or --builtin NAME")
+    if args.input:
+        return load_solution(args.input, tol=args.tol)
+    if args.builtin:
+        return _reverified(_build_builtin(args), args.tol)
     raise ParseError("no input: give a JSON file or --builtin NAME")
 
 
@@ -170,9 +171,10 @@ def _canonical_json(obj) -> str:
 
 
 def _format_complex(z: complex) -> str:
+    real = z.real + 0.0  # -0.0 + 0.0 is 0.0: no "-0"
     if abs(z.imag) <= 1e-14:
-        return f"{z.real:.12g}"
-    return f"{z.real:.12g}{z.imag:+.12g}j"
+        return f"{real:.12g}"
+    return f"{real:.12g}{z.imag:+.12g}j"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -284,16 +286,12 @@ def cmd_search(args) -> int:
     if args.out:
         with open(args.out, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    family = classify_dim2(sol) if args.d == 2 else None
-    family_text = (
-        "unclassified" if family is None or family.family is None
-        else f"family {family.family}"
-    )
-    print(
-        f"success: restart {result.restarts_used - 1}, "
-        f"steps {result.run.steps}, "
-        f"ybe_residual={sol.ybe_residual:.6e}, {family_text}"
-    )
+    line = (f"success: restart {result.restarts_used - 1}, "
+            f"steps {result.run.steps}, ybe_residual={sol.ybe_residual:.6e}")
+    if args.d == 2:  # the only dimension with a classifier
+        family = classify_dim2(sol).family
+        line += ", unclassified" if family is None else f", family {family}"
+    print(line)
     return EXIT_OK
 
 

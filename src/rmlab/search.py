@@ -4,9 +4,11 @@ The objective is the squared Frobenius norm of the braid defect
 (U x 1)(1 x U)(U x 1) - (1 x U)(U x 1)(1 x U) over U(d^2).  Riemannian
 steepest descent follows the closed-form gradient's skew-Hermitian
 tangent coordinate along an eigh exponential with warm-started Armijo
-steps.  A converged run is projected onto U(d^2) and polished by
-Gauss-Newton steps on one SVD-factored Jacobian, reused while each step
-halves the objective.  Seeds make every run reproducible.
+steps.  At an objective of 1e-6 the run is projected onto U(d^2) and
+polished by Gauss-Newton steps on one SVD-factored Jacobian, reused
+while each step halves the objective; a polish that stalls above the
+squared target or verify's gate is dropped, and the descent goes on to
+the target before a last polish.  Seeds make every run reproducible.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 
 from .braid import BraidWord, character
 from .errors import DomainError, ShapeError, VerificationError
-from .rmatrix import RMatrix, braid_defect, require_dense, verify
+from .rmatrix import (DEFAULT_TOL, RMatrix, braid_defect, require_dense,
+                      verify)
 from .tensor import partial_trace_left, trace_out_first, trace_out_last
 
 __all__ = [
@@ -189,7 +192,8 @@ def _polish(u: np.ndarray, d: int) -> np.ndarray:
     below 1e-8 relative (the conjugation orbit makes it rank-deficient);
     its factors give minimum-norm steps while each step at least halves
     the objective.  A step that does not is dropped.  On old factors it
-    triggers a refactorization at the current point; on fresh ones it
+    triggers a refactorization at the current point, unless it did not
+    lower the objective at all (the rounding floor); on fresh ones it
     ends the polish, as do an objective of 1e-30 and 60 steps.
     """
     u = _reunitarize(u)
@@ -210,7 +214,7 @@ def _polish(u: np.ndarray, d: int) -> np.ndarray:
         trial_value = _squared_norm(trial_state[-1])
         if trial_value <= value / 2:
             u, state, value, fresh = trial, trial_state, trial_value, False
-        elif fresh:
+        elif fresh or trial_value >= value:
             break
         else:
             factors = None
@@ -250,6 +254,8 @@ def search_unitary_solution(d: int, seed: int = 0,
     at trial points; the accepted trial's build goes on to the next
     gradient.  Each step takes one ``eigh`` and starts at the last
     accepted step size, doubled (up to 1) after a first-try acceptance.
+    At max(target, 1e-6) the point is polished once; if that reaches the
+    target and ``DEFAULT_TOL ** 2``, the descent ends there.
     """
     if d < 2:
         raise DomainError(f"need d >= 2, got {d}")
@@ -268,10 +274,16 @@ def search_unitary_solution(d: int, seed: int = 0,
     steps = backtracks = trials = 0
     state = braid_defect(u, d)
     value = _squared_norm(state[-1])
-    grad_norm = math.inf
+    grad_norm, handoff, polished = math.inf, max(target, 1e-6), None
     for _ in range(max_iterations):
         if value <= target:
             break
+        if value <= handoff:  # once; on a stall the descent goes on
+            handoff, trial = 0.0, _polish(u, d)
+            if _squared_norm(ybe_defect(trial, d)) <= min(target,
+                                                          DEFAULT_TOL ** 2):
+                polished = trial
+                break
         xi = riemannian_gradient(u, ybe_euclidean_gradient(u, d, state))
         grad_norm = float(np.linalg.norm(xi))
         if grad_norm < 1e-14:
@@ -298,7 +310,10 @@ def search_unitary_solution(d: int, seed: int = 0,
             u = _reunitarize(u)
             state = braid_defect(u, d)
             value = _squared_norm(state[-1])
-    u = _polish(u, d) if value <= max(target, 1e-6) else _reunitarize(u)
+    if polished is None:
+        u = _polish(u, d) if value <= max(target, 1e-6) else _reunitarize(u)
+    else:
+        u = polished
     value = _squared_norm(ybe_defect(u, d))
     return SearchRun(value <= target, value, steps, grad_norm, u,
                      backtracks, trials)

@@ -1,6 +1,7 @@
 """Regenerate the golden corpus: what each listed command line prints.
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/golden/regenerate.py
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/golden/regenerate.py \
+        [PREFIX ...]
 
 Every case runs one ``rmlab`` command line through ``rmlab.cli.main``
 in this process.  Its stdout goes to ``<case>.json`` (``analyze
@@ -10,6 +11,11 @@ with its command line (``{out}`` stands for the ``--out`` file), its
 exit code and its files.  ``tests/test_golden.py`` reruns the cases and
 compares them structurally, so regenerate only for an intended output
 change, and review the diff.
+
+Given case-name prefixes (``search- classify2-r2``), only the cases
+whose names start with one of them are rerun; the files of every other
+case, and their entries in ``cases.json``, stay byte-identical.  With
+none, every case is rerun.
 """
 
 from __future__ import annotations
@@ -63,12 +69,17 @@ def run_case(argv: list, out_path: str | None) -> tuple:
     return code, buf.getvalue()
 
 
-def main_regenerate() -> None:
-    # analyze and classify2 read their default seed from RMLAB_SEED.
+def main_regenerate(prefixes: list) -> None:
+    # search and table9 read their default seed from RMLAB_SEED.
     os.environ.pop("RMLAB_SEED", None)
+    with open(os.path.join(HERE, "cases.json"), encoding="utf-8") as fh:
+        kept = {entry["name"]: entry for entry in json.load(fh)}
     manifest = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv, suffix, writes in cases():
+            if prefixes and not name.startswith(tuple(prefixes)):
+                manifest.append(kept[name])
+                continue
             out_path = os.path.join(tmp, name + ".jsonl") if writes else None
             code, stdout = run_case(argv, out_path)
             entry = {"name": name, "argv": argv, "exit": code,
@@ -89,4 +100,4 @@ def main_regenerate() -> None:
 
 
 if __name__ == "__main__":
-    main_regenerate()
+    main_regenerate(sys.argv[1:])

@@ -50,6 +50,7 @@ from rmlab import (
     verify,
 )
 from rmlab.analysis import CONCENTRATION_THRESHOLD
+from rmlab.errors import VerificationError
 
 
 def report(number: int, ok: bool, budget: float, elapsed: float,
@@ -417,7 +418,10 @@ def test_criterion_9_search():
         if not (run.converged and run.objective < 1e-8):
             continue
         converged += 1
-        r = verify(run.matrix, 2)
+        try:  # a converged run above the 1e-10 gate counts as unverified
+            r = verify(run.matrix, 2)
+        except VerificationError:
+            continue
         verified += 1
         labeled += classify_dim2(r).family is not None
 

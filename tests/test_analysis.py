@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -365,19 +366,26 @@ def test_classify_near_special_family_three(run_python):
     assert proc.stdout.strip() == "260"
 
 
-# d = 2 descents that run to the 2,000-step cap and end near degenerate
-# solutions, where the best basis is about sqrt(ybe_residual) off the
-# family supports: above the 1e-8 tolerance for these seeds.
-_CAPPED_SEEDS = (63, 69, 74, 86, 109, 132, 135, 137, 165, 182, 187, 201,
-                 228)
+# Endpoints of d = 2 descents (seeds 63, 69, ..., 228) that ran to the
+# 2,000-step cap when the descent went all the way to the target before
+# its polish.  They lie near degenerate solutions, where the best basis
+# is about sqrt(ybe_residual) off the family supports: above the 1e-8
+# tolerance for some.  The search no longer ends there, so the matrices
+# are frozen in this file.
+_CAPPED_ENDPOINTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                 "capped_search_endpoints.json")
 
 
 def test_classify_labels_capped_search_endpoints(monkeypatch):
+    with open(_CAPPED_ENDPOINTS, encoding="utf-8") as fh:
+        endpoints = json.load(fh)
+    assert len(endpoints) == 13
     beyond_tol = 0
-    for seed in _CAPPED_SEEDS:
-        run = rmlab.search_unitary_solution(2, seed=seed)
-        assert run.converged and run.steps == 2000
-        r = rmlab.verify(run.matrix, 2)
+    for point in endpoints:
+        seed = point["seed"]
+        assert point["steps"] == 2000
+        matrix = np.array([complex(*z) for z in point["entries"]])
+        r = rmlab.verify(matrix.reshape(4, 4), 2)
         c = classify_dim2(r)
         assert c.family in (2, 3), seed
         if c.residual > 1e-8:

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rmlab
-from rmlab.cli import main, parse_blocks, parse_phase, parse_word
+from rmlab.cli import (
+    _format_complex,
+    main,
+    parse_blocks,
+    parse_phase,
+    parse_word,
+)
 from rmlab.errors import ParseError
 
 
@@ -120,6 +126,28 @@ def test_verify_unreadable_input_is_exit_2(capsys, tmp_path):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "analyze", "classify2",
+                                     "character"])
+def test_a_file_and_a_builtin_together_are_exit_2(command, capsys,
+                                                  tmp_path):
+    # Neither input may be dropped in silence.
+    path = tmp_path / "r2.json"
+    rmlab.dump_solution(str(path), rmlab.builtin("r2"))
+    extra = ["--word", "1"] if command == "character" else []
+    code, out, err = run(capsys, command, str(path), "--builtin", "r4",
+                         *extra)
+    assert code == 2 and out == ""
+    assert "input error: two inputs" in err
+
+
+def test_complex_values_print_no_negative_zero():
+    assert _format_complex(complex(-0.0, 0.0)) == "0"
+    assert _format_complex(complex(-0.0, -1e-15)) == "0"
+    assert _format_complex(complex(-0.0, 0.5)) == "0+0.5j"
+    assert _format_complex(complex(-0.25, -0.0)) == "-0.25"
+    assert _format_complex(complex(-1e-17, 0.0)) == "-1e-17"
+
+
 def test_verify_no_input_is_exit_2(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2
@@ -224,7 +252,7 @@ def test_search_writes_jsonl_record(capsys, tmp_path):
         "--out", str(path),
     )
     assert code == 0
-    assert out.startswith("success:")
+    assert out.startswith("success:") and ", family " in out
     lines = path.read_text().splitlines()
     assert len(lines) == 1
     record = json.loads(lines[0])
@@ -235,6 +263,15 @@ def test_search_writes_jsonl_record(capsys, tmp_path):
     assert len(record["entries"]) == 16
     back = rmlab.solution_from_dict(record)
     assert back.ybe_residual <= 1e-8
+
+
+def test_search_names_a_family_only_at_d2(capsys):
+    # No classifier runs at d = 3, so no family text is printed.
+    code, out, _ = run(capsys, "search", "--d", "3", "--restarts", "1",
+                       "--seed", "1")
+    assert code == 0
+    assert out.startswith("success: restart 0, steps ")
+    assert out.rstrip().split(", ")[-1].startswith("ybe_residual=")
 
 
 def test_search_zero_restarts_fails(capsys):
