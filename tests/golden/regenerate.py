@@ -57,6 +57,13 @@ def cases() -> list:
                     ["search", "--d", str(d), "--restarts", "16",
                      "--seed", str(seed), "--out", "{out}"],
                     ".txt", True))
+    for pair, budget in [(("r3special", "flip2"), []),
+                         (("flip3", "simple3"), []), (("r2", "r3"), []),
+                         (("r4", "r4"), []),
+                         (("simple3", "flip3"),
+                          ["--strands", "3", "--length", "4"])]:
+        name = "-".join(("equivalent",) + pair + tuple(budget[1::2]))
+        out.append((name, ["equivalent", *pair, *budget], ".txt", False))
     return out
 
 
