@@ -98,9 +98,7 @@ def partial_trace_invariant(r: RMatrix, tol: float = 1e-10
     left = partial_trace_left(r.as_element()).matrix
     right = partial_trace_right(r.as_element()).matrix
     lr = frobenius_norm(left - right)
-    defect = frobenius_norm(
-        left @ left.conj().T - left.conj().T @ left
-    )
+    defect = frobenius_norm(left @ left.conj().T - left.conj().T @ left)
     if lr > tol or defect > tol:
         raise InternalConsistencyError(
             f"partial trace invariance broken: left-right={lr:.3e}, "
@@ -109,8 +107,7 @@ def partial_trace_invariant(r: RMatrix, tol: float = 1e-10
     norm = operator_norm_estimate(left)
     if norm > 1.0 + tol:
         raise InternalConsistencyError(
-            f"partial trace has operator norm {norm} > 1"
-        )
+            f"partial trace has operator norm {norm} > 1")
     return PartialTraceData(left, lr, defect, norm, _spectrum(left))
 
 
@@ -338,9 +335,7 @@ def reduce_involutive(r: RMatrix, tol: float = 1e-8) -> ReductionResult:
             c = complex(np.trace(cur.matrix)) / d ** 2
             sign = 1 if c.real > 0 else -1
             if abs(c - sign) > tol:
-                raise NormalFormError(
-                    f"scalar leaf value {c} is not +-1"
-                )
+                raise NormalFormError(f"scalar leaf value {c} is not +-1")
             return ReductionLeaf("trivial", sign, d)
         m = relative_commutant_M(cur, 1)
         if m.dimension == 1:
@@ -423,17 +418,9 @@ def _basis_unitary_from_vector(v: np.ndarray) -> np.ndarray:
 
 
 def _family4_canonical(q: complex) -> np.ndarray:
-    s = q / math.sqrt(2.0)
-    m = np.array(
-        [
-            [1.0, 1.0, 0.0, 0.0],
-            [-1.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, -1.0],
-            [0.0, 0.0, 1.0, 1.0],
-        ],
-        dtype=complex,
-    )
-    return s * m
+    m = np.array([[1, 1, 0, 0], [-1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1]],
+                 dtype=complex)
+    return q / math.sqrt(2.0) * m
 
 
 def _fixed_point_axis(fixed: SubalgebraBasis) -> np.ndarray:

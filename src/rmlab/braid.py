@@ -242,6 +242,10 @@ def thoma_character(spec, cycle_type: CycleType) -> float:
 
 @dataclass(frozen=True)
 class CharacterComparison:
+    """A ``characters_equal`` verdict.  ``words_checked`` counts the words
+    it rests on: those of at most two letters when a witness is found
+    among them past length 2, else every word of the budget."""
+
     equal: bool
     witness: tuple | None
     deviation: float
@@ -283,15 +287,16 @@ def _short_words(strands: int, length: int):
     return words, starts, parent, last, first, np.array(inverse)
 
 
-def _character_gram(sides, strands: int, short, rows) -> np.ndarray:
+def _character_gram(sides, strands: int, short, rows, entries=0) -> np.ndarray:
     """Rows ``rows`` of the weighted Gram matrix of the products in ``short``.
 
     ``sides`` lists (R, weight) pairs and ``short`` comes from
     ``_short_words(strands, ...)``.  Entry (p, q) sums, over the sides,
     weight * tr(W_p W_q*) / d^strands with W the represented word at
     level ``strands``; a -1 letter is R*, so that is weight times the
-    character of p q^-1.  Each pass builds d rows of every product from
-    its parent's, one GEMM per word length and last letter.
+    character of p q^-1.  Each pass builds b rows of every product from
+    its parent's, one GEMM per word length and last letter; b >= d is
+    the largest power of d whose rows fit in ``entries`` entries.
     """
     words, starts, parent, last = short[:4]
     n, k = len(words), 2 * (strands - 1)
@@ -301,18 +306,21 @@ def _character_gram(sides, strands: int, short, rows) -> np.ndarray:
     gram = np.zeros((len(rows), n), dtype=complex)
     for r, weight in sides:
         d, size = r.d, r.d ** strands
+        block = d
+        while block < size and n * block * d * size <= entries:
+            block *= d
         # Letter gen acts on a row as I (x) B with B = R^(+-1) (x) I on
         # the last strands - gen + 1 slots, so only B is stored.
         letters = [pad_right(_letter(r, 1, exp), d, strands - gen - 1)
                    for gen in range(1, strands) for exp in (+1, -1)]
-        # Rows a, ..., a + d - 1 of each product, side by side.
-        stack = np.zeros((n, d * size), dtype=complex)
-        for a in range(0, size, d):
-            stack[0] = np.eye(d, size, a).ravel()
+        # Rows a, ..., a + block - 1 of each product, side by side.
+        stack = np.zeros((n, block * size), dtype=complex)
+        for a in range(0, size, block):
+            stack[0] = np.eye(block, size, a).ravel()
             for kids, parents, i in steps:
                 b = letters[i]
                 stack[kids] = (stack[parents].reshape(-1, len(b))
-                               @ b).reshape(-1, d * size)
+                               @ b).reshape(-1, block * size)
             # conj tr(W_p W_q*) sums conj(W_p[a, c]) W_q[a, c] over rows a.
             head = stack[rows]
             np.conjugate(head, out=head)
@@ -323,17 +331,47 @@ def _character_gram(sides, strands: int, short, rows) -> np.ndarray:
     return np.conjugate(gram, out=gram)
 
 
-def _difference_gram(r: RMatrix, s: RMatrix, strands: int, short):
+def _difference_gram(r: RMatrix, s: RMatrix, strands: int, short, entries=0):
     """Column 0 and the longest words' rows of chi_r - chi_s's Gram
     matrix, from row 0 and one row per inverse pair; 0 elsewhere."""
     starts, inverse = short[1], short[5]
     own = [a for a in range(starts[-2], starts[-1]) if a < inverse[a]]
-    part = _character_gram(((r, 1), (s, -1)), strands, short, [0] + own)
+    part = _character_gram(((r, 1), (s, -1)), strands, short, [0] + own,
+                            entries)
     gram = np.zeros((len(inverse),) * 2, dtype=complex)
     # W_{a^-1} = W_a*, so G[a^-1, b^-1] = conj G[a, b] = G[b, a].
     gram[own], gram[inverse[own]] = part[1:], part[1:, inverse].conj()
     gram[:, 0] = part[0].conj()
     return gram
+
+
+def _first_deviation(r: RMatrix, s: RMatrix, strands: int, max_len: int,
+                     tol: float, entries: int):
+    """(shortlex-first witness, its deviation) over the budget's words,
+    or (None, the largest deviation) when no word deviates."""
+    half = -(-max_len // 2)
+    short = _short_words(strands, half)
+    words, starts, _, last, first, inverse = short
+    gram = _difference_gram(r, s, strands, short, entries)
+    worst = 0.0
+    # Lengths in increasing order, and P Q in row-major (P, Q) order,
+    # so the first deviating word met is the shortlex-first.
+    for m in range(1, max_len + 1):
+        head = min(m, half)
+        p = slice(starts[head], starts[head + 1])
+        q = slice(starts[m - head], starts[m - head + 1])
+        # P Q is reduced unless Q starts with the inverse of P's end.
+        valid = first[q] != last[p, None] ^ 1
+        # tr(W_P W_Q) is the entry at (P, Q^-1).
+        values = np.abs(gram[p][:, inverse[q]])[valid]
+        hits = np.flatnonzero(values > tol)
+        if hits.size:
+            a, b = np.argwhere(valid)[hits[0]]
+            word = words[p.start + a] + words[q.start + b]
+            return (tuple((i // 2 + 1) * (1 - 2 * (i % 2)) for i in word),
+                    float(values[hits[0]]))
+        worst = max(worst, float(values.max()))
+    return None, worst
 
 
 def characters_equal(r: RMatrix, s: RMatrix, max_strands: int = 4,
@@ -349,7 +387,12 @@ def characters_equal(r: RMatrix, s: RMatrix, max_strands: int = 4,
     otherwise ``deviation`` is the largest difference over all words
     compared.  Equality is only up to this truncation.
 
-    Products are formed, d rows at a time, only for the n words of at
+    Shortlex order puts the words of at most two letters first, so past
+    length 2 they are compared first, at budget 2: a witness there is
+    the budget's, and ``words_checked`` counts only them (36 at 4
+    strands).  Otherwise it counts every word of the budget.
+
+    Products are formed, rows at a time, only for the n words of at
     most h = ceil(max_len / 2) letters at level ``max_strands``.  A
     longer word is P Q with |P| = h, and its character is tr(W_P W_Q) / D,
     a Gram entry of those products (see ``_character_gram``) taken for
@@ -368,37 +411,20 @@ def characters_equal(r: RMatrix, s: RMatrix, max_strands: int = 4,
         raise DomainError("need max_strands >= 2 and max_len >= 1")
     if not 0.0 <= tol < math.inf:
         raise DomainError(f"need a tolerance 0 <= tol < inf, got {tol}")
-    k, half = 2 * (max_strands - 1), -(-max_len // 2)
+    k = 2 * (max_strands - 1)
     require_dense(_reduced_count(k, max_len), "the freely reduced words")
     # 64 levels of a d >= 2 letter table exceed the cap.
     d, levels = max(r.d, s.d), min(max_strands, 64)
     require_dense(k * d ** (2 * levels), "the letter table")
-    n = 1 + _reduced_count(k, half)
-    require_dense(n * d ** (levels + 1), "the product rows")
+    n = 1 + _reduced_count(k, -(-max_len // 2))
+    entries = n * d ** (levels + 1)
+    require_dense(entries, "the product rows")
     require_dense(n * n, "the character Gram matrix")
-    short = _short_words(max_strands, half)
-    words, starts, _, last, first, inverse = short
-    gram = _difference_gram(r, s, max_strands, short)
-    witness, deviation, worst, checked = None, 0.0, 0.0, 0
-    # Lengths in increasing order, and P Q in row-major (P, Q) order,
-    # so the first deviating word met is the shortlex-first.
-    for m in range(1, max_len + 1):
-        head = min(m, half)
-        p = slice(starts[head], starts[head + 1])
-        q = slice(starts[m - head], starts[m - head + 1])
-        # tr(W_P W_Q) is the entry at (P, Q^-1).
-        devs = np.abs(gram[p][:, inverse[q]])
-        # P Q is reduced unless Q starts with the inverse of P's end.
-        valid = first[q] != last[p, None] ^ 1
-        values = devs[valid]
-        checked += values.size
-        worst = max(worst, float(values.max()))
-        hits = np.flatnonzero(values > tol)
-        if witness is None and hits.size:
-            a, b = np.argwhere(valid)[hits[0]]
-            word = words[p.start + a] + words[q.start + b]
-            witness = tuple((i // 2 + 1) * (1 - 2 * (i % 2)) for i in word)
-            deviation = float(values[hits[0]])
-    return CharacterComparison(
-        witness is None, witness, worst if witness is None else deviation,
-        checked, max_strands, max_len, tol)
+    for length in (2, max_len) if max_len > 2 else (max_len,):
+        witness, deviation = _first_deviation(r, s, max_strands, length, tol,
+                                              entries)
+        if witness is not None:
+            break
+    return CharacterComparison(witness is None, witness, deviation,
+                               _reduced_count(k, length), max_strands,
+                               max_len, tol)

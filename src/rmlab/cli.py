@@ -119,29 +119,24 @@ def parse_word(text: str) -> BraidWord:
 def _build_builtin(args) -> RMatrix:
     name = args.builtin
     d = 2 if args.d is None else args.d
+
+    def phase(text, default):
+        return parse_phase(text) if text else np.exp(default)
+
     if name == "trivial":
-        q = parse_phase(args.q) if args.q else 1.0 + 0.0j
-        return make_trivial(d, q)
+        return make_trivial(d, phase(args.q, 0j))
     if name == "flip":
         return make_flip(d)
     if name == "r2":
-        return family_r2(
-            parse_phase(args.p) if args.p else np.exp(0.3j),
-            parse_phase(args.q) if args.q else np.exp(1.1j),
-            parse_phase(args.r) if args.r else np.exp(-0.7j),
-            parse_phase(args.s) if args.s else np.exp(2.2j),
-        )
+        return family_r2(phase(args.p, 0.3j), phase(args.q, 1.1j),
+                         phase(args.r, -0.7j), phase(args.s, 2.2j))
     if name == "r3":
-        return family_r3(
-            parse_phase(args.p) if args.p else np.exp(0.4j),
-            parse_phase(args.q) if args.q else np.exp(-0.9j),
-            parse_phase(args.r) if args.r else np.exp(1.7j),
-        )
+        return family_r3(phase(args.p, 0.4j), phase(args.q, -0.9j),
+                         phase(args.r, 1.7j))
     if name == "r4":
-        return family_r4(parse_phase(args.q) if args.q else np.exp(0.3j))
+        return family_r4(phase(args.q, 0.3j))
     if name == "normal":
-        spec = parse_blocks(args.blocks or "2:+,1:+")
-        return make_normal_form(spec)
+        return make_normal_form(parse_blocks(args.blocks or "2:+,1:+"))
     return builtin(name)
 
 

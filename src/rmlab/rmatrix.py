@@ -235,9 +235,7 @@ class SimpleRSpec:
         c = np.asarray(self.phases, dtype=complex)
         n = len(projs)
         if c.shape != (n, n):
-            raise ShapeError(
-                f"phases must be {n} x {n}, got {c.shape}"
-            )
+            raise ShapeError(f"phases must be {n} x {n}, got {c.shape}")
         object.__setattr__(self, "phases", c)
 
     @property
@@ -273,13 +271,10 @@ def make_simple(spec: SimpleRSpec, label: str = "") -> RMatrix:
     f = flip_matrix(d)
     r = np.zeros((d * d, d * d), dtype=complex)
     n = len(spec.projections)
-    for i in range(n):
-        for j in range(n):
-            block = kron(spec.projections[i], spec.projections[j])
-            if i == j:
-                r += spec.phases[i, i] * block
-            else:
-                r += spec.phases[i, j] * (block @ f)
+    for i, p in enumerate(spec.projections):
+        for j, q in enumerate(spec.projections):
+            block = kron(p, q)
+            r += spec.phases[i, j] * (block if i == j else block @ f)
     return verify(r, d, label=label or f"simple(d={d}, blocks={n})")
 
 
@@ -297,8 +292,7 @@ class NormalFormSpec:
     def __post_init__(self):
         blocks = []
         for dim, sign in self.blocks:
-            dim = int(dim)
-            sign = int(sign)
+            dim, sign = int(dim), int(sign)
             if dim < 1:
                 raise DomainError(f"block dimension must be >= 1, got {dim}")
             if sign not in (+1, -1):
@@ -326,18 +320,12 @@ def make_normal_form(spec: NormalFormSpec) -> RMatrix:
     coefficients are the block signs and all off-diagonal coefficients
     are 1, so the result squares to the identity exactly.
     """
-    d = spec.d
-    projs = []
-    offset = 0
-    for dim, _ in spec.blocks:
-        p = np.zeros((d, d), dtype=complex)
-        p[offset:offset + dim, offset:offset + dim] = np.eye(dim)
-        projs.append(p)
-        offset += dim
     n = len(spec.blocks)
+    # The block of each coordinate, in order.
+    owner = np.repeat(np.arange(n), [dim for dim, _ in spec.blocks])
+    projs = [np.diag(owner == i).astype(complex) for i in range(n)]
     phases = np.ones((n, n), dtype=complex)
-    for i, (_, sign) in enumerate(spec.blocks):
-        phases[i, i] = sign
+    np.fill_diagonal(phases, [sign for _, sign in spec.blocks])
     label = "normal_form(" + ",".join(
         f"{dim}:{'+' if sign > 0 else '-'}" for dim, sign in spec.blocks
     ) + ")"
@@ -414,10 +402,9 @@ def box_sum(r: RMatrix, s: RMatrix) -> RMatrix:
     idx2 = [(d + i) * big + (d + j) for i in range(dp) for j in range(dp)]
     out[np.ix_(idx1, idx1)] = r.matrix
     out[np.ix_(idx2, idx2)] = s.matrix
-    for kk in range(big):
-        for ll in range(big):
-            if (kk < d) != (ll < d):
-                out[ll * big + kk, kk * big + ll] = 1.0
+    first = np.arange(big) < d
+    kk, ll = np.nonzero(first[:, None] != first)
+    out[ll * big + kk, kk * big + ll] = 1.0
     return _derive(out, big, f"({r.label}) ⊞ ({s.label})")
 
 

@@ -249,18 +249,60 @@ def test_characters_equal_counts_words_before_walking(monkeypatch, strands,
     assert cmp.equal and cmp.words_checked == words
 
 
-def test_characters_equal_peak_memory_stays_small():
-    # d rows of the 187 products at d = 3 hold 187 * 243 entries; a
-    # larger row block, or a full conjugate copy of it, shows here.
-    r, s = rmlab.builtin("simple3"), rmlab.make_flip(3)
+def _peak_bytes(r, s):
     characters_equal(r, s)
     tracemalloc.start()
     try:
         characters_equal(r, s)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 2 ** 20
+
+
+def _simple3_and_a_conjugate():
+    r = rmlab.builtin("simple3")
+    u = rmlab.haar_unitary(3, np.random.default_rng(30))
+    return r, rmlab.quasifree_conjugate(r, u)
+
+
+def test_characters_equal_peak_memory_stays_small():
+    # d rows of the 187 products at d = 3 hold 187 * 243 entries; a
+    # larger row block, or a full conjugate copy of it, shows here.  An
+    # equal pair, so the comparison runs the whole budget.
+    assert _peak_bytes(*_simple3_and_a_conjugate()) <= 2 * 2 ** 20
+
+
+def test_the_two_letter_stage_stays_within_the_same_memory():
+    # The stage holds 27 rows of each of its 7 products at d = 3.
+    r, s = rmlab.builtin("simple3"), rmlab.make_flip(3)
+    assert _peak_bytes(r, s) <= 2 * 2 ** 20
+
+
+def _spy_on_the_gram(monkeypatch) -> list:
+    sizes, kernel = [], rmlab.braid._character_gram
+
+    def spy(sides, strands, short, *args):
+        sizes.append(len(short[0]))
+        return kernel(sides, strands, short, *args)
+
+    monkeypatch.setattr(rmlab.braid, "_character_gram", spy)
+    return sizes
+
+
+def test_a_two_letter_witness_stops_before_the_full_gram(monkeypatch):
+    sizes = _spy_on_the_gram(monkeypatch)
+    cmp = characters_equal(rmlab.make_flip(3), rmlab.builtin("simple3"))
+    # tr R differs, so the 36 words of at most two letters settle it.
+    assert (cmp.equal, cmp.witness, cmp.words_checked) == (False, (1,), 36)
+    assert (cmp.max_strands, cmp.max_len) == (4, 6)
+    assert sizes == [7]
+
+
+def test_an_equal_pair_still_checks_every_word(monkeypatch):
+    sizes = _spy_on_the_gram(monkeypatch)
+    cmp = characters_equal(*_simple3_and_a_conjugate())
+    assert cmp.equal and cmp.words_checked == 23436
+    assert sizes == [7, 187]
 
 
 def test_quasifree_conjugation_preserves_characters():
