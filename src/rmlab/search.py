@@ -255,7 +255,9 @@ def search_unitary_solution(d: int, seed: int = 0,
     gradient.  Each step takes one ``eigh`` and starts at the last
     accepted step size, doubled (up to 1) after a first-try acceptance.
     At max(target, 1e-6) the point is polished once; if that reaches the
-    target and ``DEFAULT_TOL ** 2``, the descent ends there.
+    target and ``DEFAULT_TOL ** 2``, the descent ends there.  A run that
+    ends above max(target, 1e-6) is polished too, and keeps the polished
+    point only under that same rule.
     """
     if d < 2:
         raise DomainError(f"need d >= 2, got {d}")
@@ -275,13 +277,13 @@ def search_unitary_solution(d: int, seed: int = 0,
     state = braid_defect(u, d)
     value = _squared_norm(state[-1])
     grad_norm, handoff, polished = math.inf, max(target, 1e-6), None
+    gate = min(target, DEFAULT_TOL ** 2)
     for _ in range(max_iterations):
         if value <= target:
             break
         if value <= handoff:  # once; on a stall the descent goes on
             handoff, trial = 0.0, _polish(u, d)
-            if _squared_norm(ybe_defect(trial, d)) <= min(target,
-                                                          DEFAULT_TOL ** 2):
+            if _squared_norm(ybe_defect(trial, d)) <= gate:
                 polished = trial
                 break
         xi = riemannian_gradient(u, ybe_euclidean_gradient(u, d, state))
@@ -311,11 +313,12 @@ def search_unitary_solution(d: int, seed: int = 0,
             state = braid_defect(u, d)
             value = _squared_norm(state[-1])
     if polished is None:
-        u = _polish(u, d) if value <= max(target, 1e-6) else _reunitarize(u)
-    else:
-        u = polished
-    value = _squared_norm(ybe_defect(u, d))
-    return SearchRun(value <= target, value, steps, grad_norm, u,
+        polished = _polish(u, d)
+        if value > max(target, 1e-6) and _squared_norm(
+                ybe_defect(polished, d)) > gate:
+            polished = _reunitarize(u)
+    value = _squared_norm(ybe_defect(polished, d))
+    return SearchRun(value <= target, value, steps, grad_norm, polished,
                      backtracks, trials)
 
 

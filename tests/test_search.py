@@ -162,7 +162,8 @@ def _reference_descent(d, seed, max_iterations):
     exponentiates through one eigh of i(-xi) and starts at the last
     accepted step size, doubled (up to 1) after a first-try accept.
     At 1e-6 the point goes once to the polish, which is kept only at or
-    below 1e-20; otherwise the descent goes on to the target."""
+    below 1e-20; otherwise the descent goes on to the target.  A run
+    that ends above 1e-6 keeps its polish only under that same rule."""
     def objective(u):
         eye = np.eye(d, dtype=complex)
         a, b = np.kron(u, eye), np.kron(eye, u)
@@ -208,12 +209,11 @@ def _reference_descent(d, seed, max_iterations):
         if steps % 64 == 0:
             u = _reunitarize(u)
             value = objective(u)
-    if polished is not None:
-        u = polished
-    elif value <= 1e-6:
-        u = _polish(u, d)
-    else:
-        u = _reunitarize(u)
+    if polished is None:
+        polished = _polish(u, d)
+        if value > 1e-6 and objective(polished) > 1e-20:
+            polished = _reunitarize(u)
+    u = polished
     defect = ybe_defect(u, d)
     return steps, backtracks, float(np.vdot(defect, defect).real), u
 
@@ -234,10 +234,11 @@ def test_gradient_matches_the_reference_formula_bitwise(d):
         assert np.array_equal(ybe_defect(u), a @ b @ a - b @ a @ b)
 
 
-# Seed 25 stalls in the first polish and takes the fallback.
+# Seed 25 stalls in the first polish and takes the fallback; seed 311
+# ends at the step cap above 1e-6 and is polished there.
 @pytest.mark.parametrize("d,seed,max_iterations", [
     (2, 0, 2000), (2, 1, 2000), (2, 2, 2000), (2, 3, 2000), (2, 25, 2000),
-    (3, 1, 60),
+    (2, 311, 2000), (3, 1, 60),
 ])
 def test_descent_matches_the_reference_loop_bitwise(d, seed,
                                                     max_iterations):
@@ -266,6 +267,15 @@ def test_a_stalled_polish_falls_back_to_the_descent(seed, monkeypatch):
     first = ybe_defect(polished[0], 2)
     assert 1e-20 < np.vdot(first, first).real <= 1e-16
     assert len(polished) == 2 and run.converged
+    assert rmlab.verify(run.matrix, 2).ybe_residual <= 1e-13
+
+
+@pytest.mark.parametrize("seed", [271, 311, 312, 500, 649, 685, 754])
+def test_a_run_at_the_step_cap_is_polished_before_it_gives_up(seed):
+    # Each descent runs out its 2,000 steps above the 1e-6 handoff (seed
+    # 271 at 5.8e-3); one polish of where it stopped converges.
+    run = search_unitary_solution(2, seed=seed)
+    assert run.steps == 2000 and run.converged
     assert rmlab.verify(run.matrix, 2).ybe_residual <= 1e-13
 
 
