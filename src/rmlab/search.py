@@ -8,7 +8,8 @@ steps.  At an objective of 1e-6 the run is projected onto U(d^2) and
 polished by Gauss-Newton steps on one SVD-factored Jacobian, reused
 while each step halves the objective; a polish that stalls above the
 squared target or verify's gate is dropped, and the descent goes on to
-the target before a last polish.  Seeds make every run reproducible.
+the target before a last polish, which a run that stops short keeps
+only under that same rule.  Seeds make every run reproducible.
 """
 
 from __future__ import annotations
