@@ -13,7 +13,6 @@ Everything is deterministic in the inputs: probes use ``PROBE_SEED``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, NamedTuple
@@ -441,6 +440,14 @@ def _fixed_point_axis(fixed: SubalgebraBasis) -> np.ndarray:
     return -h if h[0, 0].real > 0.0 else h
 
 
+def _fixed_points(r: RMatrix) -> SubalgebraBasis:
+    """r's level-1 fixed algebra, solved once and kept in ``vars(r)``
+    like a cached property, so it lives exactly as long as r."""
+    if "_fixed_points" not in vars(r):
+        vars(r)["_fixed_points"] = fixed_subalgebra(r, 1)
+    return vars(r)["_fixed_points"]
+
+
 def _try_family4(r: RMatrix, fixed: SubalgebraBasis,
                  tol: float) -> Dim2Classification | None:
     for v in np.linalg.eigh(_fixed_point_axis(fixed))[1].T:
@@ -471,8 +478,9 @@ def _try_family4(r: RMatrix, fixed: SubalgebraBasis,
 _SEED_HERMITIAN = np.array([[0.71, 0.33 - 0.47j], [0.33 + 0.47j, -0.29]])
 
 
-def _diag_seed_vectors(r: RMatrix) -> list:
-    """Candidate eigenbasis vectors for the product-basis families.
+def _diag_seed_vectors(r: RMatrix):
+    """Candidate eigenbasis vectors for the product-basis families,
+    unit and yielded lazily: the R^2 seeds are built only if asked for.
 
     The map x -> (left partial trace of R (x (x) 1) R*) commutes with
     conjugation of R, and for the product-basis families its
@@ -486,15 +494,25 @@ def _diag_seed_vectors(r: RMatrix) -> list:
     # Entry (kl, ab) of the map: sum_ij R[ik, aj] conj(R[il, bj]) / d.
     t4 = r.matrix.reshape(d, d, d, d)
     m = np.einsum("ikaj,ilbj->klab", t4, t4.conj()).reshape(d * d, -1) / d
-    seeds = []
     for x in np.linalg.eig(m)[1].T:
         u_l, _, v_r = np.linalg.svd(x.reshape(d, d))
-        seeds += [u_l[:, 0], v_r[0, :].conj()]
+        for v in (u_l[:, 0], v_r[0, :].conj()):
+            yield v / np.linalg.norm(v)
     probe = pad_left(_SEED_HERMITIAN, d, 1)
     for cl in eig_normal(r.matrix @ r.matrix):
-        seeds.append(np.linalg.eigh(
-            trace_out_last(cl.projection @ probe, d))[1][:, 0])
-    return [v / np.linalg.norm(v) for v in seeds]
+        v = np.linalg.eigh(trace_out_last(cl.projection @ probe, d))[1][:, 0]
+        yield v / np.linalg.norm(v)
+
+
+def _candidate_bases(r: RMatrix):
+    """The basis change of each seed, then of each polished seed, the
+    last seed first; a seed is built only when its turn comes."""
+    seeds = []
+    for v in _diag_seed_vectors(r):
+        seeds.append(v)
+        yield _basis_unitary_from_vector(v)
+    for v in reversed(seeds):
+        yield _polish_seed(r, v)
 
 
 #: Change of basis carrying the overlap form q*diag-antidiag(1,-1,-1,1)
@@ -570,15 +588,17 @@ LAST_RESORT_C = 2.0
 def classify_dim2(r: RMatrix, tol: float = 1e-8) -> Dim2Classification:
     """Classify a d = 2 solution into the four known families.
 
-    Decision order: scalar solutions; solutions with nontrivial
-    endomorphism fixed points (the Pauli-type family); then closed-form
-    seeds for a product eigenbasis exposing the diagonal and
-    antidiagonal families, and, only when no seed is exact, each seed
-    again after a Gauss-Newton polish (``_polish_seed``), R^2's
-    projection seeds first.  When all of these fail at ``tol``, the
-    candidate nearest a support gets a last chance at ``LAST_RESORT_C``
-    times the square root of ``r.ybe_residual``.  Unclassifiable inputs
-    are returned with ``family=None`` and the best residual found.
+    Decision order: scalar solutions; non-ergodic solutions on their
+    endomorphism fixed points (the Pauli-type family; ergodic ones have
+    only scalar fixed points); then closed-form seeds for a product
+    eigenbasis exposing the diagonal and antidiagonal families, R^2's
+    projection seeds only when the map's seeds fail, and, only when no
+    seed is exact, each seed again after a Gauss-Newton polish
+    (``_polish_seed``), R^2's projection seeds first.  When all of
+    these fail at ``tol``, the candidate nearest a support gets a last
+    chance at ``LAST_RESORT_C`` times the square root of
+    ``r.ybe_residual``.  Unclassifiable inputs are returned with
+    ``family=None`` and the best residual found.
     """
     if r.d != 2:
         raise DomainError(f"classification needs d = 2, got d = {r.d}")
@@ -588,19 +608,15 @@ def classify_dim2(r: RMatrix, tol: float = 1e-8) -> Dim2Classification:
         return Dim2Classification(
             1, {"q": q}, np.eye(2, dtype=complex), float(resid)
         )
-
-    fixed = fixed_subalgebra(r, 1)
-    if fixed.dimension > 1:
-        out = _try_family4(r, fixed, tol)
-        if out is not None:
+    if not is_ergodic(r).ergodic:
+        fixed = _fixed_points(r)
+        if fixed.dimension > 1 and (out := _try_family4(r, fixed, tol)):
             return out
 
     # Near a degenerate point of R^2 the seeds are accurate only to about
     # rounding / gap; polished, the projection seeds are the ones to land.
-    seeds = _diag_seed_vectors(r)
     tried = []
-    for w in itertools.chain(map(_basis_unitary_from_vector, seeds),
-                             (_polish_seed(r, v) for v in reversed(seeds))):
+    for w in _candidate_bases(r):
         out = _extract_product_family(r, w, tol)
         if out.classified:
             return out

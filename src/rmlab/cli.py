@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .analysis import analyze, classify_dim2, is_ergodic
+from .analysis import _fixed_points, analyze, classify_dim2, is_ergodic
 from .braid import BraidWord, character, characters_equal
 from .commutant import fixed_subalgebra, relative_commutant_M
 from .corpus import (
@@ -212,8 +212,7 @@ def cmd_classify2(args) -> int:
     )
     print(f"family {result.family} {params}".rstrip())
     print(f"residual {result.residual:.3e}")
-    u = result.conjugator
-    for row in np.asarray(u):
+    for row in result.conjugator:
         print("u: " + " ".join(_format_complex(v) for v in row))
     return EXIT_OK
 
@@ -228,9 +227,7 @@ def cmd_character(args) -> int:
 def cmd_equivalent(args) -> int:
     a = _resolve_name_or_path(args.first, args.tol)
     b = _resolve_name_or_path(args.second, args.tol)
-    cmp = characters_equal(
-        a, b, max_strands=args.strands, max_len=args.length
-    )
+    cmp = characters_equal(a, b, max_strands=args.strands, max_len=args.length)
     if cmp.equal:
         print(
             "equal up to truncation "
@@ -258,20 +255,13 @@ def cmd_search(args) -> int:
         target_residual=args.target, jobs=args.jobs,
     )
     if not result.success:
-        best = min(result.objectives)
-        print(
-            f"failure: {result.restarts_used} restarts, "
-            f"best objective {best:.6e}"
-        )
+        print(f"failure: {result.restarts_used} restarts, "
+              f"best objective {min(result.objectives):.6e}")
         return EXIT_VERDICT
     sol = result.solution
-    config = {
-        "d": args.d,
-        "restarts": args.restarts,
-        "seed": args.seed,
-        "max_iterations": args.max_iterations,
-        "target_residual": args.target,
-    }
+    config = {"d": args.d, "restarts": args.restarts, "seed": args.seed,
+              "max_iterations": args.max_iterations,
+              "target_residual": args.target}
     record = solution_to_dict(sol)
     record["fingerprint"] = _fingerprint_dict(fingerprint(sol))
     record["config"] = config
@@ -323,9 +313,10 @@ def _table9_row(family: int, samples: int, seed: int):
         ok &= is_ergodic(r).ergodic == ergodic
         if family == 1:
             ok &= is_trivial(r)
-        if family == 4:
-            ok &= tuple(fixed_subalgebra(r, n).dimension
-                        for n in (1, 2, 3, 4)) == (2, 4, 8, 16)
+        if family == 4:  # level 1 is kept on r for classify_dim2
+            tower = [_fixed_points(r)] + [fixed_subalgebra(r, n)
+                                          for n in (2, 3, 4)]
+            ok &= [f.dimension for f in tower] == [2, 4, 8, 16]
         hits += classify_dim2(r).family == family
     return (name, samples, expected, ok, hits)
 

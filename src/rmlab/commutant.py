@@ -147,20 +147,17 @@ def _row_space_basis(rows: np.ndarray, scale=None) -> np.ndarray:
     return vh[:int(np.sum(s > _svd_cutoff(rows, scale)))].T
 
 
-def word_product(r: RMatrix, n: int) -> np.ndarray:
-    """R phi(R) ... phi^(n-1)(R) as a level n + 1 matrix."""
+def word_product(r: RMatrix, n: int, reverse: bool = False) -> np.ndarray:
+    """R phi(R) ... phi^(n-1)(R) as a level n + 1 matrix, or with
+    ``reverse`` phi^(n-1)(R) ... phi(R) R (:func:`_lambda_word`)."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    return shifted_product(((k, r.matrix) for k in range(n)), r.d, 2)
+    order = range(n)[::-1] if reverse else range(n)
+    return shifted_product(((k, r.matrix) for k in order), r.d, 2)
 
 
-def _lambda_word(r: RMatrix, n: int) -> np.ndarray:
-    """phi^(n-1)(R) ... phi(R) R as a level n + 1 matrix: the u of
-    lambda(x) = u (1 (x) x) u*."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    return shifted_product(((k, r.matrix) for k in range(n - 1, -1, -1)),
-                           r.d, 2)
+#: The u of lambda(x) = u (1 (x) x) u*: phi^(n-1)(R) ... phi(R) R.
+_lambda_word = functools.partial(word_product, reverse=True)
 
 
 def apply_endo(r: RMatrix, x: AlgebraElement) -> AlgebraElement:
@@ -207,19 +204,16 @@ class SubalgebraBasis:
     def dimension(self) -> int:
         return self.columns.shape[1]
 
-    def _matrices(self) -> list:
-        dim = self.d ** self.level
-        return list(self.columns.T.reshape(-1, dim, dim) * math.sqrt(dim))
-
     @functools.cached_property
     def basis(self) -> tuple:
-        return tuple(AlgebraElement(self.d, self.level, m)
-                     for m in self._matrices())
+        dim = self.d ** self.level
+        return tuple(AlgebraElement(self.d, self.level, m) for m in
+                     self.columns.T.reshape(-1, dim, dim) * math.sqrt(dim))
 
     @functools.cached_property
     def block_profile(self) -> tuple | None:
         try:
-            return wedderburn_decompose(self._matrices())
+            return wedderburn_decompose(self)
         except (DomainError, DegeneracyError):
             return None
 
@@ -471,9 +465,10 @@ def _check_algebra(mats, cols, tol: float = 1e-9) -> None:
 def wedderburn_decompose(span, tol: float = 1e-9) -> tuple:
     """Matrix block sizes of a finite-dimensional unital *-algebra A.
 
-    The input span (algebra elements or raw matrices) is validated to
-    be a unital *-closed multiplicatively closed subspace, then probed
-    with a random Hermitian element of A.  For a generic probe
+    The input span (algebra elements or raw matrices, or a
+    :class:`SubalgebraBasis`, probed on its own orthonormal columns) is
+    validated to be a unital *-closed multiplicatively closed subspace,
+    then probed with a random Hermitian element of A.  For a generic probe
     each eigenspace projection p_a is minimal in A, so
     links[a, b] = dim p_a A p_b = sum_i |V_a* b_i V_b|_F^2, over an
     orthonormal basis b_i and with V_a the eigenvectors of p_a, is 1
@@ -484,14 +479,16 @@ def wedderburn_decompose(span, tol: float = 1e-9) -> tuple:
 
     Returns the block sizes as a sorted tuple, e.g. (1, 1, 2).
     """
-    mats = [as_complex_matrix(getattr(x, "matrix", x)) for x in span]
-    if not mats:
-        raise DomainError("empty span")
-    dim = mats[0].shape[0]
-    if any(m.shape != (dim, dim) for m in mats):
-        raise ShapeError("span matrices must share one shape")
-
-    cols = _row_space_basis(np.stack([m.reshape(-1) for m in mats]))
+    if isinstance(span, SubalgebraBasis):
+        cols, dim = span.columns, span.d ** span.level
+    else:
+        mats = [as_complex_matrix(getattr(x, "matrix", x)) for x in span]
+        if not mats:
+            raise DomainError("empty span")
+        dim = mats[0].shape[0]
+        if any(m.shape != (dim, dim) for m in mats):
+            raise ShapeError("span matrices must share one shape")
+        cols = _row_space_basis(np.stack([m.reshape(-1) for m in mats]))
     k = cols.shape[1]
     require_dense(k * dim * dim, "the Wedderburn probe stack")
     basis = cols.T.reshape(k, dim, dim)

@@ -171,14 +171,8 @@ def random_projection_partition(d: int, dims, rng: np.random.Generator
     dims = tuple(int(v) for v in dims)
     if sum(dims) != d or any(v < 1 for v in dims):
         raise DomainError(f"ranks {dims} do not partition {d}")
-    u = haar_unitary(d, rng)
-    projs = []
-    offset = 0
-    for dim in dims:
-        cols = u[:, offset:offset + dim]
-        projs.append(cols @ cols.conj().T)
-        offset += dim
-    return tuple(projs)
+    cols = np.split(haar_unitary(d, rng), np.cumsum(dims)[:-1], axis=1)
+    return tuple(c @ c.conj().T for c in cols)
 
 
 def _random_composition(d: int, rng: np.random.Generator) -> tuple:

@@ -85,8 +85,7 @@ def ybe_euclidean_gradient(u: np.ndarray, d: int | None = None,
     the caller has already built it.
     """
     u = np.asarray(u, dtype=complex)
-    if d is None:
-        d = _infer_d(u)
+    d = _infer_d(u) if d is None else d
     a, b, ab, ba, delta = braid_defect(u, d) if state is None else state
     delta_h = delta.conj().T
     m_a = ba @ delta_h + delta_h @ a @ b - b @ delta_h @ b
@@ -97,8 +96,7 @@ def ybe_euclidean_gradient(u: np.ndarray, d: int | None = None,
 def ybe_objective(u: np.ndarray, d: int | None = None):
     """Objective value and Euclidean gradient at a d^2 x d^2 matrix."""
     u = np.asarray(u, dtype=complex)
-    if d is None:
-        d = _infer_d(u)
+    d = _infer_d(u) if d is None else d
     state = braid_defect(u, d)
     return _squared_norm(state[-1]), ybe_euclidean_gradient(u, d, state)
 
@@ -346,13 +344,16 @@ def find_solution(d: int, restarts: int = 16, seed: int = 0,
     Success needs both gates: objective below the squared target and
     acceptance by :func:`rmlab.rmatrix.verify` at ``DEFAULT_TOL``.  The
     per-restart final objectives are always reported; with no
-    convergence the best run comes back with ``success`` False.
+    convergence the best run comes back with ``success`` False, and
+    ``restarts=0`` is the empty search (no run, ``success`` False).
 
     ``jobs`` > 1 evaluates restarts in a process pool.  Runs are still
     consumed in seed order, so the outcome is identical to the serial
     scan (parallel mode may compute restarts the serial scan would
     have skipped, but never reports them).
     """
+    if restarts < 0:
+        raise DomainError(f"need restarts >= 0, got {restarts}")
     objectives, best, solution = [], None, None
     args = [(d, seed + k, max_iterations, target_residual)
             for k in range(restarts)]

@@ -58,7 +58,10 @@ CLUSTER_TOL = 1e-9
 
 def as_complex_matrix(matrix) -> np.ndarray:
     """Coerce input to a finite, square complex ndarray."""
-    a = np.asarray(matrix, dtype=complex)
+    try:
+        a = np.asarray(matrix, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"expected a complex matrix: {exc}") from exc
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):

@@ -157,8 +157,9 @@ def test_analyze_reads_index_bounds_off_the_computed_spectra(monkeypatch,
     assert report.bounds == alone
     assert calls and not any(calls)
     if name == "r2":
-        # R and its partial trace for their sections, R^2 for the seeds.
-        assert len(calls) == 3
+        # R and its partial trace for their sections; r2 classifies on
+        # a map seed, so the R^2 seeds are never built.
+        assert len(calls) == 2
 
 
 def test_index_bounds_order_is_enforced():
@@ -312,6 +313,49 @@ def test_classify_recovers_drawn_families_under_conjugation(family, flag,
     got = _invariants(family, c.parameters)[0]
     assert min(max(abs(a - b) for a, b in zip(got, want))
                for want in _invariants(family, params)) <= 1e-9
+
+
+@settings(max_examples=120, deadline=None)
+@given(source=st.sampled_from([2, 3, 4, "search"]), flag=st.booleans(),
+       seed=st.integers(0, 767))
+def test_ergodic_solutions_have_only_scalar_fixed_points(source, flag,
+                                                         seed):
+    # classify_dim2 skips the level-1 fixed-point solve on ergodic
+    # input; that rests on this implication.  flag draws the symmetric
+    # family-2 and the special family-3 members.
+    rng = np.random.default_rng(seed)
+    if source == "search":
+        run = rmlab.search_unitary_solution(2, seed=seed)
+        assert run.converged
+        r = rmlab.verify(run.matrix, 2)
+    else:
+        draw = {2: lambda: random_family2(rng, symmetric=flag),
+                3: lambda: random_family3(rng, special=flag),
+                4: lambda: random_family4(rng)}[source]
+        r = random_conjugate(draw()[0], rng)
+    ergodic = is_ergodic(r).ergodic
+    dimension = fixed_subalgebra(r, 1).dimension
+    if ergodic:
+        assert dimension == 1
+    if source == 4:
+        assert not ergodic and dimension == 2
+
+
+def test_classify_solves_fixed_points_only_for_non_ergodic_input(
+        monkeypatch):
+    solved = []
+    fixed = rmlab.analysis.fixed_subalgebra
+
+    def counted(r, n):
+        solved.append(n)
+        return fixed(r, n)
+
+    monkeypatch.setattr(rmlab.analysis, "fixed_subalgebra", counted)
+    for name, family, solves in [("r2", 2, []), ("r3", 3, []),
+                                 ("r4", 4, [1]), ("trivial2", 1, [])]:
+        solved.clear()
+        assert classify_dim2(rmlab.builtin(name)).family == family
+        assert solved == solves, name
 
 
 def test_close_probe_eigenvalues_keep_the_family4_fixed_points():

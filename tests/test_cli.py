@@ -308,6 +308,33 @@ def test_table9_all_rows_match(capsys):
         assert "3/3" in row
 
 
+@pytest.mark.parametrize("family,fixed_solves,r2_spectra", [
+    (1, 0, 0), (2, 0, 0), (3, 0, 2), (4, 16, 0)])
+def test_table9_rows_run_only_the_solves_their_verdicts_need(
+        monkeypatch, family, fixed_solves, r2_spectra):
+    # Ergodic draws (families 2 and 3) skip the level-1 fixed points;
+    # family 4 solves levels 1-4 once per draw, the classifier reusing
+    # level 1.  The R^2 seeds are built only when the map seeds fail:
+    # never for family 2, for two of the four family-3 draws here.
+    calls = {"fixed": 0, "eig": 0}
+    fixed, eig = rmlab.cli.fixed_subalgebra, rmlab.analysis.eig_normal
+
+    def counted_fixed(*args):
+        calls["fixed"] += 1
+        return fixed(*args)
+
+    def counted_eig(*args):
+        calls["eig"] += 1
+        return eig(*args)
+
+    for module in (rmlab.cli, rmlab.analysis):
+        monkeypatch.setattr(module, "fixed_subalgebra", counted_fixed)
+    monkeypatch.setattr(rmlab.analysis, "eig_normal", counted_eig)
+    _, samples, _, ok, hits = rmlab.cli._table9_row(family, 4, 0)
+    assert ok and hits == samples == 4
+    assert calls == {"fixed": fixed_solves, "eig": r2_spectra}
+
+
 def test_table9_jobs_deterministic(capsys, tmp_path):
     a = tmp_path / "a.md"
     b = tmp_path / "b.md"

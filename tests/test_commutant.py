@@ -746,7 +746,7 @@ def test_commutant_of_matches_the_operator_build(name, n):
                                     ("simple3", 2), ("trivial2", 2)])
 def test_center_equals_the_double_loop_reference(build, name, n):
     b = build(rmlab.builtin(name), n)
-    mats = b._matrices()
+    mats = [e.matrix for e in b.basis]
     dim = mats[0].shape[0]
     cols = _row_space_basis(np.stack([m.reshape(-1) for m in mats]))
     basis = [cols[:, i].reshape(dim, dim) for i in range(cols.shape[1])]

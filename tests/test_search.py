@@ -410,10 +410,24 @@ def test_find_solution_returns_verified_solution():
 
 
 def test_find_solution_zero_restarts():
+    # The empty search: no run, and no error.
     res = find_solution(2, restarts=0, seed=0)
     assert not res.success
     assert res.solution is None
+    assert res.run is None
+    assert res.restarts_used == 0
     assert res.objectives == ()
+
+
+@pytest.mark.parametrize("restarts", [-1, -16])
+def test_find_solution_rejects_a_negative_restart_count(monkeypatch,
+                                                        restarts):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a descent ran")
+
+    monkeypatch.setattr(rmlab.search, "search_unitary_solution", refuse)
+    with pytest.raises(DomainError, match="restarts"):
+        find_solution(2, restarts=restarts)
 
 
 def test_find_solution_parallel_matches_serial():

@@ -59,6 +59,19 @@ def test_as_complex_matrix_rejects_nonsquare():
         as_complex_matrix(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [[[1, 0], [0]], "abc", {"a": 1},
+                                 [[1, "x"], [0, 1]]],
+                         ids=["ragged", "string", "dict", "text-entry"])
+def test_uncoercible_input_is_a_shape_error(bad):
+    # numpy's own ValueError or TypeError does not leak past the
+    # boundary, neither here nor through verify.
+    with pytest.raises(ShapeError) as info:
+        as_complex_matrix(bad)
+    assert isinstance(info.value.__cause__, (TypeError, ValueError))
+    with pytest.raises(ShapeError):
+        rmlab.verify(bad, 1)
+
+
 def test_kron_slot_order():
     # Slot 1 is the leftmost factor: (a (x) b)[(i,j),(k,l)] = a[i,k] b[j,l].
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
