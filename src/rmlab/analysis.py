@@ -440,12 +440,13 @@ def _fixed_point_axis(fixed: SubalgebraBasis) -> np.ndarray:
     return -h if h[0, 0].real > 0.0 else h
 
 
-def _fixed_points(r: RMatrix) -> SubalgebraBasis:
-    """r's level-1 fixed algebra, solved once and kept in ``vars(r)``
+def _fixed_points(r: RMatrix, n: int = 1) -> SubalgebraBasis:
+    """r's level-n fixed algebra, solved once and kept in ``vars(r)``
     like a cached property, so it lives exactly as long as r."""
-    if "_fixed_points" not in vars(r):
-        vars(r)["_fixed_points"] = fixed_subalgebra(r, 1)
-    return vars(r)["_fixed_points"]
+    solved = vars(r).setdefault("_fixed_points", {})
+    if n not in solved:
+        solved[n] = fixed_subalgebra(r, n)
+    return solved[n]
 
 
 def _try_family4(r: RMatrix, fixed: SubalgebraBasis,
@@ -746,7 +747,7 @@ _SECTIONS = (
                lambda r, rep, x=x: _tower(r, rep, x),
                _towers_text, _towers_json) for x in "MNL"),
     _Section("fixed_dims", "fixed_dims", lambda r, rep: tuple(
-                 fixed_subalgebra(r, n).dimension for n in
+                 _fixed_points(r, n).dimension for n in
                  range(1, _feasible_fixed_cap(r.d, rep.fixed_cap) + 1)),
              lambda v, rep: "* fixed point dimensions: "
              + ", ".join(map(str, v))),

@@ -12,36 +12,32 @@ solution R, all as explicit Hilbert-Schmidt-orthonormal bases:
   braid generator images; :func:`generated_algebra` closes both.  A_m
   does not depend on n, so the levels of one report share each closure.
 
-M, the fixed points and the braid-image commutants are commutants,
-computed by one kernel, :func:`commutant_of`.  With K_ab the block of
-u at last output slot b and first input slot a, u (1 (x) x) =
-(x (x) 1) u iff K_ab x = x K_ab for all a, b, and sum_ab |K_ab x -
-x K_ab|^2 = |lambda(x) - x (x) 1|^2: M = {K_ab}', the fixed points of
-the unital trace-preserving channel E_n lambda = sum_ab K_ab . K_ab*/d.
-N applies lambda to its current basis by conjugation.  Likewise x in
-F^n is fixed iff x (x) 1 commutes with the word w = R phi(R) ...
-phi^(n-1)(R); writing w = sum w_ij (x) e_ij over the last slot, the
-fixed points are the commutant {w_ij}'.
+M, the fixed points and the braid-image commutants are commutants.
+With K_ab the block of u at last output slot b and first input slot a,
+u (1 (x) x) = (x (x) 1) u iff K_ab x = x K_ab for all a, b, and
+sum_ab |K_ab x - x K_ab|^2 = |lambda(x) - x (x) 1|^2: M = {K_ab}', the
+fixed points of the unital trace-preserving channel E_n lambda =
+sum_ab K_ab . K_ab*/d.  N applies lambda to its current basis by
+conjugation.  Likewise x in F^n is fixed iff x (x) 1 commutes with the
+word w = R phi(R) ... phi^(n-1)(R); writing w = sum w_ij (x) e_ij over
+the last slot, the fixed points are the commutant {w_ij}'.
 
-Those two are solved on a probe-reduced span, as both commutants are
-*-closed: w is unitary, so x (x) 1 commutes with w iff it commutes
-with w* = sum w_ij* (x) e_ji, and the braid generators are unitary.
-Every solution x then commutes with a random Hermitian h drawn from
-the sets and their adjoints, so it is block diagonal in h's
-eigenbasis, and only the sum of m^2 over h's eigenvalue multiplicities
-m unknowns remain instead of D^2; they are solved against a second
-probe and certified (:func:`_star_commutant`).  M's blocks, and
-general sets, whose commutant need not be *-closed (a Jordan block),
-keep the full matrix-unit span.
+All three are *-closed (lambda is a *-homomorphism; w and the braid
+generators are unitary), so :func:`_star_commutant` sizes each solve
+by its input: none for exact scalars, a full one at small D, else one
+on a random Hermitian probe's span, certified.  General sets, whose
+commutant need not be *-closed (a Jordan block), keep the full span.
 
-Subspaces are SVD null or row spaces, kept as orthonormal columns.
+Subspaces are SVD null spaces (orthonormal columns) or row spaces
+(orthonormal rows) from one rank kernel, :func:`_subspace`, which first
+cuts a tall system, or a wide one's row space, to a square one by QR.
 Every rank decision keeps the singular values above max(1e-9 scale,
 1e-12), with scale the largest norm of the rows before any
 cancellation, or a bound on it: 2 max |m|_F over a commutant's inputs
 m, 2 sqrt(d) for a round of N, a closure round's products before the
 basis is projected out, and the rows themselves where nothing cancels
-(E_n images, the Wedderburn input).  So a residual that is all
-rounding noise is cut as noise.  Dense operators are checked against
+(E_n images, the Wedderburn input).  So a residual that is all rounding
+noise is cut as noise.  Dense operators are checked against
 ``DENSE_ENTRY_CAP`` before they are built.  Block structure (the
 Wedderburn profile) is detected on first read from the eigenspaces of
 one random Hermitian element of the algebra, drawn by the same
@@ -107,6 +103,10 @@ WEDDERBURN_RETRIES = 6
 #: certified or retried, so no result depends on it.
 PROBE_SEED = 0
 
+#: Largest D whose commutant is solved in full, without a probe; the
+#: timings it rests on are in README "Commutants and fixed points".
+FULL_SOLVE_DIM = 4
+
 #: Relative distance within which probe eigenvalues share a cluster.
 PROBE_MERGE_TOL = 1e-3
 
@@ -115,36 +115,32 @@ PROBE_MERGE_TOL = 1e-3
 CERTIFY_ATOL = 1e-9
 
 
-def _svd_cutoff(a: np.ndarray, scale: float | None) -> float:
-    """The rank cutoff; ``scale`` defaults to a's largest row norm."""
+def _subspace(a: np.ndarray, scale=None, rows=False) -> np.ndarray:
+    """Orthonormal columns spanning the null space of ``a``, or with
+    ``rows`` orthonormal rows spanning its row space, cut by the rank
+    rule above (``scale`` defaults to the largest row norm).  QR first
+    cuts a tall A = QR to R, and a wide A = R^T Q^T, for its row space,
+    to R^T.  An all-zero A has a full null space."""
+    a = np.asarray(a, dtype=complex)
+    height, width = a.shape
+    if not a.any():
+        return np.eye(width, dtype=complex)[:0 if rows else width]
     scale = np.linalg.norm(a, axis=1).max() if scale is None else scale
-    return max(NULLSPACE_RTOL * float(scale), NULLSPACE_ATOL)
+    if rows and height < width:
+        q, tri = np.linalg.qr(a.T)
+        return _subspace(tri.T, scale, rows) @ q.T
+    if height > width:
+        a = np.linalg.qr(a, mode="r")
+    # A wide null space needs every right singular vector.
+    _, s, vh = np.linalg.svd(a, full_matrices=height < width)
+    keep = int(np.sum(s > max(NULLSPACE_RTOL * float(scale), NULLSPACE_ATOL)))
+    return vh[:keep] if rows else vh[keep:].conj().T
 
 
 def nullspace(a: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space of ``a``.
-
-    Singular values at or below max(1e-9 scale, 1e-12) are zero; ``scale``
-    bounds the rows' norms before cancellation (by default their largest
-    norm).  An all-zero or empty matrix has a full null space."""
-    a = np.asarray(a, dtype=complex)
-    if not a.any():
-        return np.eye(a.shape[1], dtype=complex)
-    cut = _svd_cutoff(a, scale)
-    # A tall A = QR has the singular values and right singular vectors
-    # of its square R; a wide A needs all of them for the null space.
-    if a.shape[0] > a.shape[1]:
-        a = np.linalg.qr(a, mode="r")
-    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    return vh[int(np.sum(s > cut)):].conj().T
-
-
-def _row_space_basis(rows: np.ndarray, scale=None) -> np.ndarray:
-    """Orthonormal columns spanning the rows, cut like :func:`nullspace`."""
-    if rows.size == 0:
-        return np.zeros((rows.shape[1], 0), dtype=complex)
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    return vh[:int(np.sum(s > _svd_cutoff(rows, scale)))].T
+    """Orthonormal columns spanning the null space of ``a``
+    (:func:`_subspace`); an all-zero or empty ``a`` has a full one."""
+    return _subspace(a, scale)
 
 
 def word_product(r: RMatrix, n: int, reverse: bool = False) -> np.ndarray:
@@ -243,7 +239,7 @@ def relative_commutant_M(r: RMatrix, n: int) -> SubalgebraBasis:
     require_dense(d ** (4 * n + 2), f"the level-{n} M operator")
     u = _lambda_word(r, n).reshape(dim, d, d, dim)
     blocks = u.transpose(2, 1, 0, 3).reshape(d * d, dim, dim)
-    return SubalgebraBasis(d, n, commutant_of(blocks))
+    return SubalgebraBasis(d, n, _star_commutant(blocks))
 
 
 def fixed_subalgebra(r: RMatrix, n: int) -> SubalgebraBasis:
@@ -296,27 +292,29 @@ def generated_algebra(mats) -> np.ndarray:
     Closes span{1} under right multiplication: each round multiplies the
     frontier by every matrix in one batched matmul, projects the basis
     out twice, and keeps the residual's row space, cut against the
-    products' scale, as the next frontier.  A basis wider than D^2 means
-    rounding noise kept the frontier alive (near-degenerate generators),
-    so the closure stops with an error.
+    products' scale, as the next frontier.  The basis is kept as rows,
+    appended to and conjugated once a round.  A basis wider than D^2
+    means rounding noise kept the frontier alive (near-degenerate
+    generators), so the closure stops with an error.
     """
     mats = np.asarray(mats, dtype=complex)
     dim = mats.shape[-1]
-    basis = frontier = np.eye(dim).reshape(-1, 1) / math.sqrt(dim)
-    while frontier.shape[1]:
-        width = basis.shape[1] + frontier.shape[1] * len(mats)
+    basis = frontier = np.eye(dim).reshape(1, -1) / math.sqrt(dim)
+    while len(frontier):
+        width = len(basis) + len(frontier) * len(mats)
         require_dense(dim * dim * width, "the generated algebra")
-        rows = frontier.T.reshape(-1, 1, dim, dim) @ mats
-        rows = rows.reshape(-1, dim * dim)
-        scale = float(np.linalg.norm(rows, axis=1).max())
+        prods = frontier.reshape(-1, 1, dim, dim) @ mats
+        prods = prods.reshape(-1, dim * dim)
+        scale = float(np.linalg.norm(prods, axis=1).max())
+        adjoint = basis.conj().T
         for _ in range(2):
-            rows = rows - (rows @ basis.conj()) @ basis.T
-        frontier = _row_space_basis(rows, scale)
-        basis = np.hstack([basis, frontier])
-        if basis.shape[1] > dim * dim:
+            prods = prods - (prods @ adjoint) @ basis
+        frontier = _subspace(prods, scale, rows=True)
+        basis = np.concatenate([basis, frontier])
+        if len(basis) > dim * dim:
             raise InternalConsistencyError(
                 f"algebra closure exceeded {dim * dim} dimensions")
-    return basis
+    return basis.T
 
 
 def _generator_images(r: RMatrix, m: int) -> np.ndarray:
@@ -346,9 +344,9 @@ def relative_commutant_L(r: RMatrix, n: int, max_strands: int = 4,
         # E_n traces out the last m - n slots with the normalized trace.
         rest, size = d ** (m - n), d ** m
         images = trace_out_last(closures[m].T.reshape(-1, size, size), rest)
-        expect = _row_space_basis(images.reshape(len(images), -1) / rest)
-        dims.append(expect.shape[1])
-    gens = expect.T.reshape(-1, d ** n, d ** n) * math.sqrt(d ** n)
+        expect = _subspace(images.reshape(len(images), -1) / rest, rows=True)
+        dims.append(len(expect))
+    gens = expect.reshape(-1, d ** n, d ** n) * math.sqrt(d ** n)
     return SubalgebraBasis(d, n, generated_algebra(gens),
                            converged=len(dims) > 1 and dims[-1] == dims[-2],
                            meta={"dims": tuple(dims)})
@@ -389,27 +387,29 @@ def commutant_of(mats, span=None) -> np.ndarray:
 
 
 def _star_commutant(mats) -> np.ndarray:
-    """:func:`commutant_of` ``mats`` as row-major columns: probe, solve,
-    certify.
+    """:func:`commutant_of` ``mats`` as row-major columns, for a
+    *-closed commutant, by the route that fits the input.
 
-    Exact only when the commutant of ``mats`` is *-closed: then each
-    solution commutes with any Hermitian probe h of ``mats`` and lies in
+    Exact scalars (or no matrices) give every matrix unit unsolved, and
+    D <= ``FULL_SOLVE_DIM`` one full solve.  Otherwise each solution
+    commutes with any Hermitian probe h of ``mats`` and lies in
     span{v_i v_j* : v_i, v_j eigenvectors of a first probe h1 in one
-    cluster}.  Eigenvalues within ``PROBE_MERGE_TOL`` times the spectral
-    scale share a cluster: that only enlarges the span, and nearer ones
-    would leave rounding noise at the null space cutoff.  On that span
-    only the commutator with a second probe h2 is solved.  As {h1, h2}'
-    contains the commutant, the answer can only be too big; it is kept
-    when max|x m - m x| <= ``CERTIFY_ATOL`` for every basis element x
-    and every m, and else the span is solved against all of ``mats``.
-    An empty ``mats`` gives every matrix unit.
+    cluster}; eigenvalues within ``PROBE_MERGE_TOL`` times the spectral
+    scale share one, which only enlarges the span and keeps rounding
+    noise off the cutoff.  On that span only the commutator with a
+    second probe h2 is solved.  As {h1, h2}' contains the commutant, the
+    answer can only be too big; it is kept when max|x m - m x| <=
+    ``CERTIFY_ATOL`` for every basis element x and every m, and else the
+    span is solved against all of ``mats``.
     """
     mats = np.asarray(mats, dtype=complex)
-    if not len(mats):
+    dim = mats.shape[-1]
+    if np.array_equal(mats, mats[:, :1, :1] * np.eye(dim)):
+        return np.eye(dim * dim, dtype=complex)
+    if dim <= FULL_SOLVE_DIM:
         return commutant_of(mats)
     rng = np.random.default_rng(PROBE_SEED)
     vecs, groups = _probe_eigenspaces(mats, rng)
-    dim = len(vecs)
     span = np.concatenate([
         np.einsum("pi,qj->ijpq", v, v.conj()).reshape(-1, dim, dim)
         for v in (vecs[:, i] for i in groups)
@@ -488,7 +488,7 @@ def wedderburn_decompose(span, tol: float = 1e-9) -> tuple:
         dim = mats[0].shape[0]
         if any(m.shape != (dim, dim) for m in mats):
             raise ShapeError("span matrices must share one shape")
-        cols = _row_space_basis(np.stack([m.reshape(-1) for m in mats]))
+        cols = _subspace(np.stack([m.reshape(-1) for m in mats]), rows=True).T
     k = cols.shape[1]
     require_dense(k * dim * dim, "the Wedderburn probe stack")
     basis = cols.T.reshape(k, dim, dim)

@@ -358,6 +358,22 @@ def test_classify_solves_fixed_points_only_for_non_ergodic_input(
         assert solved == solves, name
 
 
+@pytest.mark.parametrize("name", ["r4", "r2", "r3"])
+def test_analyze_solves_each_fixed_level_once(monkeypatch, name):
+    # The fixed_dims section and the d = 2 classifier share level 1.
+    solved = []
+    fixed = rmlab.analysis.fixed_subalgebra
+
+    def counted(r, n):
+        solved.append(n)
+        return fixed(r, n)
+
+    monkeypatch.setattr(rmlab.analysis, "fixed_subalgebra", counted)
+    report = analyze(rmlab.builtin(name))
+    assert not report.errors
+    assert solved == [1, 2, 3, 4]
+
+
 def test_close_probe_eigenvalues_keep_the_family4_fixed_points():
     # The fixed-point probe of this draw has two eigenvalues
     # 9e-4 apart; solved as separate clusters they left a rounding

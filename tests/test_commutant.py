@@ -26,7 +26,7 @@ from rmlab import (
 from rmlab.commutant import (
     _check_algebra,
     _generator_images,
-    _row_space_basis,
+    _subspace,
     commutant_of,
     generated_algebra,
 )
@@ -168,7 +168,7 @@ _E01 = np.array([[0, 1], [0, 0]], dtype=complex)
 ], ids=["unital", "adjoints", "products"])
 def test_check_algebra_names_the_first_failing_property(span, message):
     mats = np.array(span, dtype=complex)
-    cols = _row_space_basis(mats.reshape(len(mats), -1))
+    cols = _subspace(mats.reshape(len(mats), -1), rows=True).T
     with pytest.raises(DomainError, match=f"^{message}$"):
         _check_algebra(cols.T.reshape(-1, 2, 2), cols)
     with pytest.raises(DomainError, match=f"^{message}$"):
@@ -748,7 +748,7 @@ def test_center_equals_the_double_loop_reference(build, name, n):
     b = build(rmlab.builtin(name), n)
     mats = [e.matrix for e in b.basis]
     dim = mats[0].shape[0]
-    cols = _row_space_basis(np.stack([m.reshape(-1) for m in mats]))
+    cols = _subspace(np.stack([m.reshape(-1) for m in mats]), rows=True).T
     basis = [cols[:, i].reshape(dim, dim) for i in range(cols.shape[1])]
     rows = []
     for m in basis:
@@ -802,6 +802,18 @@ def _last_slot_blocks(r, n):
     dim = r.d ** n
     u = rmlab.commutant.word_product(r, n).reshape(dim, r.d, dim, r.d)
     return u.transpose(1, 3, 0, 2).reshape(r.d * r.d, dim, dim)
+
+
+def _lambda_blocks(r, n):
+    dim = r.d ** n
+    u = rmlab.commutant._lambda_word(r, n).reshape(dim, r.d, r.d, dim)
+    return u.transpose(2, 1, 0, 3).reshape(r.d * r.d, dim, dim)
+
+
+# The matrices each dispatched commutant is the commutant of.
+_INPUTS = {relative_commutant_M: _lambda_blocks,
+           fixed_subalgebra: _last_slot_blocks,
+           braid_image_commutant: _generator_images}
 
 
 def _assert_same_subspace(b, reference, tol=1e-12):
@@ -890,31 +902,36 @@ def _random_draw(family, rng):
 
 @settings(max_examples=25, deadline=None)
 @given(case=st.one_of(
-    st.tuples(st.sampled_from([1, 2, 3, 4]), st.integers(1, 3)),
+    st.tuples(st.sampled_from([1, 2, 3, 4]), st.integers(1, 4)),
     st.tuples(st.sampled_from(["box21", "diag3", "flip3", "simple3"]),
               st.integers(1, 2))),
     seed=st.integers(0, 2 ** 16))
 def test_certified_commutants_match_the_full_system(case, seed):
+    # Every dispatched commutant, on both sides of FULL_SOLVE_DIM, spans
+    # the null space of its full matrix-unit system.
     family, n = case
     r = _random_draw(family, np.random.default_rng(seed))
     # Each example also draws its probes from its own seed.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rmlab.commutant, "PROBE_SEED", seed)
-        fixed, braid = fixed_subalgebra(r, n), braid_image_commutant(r, n)
-    _assert_same_subspace(fixed, commutant_of(_last_slot_blocks(r, n)),
-                          tol=1e-10)
-    _assert_same_subspace(braid, commutant_of(_generator_images(r, n)),
-                          tol=1e-10)
+        got = {build: build(r, n) for build in _INPUTS}
+    for build, inputs in _INPUTS.items():
+        _assert_same_subspace(got[build], commutant_of(inputs(r, n)),
+                              tol=1e-10)
 
 
 @pytest.mark.parametrize("build,name,n,second", [
-    (fixed_subalgebra, "r2", 2, "scalar"),
-    (fixed_subalgebra, "box21", 1, "scalar"),
+    # Levels above D = FULL_SOLVE_DIM, where the probe route runs.  At
+    # those levels a probe of the first matrix alone passes the
+    # certificate on every builtin's fixed points and braid images;
+    # r3's M at n = 3 is a system where it does not.
+    (fixed_subalgebra, "r2", 3, "scalar"),
+    (fixed_subalgebra, "box21", 2, "scalar"),
     (braid_image_commutant, "flip2", 3, "scalar"),
     (braid_image_commutant, "r3", 3, "scalar"),
-    (fixed_subalgebra, "simple3", 1, "scalar"),
-    (fixed_subalgebra, "box21", 1, "first matrix"),
-    (fixed_subalgebra, "simple3", 1, "first matrix"),
+    (fixed_subalgebra, "simple3", 2, "scalar"),
+    (relative_commutant_M, "box21", 2, "scalar"),
+    (relative_commutant_M, "r3", 3, "first matrix"),
 ])
 def test_a_failed_certificate_falls_back_to_every_matrix(monkeypatch, build,
                                                           name, n, second):
@@ -943,8 +960,7 @@ def test_a_failed_certificate_falls_back_to_every_matrix(monkeypatch, build,
     # A scalar probe keeps the whole span, a probe of the first matrix
     # alone too much of it; the certificate refuses either answer, so
     # the span is solved again against every matrix.
-    mats = (_last_slot_blocks(r, n) if build is fixed_subalgebra
-            else _generator_images(r, n))
+    mats = _INPUTS[build](r, n)
     assert solved == [1, len(mats)]
     _assert_same_subspace(got, want)
 
@@ -967,11 +983,13 @@ def test_scalar_up_to_rounding_blocks_solve_one_probe(monkeypatch):
     assert shapes == [(256, 256)]
 
 
-@settings(max_examples=30, deadline=None)
-@given(rows=st.integers(1, 40), cols=st.integers(1, 12),
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 40), cols=st.integers(1, 40),
        rank=st.integers(0, 12), seed=st.integers(0, 2 ** 16))
 def test_nullspace_of_tall_systems_matches_the_full_svd(rows, cols, rank,
                                                         seed):
+    # Tall and wide systems alike: the rank kernel's null space and row
+    # space span the plain SVD's, at the planted rank.
     rng = np.random.default_rng(seed)
     rank = min(rank, rows, cols)
     a = ((rng.standard_normal((rows, rank))
@@ -983,9 +1001,74 @@ def test_nullspace_of_tall_systems_matches_the_full_svd(rows, cols, rank,
     _, s, vh = np.linalg.svd(a)
     cut = max(1e-9 * np.linalg.norm(a, axis=1).max(), 1e-12)
     keep = int(np.sum(s > cut)) if a.any() else 0
-    want = vh[keep:].conj().T
+    assert keep == rank
     got = nullspace(a)
-    assert got.shape == want.shape
-    gap = got @ got.conj().T - want @ want.conj().T
-    assert np.abs(gap).max() <= 1e-10
+    row_space = _subspace(a, rows=True).T
+    for kernel, want in [(got, vh[keep:].conj().T),
+                         (row_space, vh[:keep].T)]:
+        assert kernel.shape == want.shape
+        assert np.allclose(kernel.conj().T @ kernel,
+                           np.eye(kernel.shape[1]), atol=1e-12)
+        gap = kernel @ kernel.conj().T - want @ want.conj().T
+        assert np.abs(gap).max() <= 1e-10
     assert np.linalg.norm(a @ got) <= 1e-9 * max(1.0, float(s[0]))
+
+
+@pytest.mark.parametrize("build,name,n,dim", [
+    (fixed_subalgebra, "trivial2", 4, 256),
+    (relative_commutant_M, "flip3", 2, 81),
+    (braid_image_commutant, "r2", 1, 4),
+])
+def test_exact_scalars_make_no_probe_and_no_solve(monkeypatch, build, name,
+                                                  n, dim):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a probe or a solve was made")
+
+    for kernel in ("hermitian_probe", "commutant_of", "nullspace"):
+        monkeypatch.setattr(rmlab.commutant, kernel, refuse)
+    b = build(rmlab.builtin(name), n)
+    assert np.array_equal(b.columns, np.eye(dim))
+
+
+def test_m_solves_one_probe_reduced_system(monkeypatch):
+    solve = rmlab.commutant.nullspace
+    shapes = []
+
+    def recorded(a, *args):
+        shapes.append(a.shape)
+        return solve(a, *args)
+
+    monkeypatch.setattr(rmlab.commutant, "nullspace", recorded)
+    r = rmlab.builtin("box21")
+    b = relative_commutant_M(r, 2)
+    # One system, against the second probe alone, on the span the first
+    # probe leaves: D^2 = 81 rows and fewer than 81 unknowns.
+    assert len(shapes) == 1
+    assert shapes[0][0] == 81 and shapes[0][1] < 81
+    _assert_same_subspace(b, commutant_of(_lambda_blocks(r, 2)))
+
+
+@pytest.mark.parametrize("build", list(_INPUTS))
+@pytest.mark.parametrize("name,n", [("r2", 1), ("r2", 2), ("r4", 2),
+                                    ("box21", 1), ("simple3", 1)])
+def test_small_systems_make_one_full_solve(monkeypatch, build, name, n):
+    r = rmlab.builtin(name)
+    mats = _INPUTS[build](r, n)
+    dim = r.d ** n
+    assert dim <= rmlab.commutant.FULL_SOLVE_DIM
+    exact = np.array_equal(mats, mats[:, :1, :1] * np.eye(dim))
+    solve = rmlab.commutant.commutant_of
+    spans = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a probe was drawn")
+
+    def counted(mats, span=None):
+        spans.append(span)
+        return solve(mats, span)
+
+    monkeypatch.setattr(rmlab.commutant, "hermitian_probe", refuse)
+    monkeypatch.setattr(rmlab.commutant, "commutant_of", counted)
+    b = build(r, n)
+    assert spans == ([] if exact else [None])
+    _assert_same_subspace(b, solve(mats))
