@@ -9,6 +9,7 @@ families.  A failing section is recorded in ``report.errors`` instead
 of aborting the rest.
 
 Everything is deterministic in the inputs: probes use ``PROBE_SEED``.
+What sections share is kept on the solution by ``rmatrix.memo``.
 """
 
 from __future__ import annotations
@@ -23,14 +24,15 @@ from .errors import (DomainError, InternalConsistencyError, NormalFormError,
                      RmlabError)
 from . import commutant
 from .commutant import (SubalgebraBasis, _probe_eigenspaces,
-                        fixed_subalgebra, relative_commutant_L,
-                        relative_commutant_M, relative_commutant_N)
+                        fixed_subalgebra, profile_string,
+                        relative_commutant_L, relative_commutant_M,
+                        relative_commutant_N)
 from .rmatrix import (DENSE_ENTRY_CAP, NormalFormSpec, RMatrix,
-                      conjugate_by_square, is_involutive, is_trivial,
+                      conjugate_by_square, is_involutive, is_trivial, memo,
                       quasifree_conjugate, verify)
-from .tensor import (eig_normal, frobenius_norm, operator_norm_estimate,
-                     pad_left, pad_right, partial_trace_left,
-                     partial_trace_right, trace_out_last)
+from .tensor import (CLUSTER_TOL, DEFAULT_TOL, eig_normal, frobenius_norm,
+                     operator_norm_estimate, pad_left, pad_right,
+                     partial_trace_left, partial_trace_right, trace_out_last)
 
 __all__ = [
     "AnalysisReport",
@@ -60,6 +62,10 @@ __all__ = [
 #: scalar: 1 - 2^(-1/4).
 CONCENTRATION_THRESHOLD = 1.0 - 2.0 ** (-0.25)
 
+#: Residual within which a basis change exposes structure: a d = 2
+#: family's support, or a split of an involutive solution.
+STRUCTURE_TOL = 1e-8
+
 
 def phi_image(r: RMatrix) -> np.ndarray:
     """Normalized left partial trace of R, a d x d matrix."""
@@ -71,10 +77,11 @@ class Eigenvalue(NamedTuple):
     multiplicity: int
 
 
-def _spectrum(matrix) -> tuple:
-    """The distinct eigenvalues of a normal matrix with multiplicities."""
-    return tuple(Eigenvalue(cl.value, cl.multiplicity)
-                 for cl in eig_normal(matrix))
+def _spectrum(r: RMatrix, partial: bool) -> tuple:
+    """The distinct eigenvalues, with multiplicities, of R or with
+    ``partial`` of its partial trace; read through ``memo``."""
+    return tuple(Eigenvalue(cl.value, cl.multiplicity) for cl in
+                 eig_normal(phi_image(r) if partial else r.matrix))
 
 
 @dataclass(frozen=True)
@@ -107,7 +114,7 @@ def partial_trace_invariant(r: RMatrix, tol: float = 1e-10
     if norm > 1.0 + tol:
         raise InternalConsistencyError(
             f"partial trace has operator norm {norm} > 1")
-    return PartialTraceData(left, lr, defect, norm, _spectrum(left))
+    return PartialTraceData(left, lr, defect, norm, memo(r, _spectrum, True))
 
 
 @dataclass(frozen=True)
@@ -117,12 +124,12 @@ class ErgodicityResult:
     witness: tuple | None
 
 
-def is_ergodic(r: RMatrix, tol: float = 1e-10) -> ErgodicityResult:
+def is_ergodic(r: RMatrix) -> ErgodicityResult:
     """Test the averaging identity E_1(R (x (x) 1) R*) = tr(x) 1.
 
     Equivalent to the entrywise tensor identity
     sum_{m,n} R^{im}_{kn} conj(R^{jm}_{ln}) = delta_ij delta_kl; the
-    worst-violating index tuple (i, j, k, l) is reported as witness.
+    worst (i, j, k, l), if off by more than ``DEFAULT_TOL``, is the witness.
     """
     d = r.d
     t4 = r.matrix.reshape(d, d, d, d)
@@ -131,7 +138,7 @@ def is_ergodic(r: RMatrix, tol: float = 1e-10) -> ErgodicityResult:
     want = np.einsum("ij,kl->ijkl", eye, eye)
     dev = np.abs(got - want)
     max_dev = float(dev.max())
-    if max_dev <= tol:
+    if max_dev <= DEFAULT_TOL:
         return ErgodicityResult(True, max_dev, None)
     witness = tuple(int(v) for v in np.unravel_index(dev.argmax(), dev.shape))
     return ErgodicityResult(False, max_dev, witness)
@@ -148,7 +155,7 @@ def ergodicity_necessary_check(r: RMatrix) -> float:
 
 def is_irreducible(r: RMatrix) -> bool:
     """True when the level-1 relative commutant is the scalars."""
-    return relative_commutant_M(r, 1).dimension == 1
+    return memo(r, relative_commutant_M, 1).dimension == 1
 
 
 @dataclass(frozen=True)
@@ -164,18 +171,16 @@ class IndexBounds:
             )
 
 
-def index_bounds(r: RMatrix, tol: float = 1e-9, spectrum=None,
-                 phi_spectrum=None) -> IndexBounds:
+def index_bounds(r: RMatrix) -> IndexBounds:
     """Rigorous lower and upper bounds for the endomorphism index.
 
     Lower: distinct eigenvalue counts of R and of its partial trace
     (the latter squared).  Upper: d^2 always, improved by the fourth
-    power of the inverse partial trace norm when it is invertible.
-    The spectra of R and of the partial trace are computed unless given.
+    power of the inverse partial trace norm when no eigenvalue of it is
+    within ``CLUSTER_TOL`` of 0.  Both spectra are read through ``memo``.
     """
     d = r.d
-    spec_r = spectrum or _spectrum(r.matrix)
-    spec_phi = phi_spectrum or _spectrum(phi_image(r))
+    spec_r, spec_phi = memo(r, _spectrum, False), memo(r, _spectrum, True)
     lower_r = float(len(spec_r))
     lower_phi = float(len(spec_phi)) ** 2
     lower = max(1.0, lower_r, lower_phi)
@@ -186,7 +191,7 @@ def index_bounds(r: RMatrix, tol: float = 1e-9, spectrum=None,
     ]
     upper = float(d * d)
     min_abs = min(abs(cl.value) for cl in spec_phi)
-    if min_abs > tol:
+    if min_abs > CLUSTER_TOL:
         inv_norm_bound = (1.0 / min_abs) ** 4
         if inv_norm_bound < upper:
             upper = inv_norm_bound
@@ -228,22 +233,21 @@ def triviality_by_concentration(r: RMatrix) -> ConcentrationData:
     return ConcentrationData(margin, CONCENTRATION_THRESHOLD, concluded)
 
 
-def normal_form_of_involutive(r: RMatrix, tol: float = 1e-9
-                              ) -> NormalFormSpec:
+def normal_form_of_involutive(r: RMatrix) -> NormalFormSpec:
     """Read the block data of an involutive solution off its partial trace.
 
     The partial trace of a normal-form solution is constant on each
     block with value sign * dim / d, so an eigenvalue v of multiplicity
     m decodes to m / (d |v|) blocks of dimension d |v| and sign(v).
     Non-integer decodings mean the input is not equivalent to a normal
-    form.
+    form; involution and a Hermitian partial trace hold to ``CLUSTER_TOL``.
     """
-    if not is_involutive(r, tol=max(tol, 1e-10)):
+    if not is_involutive(r, tol=CLUSTER_TOL):
         raise DomainError("solution is not involutive")
     d = r.d
     phi = phi_image(r)
     herm_defect = frobenius_norm(phi - phi.conj().T)
-    if herm_defect > tol:
+    if herm_defect > CLUSTER_TOL:
         raise NormalFormError(
             f"partial trace not Hermitian (defect {herm_defect:.3e})"
         )
@@ -309,7 +313,7 @@ class ReductionResult:
         return self.spec.blocks
 
 
-def reduce_involutive(r: RMatrix, tol: float = 1e-8) -> ReductionResult:
+def reduce_involutive(r: RMatrix) -> ReductionResult:
     """Recursively split an involutive solution along its commutant.
 
     Any proper projection p in the level-1 relative commutant induces
@@ -322,18 +326,18 @@ def reduce_involutive(r: RMatrix, tol: float = 1e-8) -> ReductionResult:
     or irreducible with constant partial trace (the flip class);
     anything else stops the reduction with a normal-form error.  The
     collected leaf data is cross-checked against
-    :func:`normal_form_of_involutive`.
+    :func:`normal_form_of_involutive`.  Residuals: ``STRUCTURE_TOL``.
     """
-    if not is_involutive(r, tol=max(tol, 1e-10)):
+    if not is_involutive(r, tol=STRUCTURE_TOL):
         raise DomainError("solution is not involutive")
     rng = np.random.default_rng(commutant.PROBE_SEED)
 
     def descend(cur: RMatrix):
         d = cur.d
-        if is_trivial(cur, tol=tol):
+        if is_trivial(cur, tol=STRUCTURE_TOL):
             c = complex(np.trace(cur.matrix)) / d ** 2
             sign = 1 if c.real > 0 else -1
-            if abs(c - sign) > tol:
+            if abs(c - sign) > STRUCTURE_TOL:
                 raise NormalFormError(f"scalar leaf value {c} is not +-1")
             return ReductionLeaf("trivial", sign, d)
         m = relative_commutant_M(cur, 1)
@@ -341,7 +345,7 @@ def reduce_involutive(r: RMatrix, tol: float = 1e-8) -> ReductionResult:
             phi = phi_image(cur)
             sign = 1 if np.trace(phi).real > 0 else -1
             resid = frobenius_norm(phi - sign * np.eye(d) / d)
-            if resid > tol:
+            if resid > STRUCTURE_TOL:
                 raise NormalFormError(
                     "irreducible factor is neither scalar nor of flip "
                     f"class (partial trace residual {resid:.3e})"
@@ -360,8 +364,8 @@ def reduce_involutive(r: RMatrix, tol: float = 1e-8) -> ReductionResult:
         cc = [i * d + j for i in range(rank, d) for j in range(rank, d)]
         wc = [i * d + j for i in range(rank) for j in range(rank, d)]
         cw = [i * d + j for i in range(rank, d) for j in range(rank)]
-        s = verify(aligned[np.ix_(ww, ww)], rank, tol=tol)
-        t = verify(aligned[np.ix_(cc, cc)], d - rank, tol=tol)
+        s = verify(aligned[np.ix_(ww, ww)], rank, tol=STRUCTURE_TOL)
+        t = verify(aligned[np.ix_(cc, cc)], d - rank, tol=STRUCTURE_TOL)
         off = aligned[np.ix_(cw, wc)]
         recon = np.zeros_like(aligned)
         recon[np.ix_(ww, ww)] = s.matrix
@@ -372,7 +376,7 @@ def reduce_involutive(r: RMatrix, tol: float = 1e-8) -> ReductionResult:
             off.conj().T @ off - np.eye(len(wc))
         )
         drift = frobenius_norm(aligned - recon)
-        if drift > tol or unit_defect > tol:
+        if drift > STRUCTURE_TOL or unit_defect > STRUCTURE_TOL:
             raise NormalFormError(
                 "aligned solution does not split along the projection "
                 f"(drift {drift:.3e}, off-block defect {unit_defect:.3e})"
@@ -440,17 +444,8 @@ def _fixed_point_axis(fixed: SubalgebraBasis) -> np.ndarray:
     return -h if h[0, 0].real > 0.0 else h
 
 
-def _fixed_points(r: RMatrix, n: int = 1) -> SubalgebraBasis:
-    """r's level-n fixed algebra, solved once and kept in ``vars(r)``
-    like a cached property, so it lives exactly as long as r."""
-    solved = vars(r).setdefault("_fixed_points", {})
-    if n not in solved:
-        solved[n] = fixed_subalgebra(r, n)
-    return solved[n]
-
-
-def _try_family4(r: RMatrix, fixed: SubalgebraBasis,
-                 tol: float) -> Dim2Classification | None:
+def _try_family4(r: RMatrix,
+                 fixed: SubalgebraBasis) -> Dim2Classification | None:
     for v in np.linalg.eigh(_fixed_point_axis(fixed))[1].T:
         w = _basis_unitary_from_vector(v)
         aligned = conjugate_by_square(r.matrix, w)
@@ -469,7 +464,7 @@ def _try_family4(r: RMatrix, fixed: SubalgebraBasis,
              for c in (np.diag([1.0, g]) @ w for g in (gamma, gamma.conj()))),
             key=lambda pair: pair[0],
         )
-        if resid <= tol:
+        if resid <= STRUCTURE_TOL:
             return Dim2Classification(4, {"q": complex(q)}, u, float(resid))
     return None
 
@@ -586,7 +581,7 @@ def _extract_product_family(r: RMatrix, w: np.ndarray, tol: float
 LAST_RESORT_C = 2.0
 
 
-def classify_dim2(r: RMatrix, tol: float = 1e-8) -> Dim2Classification:
+def classify_dim2(r: RMatrix) -> Dim2Classification:
     """Classify a d = 2 solution into the four known families.
 
     Decision order: scalar solutions; non-ergodic solutions on their
@@ -596,8 +591,8 @@ def classify_dim2(r: RMatrix, tol: float = 1e-8) -> Dim2Classification:
     projection seeds only when the map's seeds fail, and, only when no
     seed is exact, each seed again after a Gauss-Newton polish
     (``_polish_seed``), R^2's projection seeds first.  When all of
-    these fail at ``tol``, the candidate nearest a support gets a last
-    chance at ``LAST_RESORT_C`` times the square root of
+    these fail at ``STRUCTURE_TOL``, the candidate nearest a support gets
+    a last chance at ``LAST_RESORT_C`` times the square root of
     ``r.ybe_residual``.  Unclassifiable inputs are returned with
     ``family=None`` and the best residual found.
     """
@@ -610,21 +605,21 @@ def classify_dim2(r: RMatrix, tol: float = 1e-8) -> Dim2Classification:
             1, {"q": q}, np.eye(2, dtype=complex), float(resid)
         )
     if not is_ergodic(r).ergodic:
-        fixed = _fixed_points(r)
-        if fixed.dimension > 1 and (out := _try_family4(r, fixed, tol)):
+        fixed = memo(r, fixed_subalgebra, 1)
+        if fixed.dimension > 1 and (out := _try_family4(r, fixed)):
             return out
 
     # Near a degenerate point of R^2 the seeds are accurate only to about
     # rounding / gap; polished, the projection seeds are the ones to land.
     tried = []
     for w in _candidate_bases(r):
-        out = _extract_product_family(r, w, tol)
+        out = _extract_product_family(r, w, STRUCTURE_TOL)
         if out.classified:
             return out
         tried.append((out.residual, w))
     w = min(tried, key=lambda pair: pair[0])[1]
     loose = LAST_RESORT_C * math.sqrt(r.ybe_residual)
-    return _extract_product_family(r, w, max(tol, loose))
+    return _extract_product_family(r, w, max(STRUCTURE_TOL, loose))
 
 
 def _feasible_fixed_cap(d: int, cap: int) -> int:
@@ -678,19 +673,18 @@ def _spectrum_text(spectrum) -> str:
 def _tower(r, report, name: str) -> dict:
     """Levels 1 to ``n_cap`` of the commutant tower ``name``, filled into
     ``report.commutants`` one by one so a failing level keeps those
-    below it.  The levels of L share one dict of braid closures A_m."""
+    below it."""
     build = {"M": relative_commutant_M, "N": relative_commutant_N,
              "L": relative_commutant_L}[name]
-    shared = {"closures": {}} if name == "L" else {}
     for n in range(1, report.n_cap + 1):
-        report.commutants.setdefault(n, {})[name] = build(r, n, **shared)
+        report.commutants.setdefault(n, {})[name] = memo(r, build, n)
     return report.commutants
 
 
 def _towers_text(commutants, report) -> str:
     return "\n".join(
         f"* level {n}: " + ", ".join(
-            f"{name}: {b.profile_text()} (dim {b.dimension}"
+            f"{name}: {profile_string(b.block_profile)} (dim {b.dimension}"
             + ("" if b.converged else ", truncated") + ")"
             for name, b in by_name.items())
         for n, by_name in sorted(commutants.items()))
@@ -699,17 +693,10 @@ def _towers_text(commutants, report) -> str:
 def _towers_json(commutants) -> dict:
     return {str(n): {name: {"dimension": b.dimension,
                             "profile": _jsonable(b.block_profile),
-                            "profile_text": b.profile_text(),
+                            "profile_text": profile_string(b.block_profile),
                             "converged": b.converged}
                      for name, b in by_name.items()}
             for n, by_name in commutants.items()}
-
-
-def _irreducible(r, report) -> bool:
-    m1 = report.commutants.get(1, {}).get("M")
-    if m1 is None:
-        return is_irreducible(r)
-    return m1.dimension == 1
 
 
 def _dim2_text(c, report) -> str:
@@ -737,7 +724,7 @@ def _exact_index(r, report) -> tuple | None:
 #: look their functions up at call time, so patching or wrapping a
 #: module function reaches ``analyze``.
 _SECTIONS = (
-    _Section("spectrum", "spectrum", lambda r, rep: _spectrum(r.matrix),
+    _Section("spectrum", "spectrum", lambda r, rep: memo(r, _spectrum, False),
              lambda v, rep: f"* spectrum of R: {_spectrum_text(v)}"),
     _Section("partial_trace", "partial_trace",
              lambda r, rep: partial_trace_invariant(r),
@@ -747,7 +734,7 @@ _SECTIONS = (
                lambda r, rep, x=x: _tower(r, rep, x),
                _towers_text, _towers_json) for x in "MNL"),
     _Section("fixed_dims", "fixed_dims", lambda r, rep: tuple(
-                 _fixed_points(r, n).dimension for n in
+                 memo(r, fixed_subalgebra, n).dimension for n in
                  range(1, _feasible_fixed_cap(r.d, rep.fixed_cap) + 1)),
              lambda v, rep: "* fixed point dimensions: "
              + ", ".join(map(str, v))),
@@ -756,11 +743,10 @@ _SECTIONS = (
              f"{v.max_deviation:.3e}, necessary gap {rep.necessary_gap:.3e})"),
     _Section("necessary_gap", "necessary_gap",
              lambda r, rep: ergodicity_necessary_check(r), None),
-    _Section("irreducible", "irreducible", _irreducible,
+    _Section("irreducible", "irreducible", lambda r, rep:
+             memo(r, relative_commutant_M, 1).dimension == 1,
              lambda v, rep: f"* irreducible: {v}"),
-    _Section("index_bounds", "bounds", lambda r, rep: index_bounds(
-                 r, spectrum=rep.spectrum, phi_spectrum=getattr(
-                     rep.partial_trace, "spectrum", None)),
+    _Section("index_bounds", "bounds", lambda r, rep: index_bounds(r),
              lambda v, rep: f"* index bounds: [{v.lower:.6g}, {v.upper:.6g}]"),
     _Section("concentration", "concentration",
              lambda r, rep: triviality_by_concentration(r),
@@ -842,8 +828,12 @@ def analyze(r: RMatrix, n_cap: int = 2, fixed_cap: int = 4
     """Run every analysis section on a verified solution.
 
     Sections are independent; a failure is recorded under its name in
-    ``errors`` and the remaining sections still run.
+    ``errors`` and the remaining sections still run.  Raises
+    ``DomainError`` unless n_cap >= 0 and fixed_cap >= 1.
     """
+    if n_cap < 0 or fixed_cap < 1:
+        raise DomainError(
+            f"need n_cap >= 0 and fixed_cap >= 1, got {n_cap}, {fixed_cap}")
     report = AnalysisReport(
         r.label, r.d, n_cap, fixed_cap, r.ybe_residual,
         r.unitarity_residual, is_involutive(r), is_trivial(r))

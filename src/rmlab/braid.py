@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DomainError, InternalConsistencyError
 from .rmatrix import RMatrix, flip_conjugate, make_flip, require_dense
 from .tensor import (
+    DEFAULT_TOL,
     AlgebraElement,
     frobenius_norm,
     pad_left,
@@ -130,23 +131,12 @@ def represent(r: RMatrix, word: BraidWord) -> AlgebraElement:
 
 
 def character(r: RMatrix, word: BraidWord) -> complex:
-    """Normalized trace of the represented word.
-
-    Stable under adding strands, so it is evaluated at the minimal
-    level the word needs; the last factor is folded into the trace
-    directly instead of forming one more full product.
-    """
-    if not word.letters:
-        return 1.0 + 0.0j
-    (gen, exp), d = word.letters[-1], r.d
-    strands = max(g for g, _ in word.letters) + 1
-    require_dense(d ** (2 * strands), f"a {strands}-strand word")
-    prod, level = _product(r, word.letters[:-1])
-    top = max(level, gen + 1)
-    a = pad_right(prod, d, top - level)
-    b = pad_right(_letter(r, gen, exp), d, top - gen - 1)
-    # tr(AB) without the product matrix.
-    return complex(np.sum(a * b.T)) / d ** top
+    """Normalized trace of the represented word, which is stable under
+    adding strands, so it is taken at the minimal level the word needs."""
+    strands = max((g + 1 for g, _ in word.letters), default=0)
+    require_dense(r.d ** (2 * strands), f"a {strands}-strand word")
+    prod, level = _product(r, word.letters)
+    return complex(np.trace(prod)) / r.d ** level
 
 
 def underlying_permutation(word: BraidWord) -> tuple:
@@ -174,12 +164,12 @@ def fundamental_braid(n: int) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
-def intertwiner_Y(r: RMatrix, n: int, tol: float = 1e-10) -> AlgebraElement:
+def intertwiner_Y(r: RMatrix, n: int) -> AlgebraElement:
     """Unitary intertwining the representation of R with that of FRF.
 
     Y_n is the flip-conjugated half twist times the plain flip half
-    twist.  The intertwining property is re-checked on every generator
-    and a failure raises an internal-consistency error.
+    twist.  An intertwining residual above ``DEFAULT_TOL`` on any
+    generator raises an internal-consistency error.
     """
     frf = flip_conjugate(r)
     flip = make_flip(r.d)
@@ -190,7 +180,7 @@ def intertwiner_Y(r: RMatrix, n: int, tol: float = 1e-10) -> AlgebraElement:
         gr = pad_right(_letter(r, k, +1), r.d, n - k - 1)
         gf = pad_right(_letter(frf, k, +1), r.d, n - k - 1)
         resid = frobenius_norm(y @ gr @ y.conj().T - gf)
-        if resid > tol:
+        if resid > DEFAULT_TOL:
             raise InternalConsistencyError(
                 f"intertwiner fails on generator {k}: residual {resid:.3e}"
             )

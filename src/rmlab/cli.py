@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .analysis import _fixed_points, analyze, classify_dim2, is_ergodic
+from .analysis import analyze, classify_dim2, is_ergodic
 from .braid import BraidWord, character, characters_equal
 from .commutant import fixed_subalgebra, relative_commutant_M
 from .corpus import (
@@ -53,6 +53,7 @@ from .rmatrix import (
     make_normal_form,
     make_trivial,
     is_trivial,
+    memo,
     verify,
 )
 from .search import find_solution, fingerprint, ordered_map
@@ -313,9 +314,8 @@ def _table9_row(family: int, samples: int, seed: int):
         ok &= is_ergodic(r).ergodic == ergodic
         if family == 1:
             ok &= is_trivial(r)
-        if family == 4:  # level 1 is kept on r for classify_dim2
-            tower = [_fixed_points(r)] + [fixed_subalgebra(r, n)
-                                          for n in (2, 3, 4)]
+        if family == 4:  # memo keeps level 1 on r for classify_dim2
+            tower = [memo(r, fixed_subalgebra, n) for n in (1, 2, 3, 4)]
             ok &= [f.dimension for f in tower] == [2, 4, 8, 16]
         hits += classify_dim2(r).family == family
     return (name, samples, expected, ok, hits)

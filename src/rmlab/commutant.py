@@ -10,7 +10,7 @@ solution R, all as explicit Hilbert-Schmidt-orthonormal bases:
 * L: the algebra generated by E_n(A_m), the trace-preserving
   expectation onto F^n of the algebra A_m generated by the m-strand
   braid generator images; :func:`generated_algebra` closes both.  A_m
-  does not depend on n, so the levels of one report share each closure.
+  does not depend on n, so it is closed once per R (``rmatrix.memo``).
 
 M, the fixed points and the braid-image commutants are commutants.
 With K_ab the block of u at last output slot b and first input slot a,
@@ -61,7 +61,7 @@ from .errors import (
     InternalConsistencyError,
     ShapeError,
 )
-from .rmatrix import RMatrix, require_dense
+from .rmatrix import RMatrix, memo, require_dense
 from .tensor import (
     AlgebraElement,
     as_complex_matrix,
@@ -111,7 +111,8 @@ FULL_SOLVE_DIM = 4
 PROBE_MERGE_TOL = 1e-3
 
 #: Largest |x m - m x| entry a certified commutant basis element x
-#: (unit Frobenius norm) may leave on an input m of unit scale.
+#: (unit Frobenius norm) may leave on an input m of unit scale; also the
+#: residual the algebra check and the block links of a profile allow.
 CERTIFY_ATOL = 1e-9
 
 
@@ -212,9 +213,6 @@ class SubalgebraBasis:
             return wedderburn_decompose(self)
         except (DomainError, DegeneracyError):
             return None
-
-    def profile_text(self) -> str:
-        return profile_string(self.block_profile)
 
 
 def profile_string(profile) -> str:
@@ -324,26 +322,29 @@ def _generator_images(r: RMatrix, m: int) -> np.ndarray:
                      for k in range(m - 1)]).reshape(-1, size, size)
 
 
-def relative_commutant_L(r: RMatrix, n: int, max_strands: int = 4,
-                         closures: dict | None = None) -> SubalgebraBasis:
+def _braid_algebra(r: RMatrix, m: int) -> np.ndarray:
+    """The columns of A_m, the algebra of the m-strand braid images."""
+    return generated_algebra(_generator_images(r, m))
+
+
+def relative_commutant_L(r: RMatrix, n: int,
+                         max_strands: int = 4) -> SubalgebraBasis:
     """The algebra generated by E_n(A_m) at the largest strand count m.
 
     m runs from max(n, 2) to max(max_strands, n); ``meta["dims"]`` holds
     dim E_n(A_m) for each m, and the result is ``converged`` when the
-    last two agree (a single strand count never is).  ``closures``
-    caches the columns of A_m by m, for this R and across levels.
+    last two agree (a single strand count never is).  Each A_m is kept
+    on r (``rmatrix.memo``), so all calls on one solution share it.
     """
     d = r.d
     if n < 1 or max_strands < 2:
         raise DomainError("need n >= 1 and max_strands >= 2")
-    closures = {} if closures is None else closures
     dims = []
     for m in range(max(n, 2), max(max_strands, n) + 1):
-        if m not in closures:
-            closures[m] = generated_algebra(_generator_images(r, m))
         # E_n traces out the last m - n slots with the normalized trace.
         rest, size = d ** (m - n), d ** m
-        images = trace_out_last(closures[m].T.reshape(-1, size, size), rest)
+        algebra = memo(r, _braid_algebra, m)
+        images = trace_out_last(algebra.T.reshape(-1, size, size), rest)
         expect = _subspace(images.reshape(len(images), -1) / rest, rows=True)
         dims.append(len(expect))
     gens = expect.reshape(-1, d ** n, d ** n) * math.sqrt(d ** n)
@@ -444,9 +445,9 @@ def hermitian_probe(mats, rng) -> np.ndarray:
     return x + x.conj().T
 
 
-def _check_algebra(mats, cols, tol: float = 1e-9) -> None:
-    """Validate unital, *-closed, multiplicatively closed span; each
-    check projects one stack: the unit, the adjoints, or a @ mats."""
+def _check_algebra(mats, cols) -> None:
+    """Validate a unital, *-closed, product-closed span within
+    ``CERTIFY_ATOL``; each check projects one stack: 1, adjoints, a @ mats."""
 
     def residual(stack) -> float:
         # The largest distance from the span over max(1, Frobenius norm).
@@ -454,15 +455,15 @@ def _check_algebra(mats, cols, tol: float = 1e-9) -> None:
         far = np.linalg.norm(v - (v @ cols.conj()) @ cols.T, axis=1)
         return float((far / np.maximum(1.0, np.linalg.norm(v, axis=1))).max())
 
-    if (eye_res := residual(np.eye(mats.shape[-1])[None])) > tol:
+    if (eye_res := residual(np.eye(mats.shape[-1])[None])) > CERTIFY_ATOL:
         raise DomainError(f"span is not unital (residual {eye_res:.3e})")
-    if residual(mats.conj().transpose(0, 2, 1)) > tol:
+    if residual(mats.conj().transpose(0, 2, 1)) > CERTIFY_ATOL:
         raise DomainError("span is not closed under adjoints")
-    if any(residual(a @ mats) > tol for a in mats):
+    if any(residual(a @ mats) > CERTIFY_ATOL for a in mats):
         raise DomainError("span is not closed under products")
 
 
-def wedderburn_decompose(span, tol: float = 1e-9) -> tuple:
+def wedderburn_decompose(span) -> tuple:
     """Matrix block sizes of a finite-dimensional unital *-algebra A.
 
     The input span (algebra elements or raw matrices, or a
@@ -492,7 +493,7 @@ def wedderburn_decompose(span, tol: float = 1e-9) -> tuple:
     k = cols.shape[1]
     require_dense(k * dim * dim, "the Wedderburn probe stack")
     basis = cols.T.reshape(k, dim, dim)
-    _check_algebra(basis, cols, tol=tol)
+    _check_algebra(basis, cols)
 
     rng = np.random.default_rng(PROBE_SEED)
     last_error = ""
@@ -506,7 +507,7 @@ def wedderburn_decompose(span, tol: float = 1e-9) -> tuple:
                                 starts, axis=1)
         ones = np.rint(links)
         sizes = ones.sum(axis=1)
-        if np.abs(links - ones).max() > tol or ones.max() > 1:
+        if np.abs(links - ones).max() > CERTIFY_ATOL or ones.max() > 1:
             last_error = f"probe compressions of dimension {links.max():.3g}"
         elif not np.array_equal(ones @ ones, ones * sizes[:, None]):
             last_error = "probe compressions do not form blocks"

@@ -28,6 +28,7 @@ from .errors import (
     VerificationError,
 )
 from .tensor import (
+    DEFAULT_TOL,
     AlgebraElement,
     as_complex_matrix,
     embed,
@@ -58,10 +59,8 @@ __all__ = [
     "is_involutive",
     "is_trivial",
     "flip_matrix",
+    "memo",
 ]
-
-#: Default verification tolerance for both residuals.
-DEFAULT_TOL = 1e-10
 
 #: Residual agreement required between the two verification routes.
 ROUTE_AGREEMENT_TOL = 1e-12
@@ -123,6 +122,17 @@ class RMatrix:
             self.d, self.matrix, self.ybe_residual, self.unitarity_residual,
             label,
         )
+
+
+def memo(r: RMatrix, build, *args):
+    """``build(r, *args)``, built once and kept in r's instance dict,
+    keyed on the function object (not a name wrappers may share) and
+    the arguments; so it dies with r, a relabelled or re-verified copy
+    starts empty, and a build that raises keeps nothing."""
+    kept = vars(r).setdefault("_memo", {})
+    if (key := (build, *args)) not in kept:
+        kept[key] = build(r, *args)
+    return kept[key]
 
 
 def braid_defect(r: np.ndarray, d: int) -> tuple:
@@ -242,8 +252,8 @@ class SimpleRSpec:
     def d(self) -> int:
         return self.projections[0].shape[0]
 
-    def validate(self, tol: float = 1e-10) -> None:
-        d = self.d
+    def validate(self) -> None:
+        d, tol = self.d, DEFAULT_TOL
         total = np.zeros((d, d), dtype=complex)
         for i, p in enumerate(self.projections):
             if p.shape != (d, d):
@@ -357,12 +367,12 @@ def flip_conjugate(r: RMatrix) -> RMatrix:
     return _derive(f @ r.matrix @ f, r.d, f"flip_conj({r.label})")
 
 
-def quasifree_conjugate(r: RMatrix, u, tol: float = 1e-10) -> RMatrix:
+def quasifree_conjugate(r: RMatrix, u) -> RMatrix:
     """Conjugate by u (x) u for a unitary u on C^d."""
     u = as_complex_matrix(u)
     if u.shape != (r.d, r.d):
         raise ShapeError(f"u must be {r.d} x {r.d}, got {u.shape}")
-    if not is_unitary(u, tol):
+    if not is_unitary(u):
         raise DomainError("u is not unitary within tolerance")
     return _derive(conjugate_by_square(r.matrix, u), r.d,
                    f"quasifree({r.label})")

@@ -26,7 +26,8 @@ from .braid import BraidWord, character
 from .errors import DomainError, ShapeError, VerificationError
 from .rmatrix import (DEFAULT_TOL, RMatrix, braid_defect, require_dense,
                       verify)
-from .tensor import partial_trace_left, trace_out_first, trace_out_last
+from .tensor import (CLUSTER_TOL, partial_trace_left, trace_out_first,
+                     trace_out_last)
 
 __all__ = [
     "Fingerprint",
@@ -419,9 +420,9 @@ def fingerprint(r: RMatrix) -> Fingerprint:
     )
 
 
-def fingerprints_close(a: Fingerprint, b: Fingerprint,
-                       tol: float = 1e-9) -> bool:
+def fingerprints_close(a: Fingerprint, b: Fingerprint) -> bool:
+    """Whether every entry agrees within ``CLUSTER_TOL``."""
     va, vb = a.as_vector(), b.as_vector()
     if va.shape != vb.shape:
         return False
-    return bool(np.max(np.abs(va - vb)) <= tol)
+    return bool(np.max(np.abs(va - vb)) <= CLUSTER_TOL)

@@ -52,6 +52,9 @@ __all__ = [
     "spectral_clusters",
 ]
 
+#: Default tolerance of residual checks, ``rmatrix.verify``'s included.
+DEFAULT_TOL = 1e-10
+
 #: Relative tolerance used to cluster eigenvalues of normal matrices.
 CLUSTER_TOL = 1e-9
 
@@ -229,10 +232,10 @@ def operator_norm_estimate(matrix) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def is_unitary(matrix, tol: float = 1e-10) -> bool:
+def is_unitary(matrix) -> bool:
     a = as_complex_matrix(matrix)
     defect = frobenius_norm(a.conj().T @ a - np.eye(a.shape[0]))
-    return defect <= tol
+    return defect <= DEFAULT_TOL
 
 
 def hs_inner(a, b) -> complex:
@@ -284,39 +287,40 @@ class EigenCluster(NamedTuple):
     projection: np.ndarray
 
 
-def eig_normal(matrix, tol: float = CLUSTER_TOL) -> list[EigenCluster]:
+def eig_normal(matrix) -> list[EigenCluster]:
     """Spectral decomposition of a normal matrix with eigenvalue clustering.
 
-    Eigenvalues closer than ``tol`` times the spectral scale are merged
-    into one cluster; each cluster gets the orthogonal projection onto
-    its joint eigenspace.  Clusters are returned sorted by (real, imag)
+    Eigenvalues closer than ``CLUSTER_TOL`` times the spectral scale are
+    merged into one cluster; each cluster gets the orthogonal projection
+    onto its joint eigenspace.  Clusters are returned sorted by (real, imag)
     of the representative value, so the order is deterministic.
 
     Raises
     ------
     NormalityError
-        if ``norm(x x* - x* x) > tol * norm(x)^2`` in Frobenius norm.
+        if ``norm(x x* - x* x) > CLUSTER_TOL * norm(x)^2`` in Frobenius norm.
     """
     a = as_complex_matrix(matrix)
     scale = frobenius_norm(a)
     defect = frobenius_norm(a @ a.conj().T - a.conj().T @ a)
-    if defect > tol * max(scale * scale, 1e-300):
+    if defect > CLUSTER_TOL * max(scale * scale, 1e-300):
         raise NormalityError(
             f"matrix is not normal within tolerance: defect={defect:.3e}, "
-            f"bound={tol * scale * scale:.3e}",
+            f"bound={CLUSTER_TOL * scale * scale:.3e}",
             defect=defect,
         )
     # The Hermitian and skew parts of a normal matrix commute, so the
     # skew part keeps each eigenspace of the Hermitian one: diagonalize
     # it on each of those clusters; eigenvalues are Rayleigh quotients.
     wx, q = np.linalg.eigh((a + a.conj().T) / 2.0)
-    for idx in spectral_clusters(wx, tol * max(1.0, *np.abs(wx))).groups:
+    radius = CLUSTER_TOL * max(1.0, *np.abs(wx))
+    for idx in spectral_clusters(wx, radius).groups:
         if len(idx) > 1:
             v = q[:, idx]
             y = v.conj().T @ (a - a.conj().T) @ v / 2.0j
             q[:, idx] = v @ np.linalg.eigh(y)[1]
     evals = np.einsum("ij,ij->j", q.conj(), a @ q)
-    radius = tol * max(1.0, *np.abs(evals))
+    radius = CLUSTER_TOL * max(1.0, *np.abs(evals))
     return sorted((EigenCluster(complex(np.mean(evals[i])), len(i),
                                 q[:, i] @ q[:, i].conj().T)
                    for i in spectral_clusters(evals, radius).groups),

@@ -135,8 +135,8 @@ def test_index_bounds_trivial_pin_to_one():
 @pytest.mark.parametrize("name", ["r2", "flip3", "trivial2", "box21"])
 def test_analyze_reads_index_bounds_off_the_computed_spectra(monkeypatch,
                                                              name):
-    r = rmlab.builtin(name)
-    alone = index_bounds(r)
+    # alone runs on its own copy, so analyze(r) must solve both spectra.
+    r, alone = rmlab.builtin(name), index_bounds(rmlab.builtin(name))
     calls, inside = [], []
     clusters, bounds = rmlab.analysis.eig_normal, rmlab.analysis.index_bounds
 
@@ -160,6 +160,12 @@ def test_analyze_reads_index_bounds_off_the_computed_spectra(monkeypatch,
         # R and its partial trace for their sections; r2 classifies on
         # a map seed, so the R^2 seeds are never built.
         assert len(calls) == 2
+
+
+@pytest.mark.parametrize("caps", [{"n_cap": -1}, {"fixed_cap": 0}])
+def test_analyze_refuses_caps_below_the_command_line_bounds(caps):
+    with pytest.raises(DomainError, match="need n_cap >= 0 and fixed_cap"):
+        analyze(rmlab.builtin("r2"), **caps)
 
 
 def test_index_bounds_order_is_enforced():

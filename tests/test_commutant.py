@@ -178,12 +178,11 @@ def test_check_algebra_names_the_first_failing_property(span, message):
 @pytest.mark.parametrize("name", rmlab.builtin_names())
 def test_every_tower_span_passes_the_algebra_check(name):
     r = rmlab.builtin(name)
-    closures = {}
     for n in (1, 2):
         towers = [relative_commutant_M(r, n), relative_commutant_N(r, n)]
         # diag3's 639-dimensional A_4 takes seconds to close.
         if name != "diag3":
-            towers.append(relative_commutant_L(r, n, closures=closures))
+            towers.append(relative_commutant_L(r, n))
         for b in towers:
             cols = b.columns
             _check_algebra(cols.T.reshape(-1, r.d ** n, r.d ** n), cols)
@@ -555,13 +554,21 @@ def test_analyze_closes_each_braid_algebra_once(monkeypatch):
     assert strands == [2, 3, 4]
 
 
-def test_shared_closures_are_filled_once_and_reused():
-    r, closures = rmlab.builtin("r2"), {}
-    first = relative_commutant_L(r, 1, closures=closures)
-    assert sorted(closures) == [2, 3, 4]
-    kept = dict(closures)
-    second = relative_commutant_L(r, 1, closures=closures)
-    assert all(closures[m] is kept[m] for m in kept)
+def test_shared_closures_are_filled_once_and_reused(monkeypatch):
+    # A_2, A_3, A_4 and L's own closure on the first call; only L's on
+    # the second, which reads the A_m kept on r.
+    r, close = rmlab.builtin("r2"), rmlab.commutant.generated_algebra
+    sizes = []
+
+    def counted(mats):
+        sizes.append(mats.shape[-1])
+        return close(mats)
+
+    monkeypatch.setattr(rmlab.commutant, "generated_algebra", counted)
+    first = relative_commutant_L(r, 1)
+    assert sizes == [4, 8, 16, 2]
+    second = relative_commutant_L(r, 1)
+    assert sizes == [4, 8, 16, 2, 2]
     assert first.columns.tobytes() == second.columns.tobytes()
 
 

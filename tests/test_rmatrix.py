@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,9 @@ from rmlab import (
     tensor_product,
     verify,
 )
+from rmlab.commutant import _braid_algebra, relative_commutant_L
 from rmlab.errors import DomainError, ResourceError, VerificationError
+from rmlab.rmatrix import memo
 
 RNG = np.random.default_rng(99)
 
@@ -306,3 +311,48 @@ def test_cabling_refuses_a_power_too_large_to_verify(monkeypatch):
     monkeypatch.setattr(rmlab.rmatrix, "_ybe_residual_direct", refuse)
     with pytest.raises(ResourceError, match=f"needs {27 ** 6} entries"):
         cabling_power(flip3, 3)
+
+
+def test_the_memo_dies_with_its_solution():
+    r = rmlab.builtin("r2")
+    relative_commutant_L(r, 1)
+    tower = memo(r, rmlab.relative_commutant_M, 1)
+    assert memo(r, rmlab.relative_commutant_M, 1) is tower
+    kept = [weakref.ref(tower), weakref.ref(memo(r, _braid_algebra, 4))]
+    del r, tower
+    gc.collect()
+    assert [ref() for ref in kept] == [None, None]
+
+
+def test_a_relabelled_or_reverified_copy_starts_with_an_empty_memo():
+    built = []
+
+    def build(r, n):
+        built.append(r.label)
+        return object()
+
+    r = rmlab.builtin("r2")
+    first = memo(r, build, 1)
+    assert memo(r, build, 1) is first and built == ["r2"]
+    for copy in (r.relabel("copy"), verify(r.matrix, r.d, label="again")):
+        assert memo(copy, build, 1) is not first
+    assert built == ["r2", "copy", "again"]
+
+
+def test_the_memo_keys_on_the_function_object_not_its_name():
+    # A timing wrapper gives every function it wraps the same name.
+    def wrapped(value):
+        def traced(r):
+            return value
+        return traced
+
+    def fails(r):
+        calls.append(r)
+        raise DomainError("no")
+
+    r, calls = rmlab.builtin("r2"), []
+    assert [memo(r, wrapped(k)) for k in (1, 2)] == [1, 2]
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            memo(r, fails)
+    assert len(calls) == 2  # a build that raises keeps nothing
