@@ -27,6 +27,7 @@ from .commutant import (SubalgebraBasis, _probe_eigenspaces,
                         fixed_subalgebra, profile_string,
                         relative_commutant_L, relative_commutant_M,
                         relative_commutant_N)
+from .corpus import _family4_matrix
 from .rmatrix import (DENSE_ENTRY_CAP, NormalFormSpec, RMatrix,
                       conjugate_by_square, is_involutive, is_trivial, memo,
                       quasifree_conjugate, verify)
@@ -372,9 +373,7 @@ def reduce_involutive(r: RMatrix) -> ReductionResult:
         recon[np.ix_(cc, cc)] = t.matrix
         recon[np.ix_(cw, wc)] = off
         recon[np.ix_(wc, cw)] = off.conj().T
-        unit_defect = frobenius_norm(
-            off.conj().T @ off - np.eye(len(wc))
-        )
+        unit_defect = frobenius_norm(off.conj().T @ off - np.eye(len(wc)))
         drift = frobenius_norm(aligned - recon)
         if drift > STRUCTURE_TOL or unit_defect > STRUCTURE_TOL:
             raise NormalFormError(
@@ -420,12 +419,6 @@ def _basis_unitary_from_vector(v: np.ndarray) -> np.ndarray:
     return np.stack([v.conj(), w.conj()], axis=0)
 
 
-def _family4_canonical(q: complex) -> np.ndarray:
-    m = np.array([[1, 1, 0, 0], [-1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1]],
-                 dtype=complex)
-    return q / math.sqrt(2.0) * m
-
-
 def _fixed_point_axis(fixed: SubalgebraBasis) -> np.ndarray:
     """The largest traceless Hermitian or skew part of a basis element
     of a d = 2 fixed-point algebra.
@@ -460,7 +453,7 @@ def _try_family4(r: RMatrix,
         gamma = aligned[0, 1] / (q / math.sqrt(2.0))
         resid, u = min(
             ((frobenius_norm(conjugate_by_square(r.matrix, c)
-                             - _family4_canonical(q)), c)
+                             - _family4_matrix(q)), c)
              for c in (np.diag([1.0, g]) @ w for g in (gamma, gamma.conj()))),
             key=lambda pair: pair[0],
         )

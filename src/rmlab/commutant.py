@@ -1,50 +1,31 @@
 """Relative commutants, fixed points and finite-dimensional structure.
 
 Three towers of subalgebras of F^n = M_d^(x) n are computed for a
-solution R, all as explicit Hilbert-Schmidt-orthonormal bases:
-
-* M: the x with lambda(x) = x (x) 1, where lambda(x) = u (1 (x) x) u*
-  for the ordered word u = phi^{n-1}(R) ... R.
-* N: the largest subalgebra carried into its own right-padded copy by
-  lambda.
-* L: the algebra generated by E_n(A_m), the trace-preserving
-  expectation onto F^n of the algebra A_m generated by the m-strand
-  braid generator images; :func:`generated_algebra` closes both.  A_m
-  does not depend on n, so it is closed once per R (``rmatrix.memo``).
+solution R as Hilbert-Schmidt-orthonormal bases: M, the x with
+lambda(x) = x (x) 1 for lambda(x) = u (1 (x) x) u* and the ordered word
+u = phi^{n-1}(R) ... R; N, the largest subalgebra lambda carries into
+its own right-padded copy; and L, the algebra generated by E_n(A_m),
+the trace-preserving expectation onto F^n of the algebra A_m of the
+m-strand braid images (:func:`generated_algebra` closes both; A_m is
+closed once per R, ``rmatrix.memo``).
 
 M, the fixed points and the braid-image commutants are commutants.
 With K_ab the block of u at last output slot b and first input slot a,
-u (1 (x) x) = (x (x) 1) u iff K_ab x = x K_ab for all a, b, and
-sum_ab |K_ab x - x K_ab|^2 = |lambda(x) - x (x) 1|^2: M = {K_ab}', the
-fixed points of the unital trace-preserving channel E_n lambda =
-sum_ab K_ab . K_ab*/d.  N applies lambda to its current basis by
-conjugation.  Likewise x in F^n is fixed iff x (x) 1 commutes with the
-word w = R phi(R) ... phi^(n-1)(R); writing w = sum w_ij (x) e_ij over
-the last slot, the fixed points are the commutant {w_ij}'.
+sum_ab |K_ab x - x K_ab|^2 = |lambda(x) - x (x) 1|^2, so M = {K_ab}'.
+x is fixed iff x (x) 1 commutes with w = R phi(R) ... phi^(n-1)(R), so
+the fixed points are {w_ij}' for w = sum w_ij (x) e_ij over the last
+slot.  All three are *-closed, sums of blocks 1_k (x) M_n, and
+:func:`_star_commutant` builds each from two random Hermitian probes:
+probe, link, certify, and solve only at small D or if that fails.
 
-All three are *-closed (lambda is a *-homomorphism; w and the braid
-generators are unitary), so :func:`_star_commutant` sizes each solve
-by its input: none for exact scalars, a full one at small D, else one
-on a random Hermitian probe's span, certified.  General sets, whose
-commutant need not be *-closed (a Jordan block), keep the full span.
-
-Subspaces are SVD null spaces (orthonormal columns) or row spaces
-(orthonormal rows) from one rank kernel, :func:`_subspace`, which first
-cuts a tall system, or a wide one's row space, to a square one by QR.
-Every rank decision keeps the singular values above max(1e-9 scale,
-1e-12), with scale the largest norm of the rows before any
-cancellation, or a bound on it: 2 max |m|_F over a commutant's inputs
-m, 2 sqrt(d) for a round of N, a closure round's products before the
-basis is projected out, and the rows themselves where nothing cancels
-(E_n images, the Wedderburn input).  So a residual that is all rounding
-noise is cut as noise.  Dense operators are checked against
-``DENSE_ENTRY_CAP`` before they are built.  Block structure (the
-Wedderburn profile) is detected on first read from the eigenspaces of
-one random Hermitian element of the algebra, drawn by the same
-:func:`_probe_eigenspaces` as the commutant probes, and reported as a
-sorted tuple of full matrix block sizes; detection can fail on
-degenerate draws, in which case the profile is left unresolved rather
-than guessed.
+Null spaces and row spaces come from one rank kernel, :func:`_subspace`,
+which keeps the singular values above max(1e-9 scale, 1e-12), with
+scale the largest row norm before any cancellation or a bound on it,
+so a residual that is all rounding noise is cut as noise.  Dense
+operators are checked against ``DENSE_ENTRY_CAP`` before they are
+built.  A block profile is read on first use from the eigenspaces of
+one probe of the algebra (:func:`wedderburn_decompose`), and is left
+unresolved, not guessed, when degenerate draws defeat detection.
 """
 
 from __future__ import annotations
@@ -167,25 +148,19 @@ def apply_endo(r: RMatrix, x: AlgebraElement) -> AlgebraElement:
         raise ShapeError(f"dimension mismatch: R has d={r.d}, x has d={x.d}")
     k = x.level
     if k == 0:
-        return AlgebraElement(
-            r.d, 1, complex(x.matrix[0, 0]) * np.eye(r.d, dtype=complex)
-        )
+        return AlgebraElement(r.d, 1, complex(x.matrix[0, 0]) * np.eye(r.d))
     u = word_product(r, k)
-    out = u @ embed(x, k + 1).matrix @ u.conj().T
-    return AlgebraElement(r.d, k + 1, out)
+    return AlgebraElement(r.d, k + 1, u @ embed(x, k + 1).matrix @ u.conj().T)
 
 
 @dataclass(frozen=True, eq=False)
 class SubalgebraBasis:
     """Hilbert-Schmidt-orthonormal basis of a unital *-subalgebra of F^level.
 
-    ``columns`` holds the l2-orthonormal row-major vectorizations of
-    the basis, read-only; the elements (``basis``) and the block
-    profile are derived from it on first read and then cached.
-    ``block_profile`` is the sorted tuple of matrix block sizes of the
-    algebra (so the squares sum to the dimension), or None if unresolved.
-    ``converged`` is False only for truncation-based computations that
-    hit their budget.
+    ``columns`` holds the read-only l2-orthonormal row-major vectors of
+    the basis; ``basis`` and ``block_profile`` (the sorted matrix block
+    sizes, or None if unresolved) are derived on first read and cached.
+    ``converged`` is False only for truncated computations.
     """
 
     d: int
@@ -220,13 +195,9 @@ def profile_string(profile) -> str:
     if profile is None:
         return "unresolved"
     ones = sum(1 for k in profile if k == 1)
-    parts = []
-    if ones == 1:
-        parts.append("C")
-    elif ones > 1:
-        parts.append(f"C^{ones}")
-    parts.extend(f"M_{k}" for k in sorted(profile) if k > 1)
-    return " (+) ".join(parts) if parts else "0"
+    parts = ["C" if ones == 1 else f"C^{ones}"] if ones else []
+    parts += [f"M_{k}" for k in sorted(profile) if k > 1]
+    return " (+) ".join(parts) or "0"
 
 
 def relative_commutant_M(r: RMatrix, n: int) -> SubalgebraBasis:
@@ -236,28 +207,26 @@ def relative_commutant_M(r: RMatrix, n: int) -> SubalgebraBasis:
     d, dim = r.d, r.d ** n
     require_dense(d ** (4 * n + 2), f"the level-{n} M operator")
     u = _lambda_word(r, n).reshape(dim, d, d, dim)
-    blocks = u.transpose(2, 1, 0, 3).reshape(d * d, dim, dim)
-    return SubalgebraBasis(d, n, _star_commutant(blocks))
+    return SubalgebraBasis(d, n, _star_commutant(
+        u.transpose(2, 1, 0, 3).reshape(d * d, dim, dim)))
 
 
 def fixed_subalgebra(r: RMatrix, n: int) -> SubalgebraBasis:
     """Fixed points of the canonical endomorphism in F^n: the commutant
     of the last-slot blocks u_ij of R phi(R) ... phi^(n-1)(R)."""
-    d = r.d
+    d, dim = r.d, r.d ** n
     require_dense(d ** (4 * n + 2), f"the level-{n} fixed-point operator")
-    dim = d ** n
     u = word_product(r, n).reshape(dim, d, dim, d)
-    blocks = u.transpose(1, 3, 0, 2).reshape(d * d, dim, dim)
-    return SubalgebraBasis(d, n, _star_commutant(blocks))
+    return SubalgebraBasis(d, n, _star_commutant(
+        u.transpose(1, 3, 0, 2).reshape(d * d, dim, dim)))
 
 
 def relative_commutant_N(r: RMatrix, n: int) -> SubalgebraBasis:
     """Largest subalgebra V of F^n with u phi(V) u* inside V (x) 1.
 
-    Computed by shrinking from the full algebra: at each round, keep
-    the x whose image u (1 (x) x) u* lies in the right-padded copy of
-    the current space, until the dimension stabilizes.  The limit is
-    automatically a unital *-subalgebra.
+    From the full algebra, each round keeps the x whose image
+    u (1 (x) x) u* lies in the right-padded copy of the current space,
+    until the dimension stabilizes; the limit is a unital *-subalgebra.
     """
     d, dim = r.d, r.d ** n
     require_dense(d ** (4 * n + 2), f"the level-{n} N operator")
@@ -289,11 +258,10 @@ def generated_algebra(mats) -> np.ndarray:
 
     Closes span{1} under right multiplication: each round multiplies the
     frontier by every matrix in one batched matmul, projects the basis
-    out twice, and keeps the residual's row space, cut against the
-    products' scale, as the next frontier.  The basis is kept as rows,
-    appended to and conjugated once a round.  A basis wider than D^2
-    means rounding noise kept the frontier alive (near-degenerate
-    generators), so the closure stops with an error.
+    (kept as rows, conjugated once a round) out twice, and keeps the
+    residual's row space, cut against the products' scale, as the next
+    frontier.  A basis wider than D^2 means rounding noise kept the
+    frontier alive (near-degenerate generators): an error.
     """
     mats = np.asarray(mats, dtype=complex)
     dim = mats.shape[-1]
@@ -365,12 +333,11 @@ def braid_image_commutant(r: RMatrix, n: int) -> SubalgebraBasis:
 def commutant_of(mats, span=None) -> np.ndarray:
     """Orthonormal coordinates of {x in span : x m = m x for all m in mats}.
 
-    ``mats`` and ``span`` are stacks of D x D matrices.  The default span,
-    the matrix units, gives the row-major columns ``SubalgebraBasis``
-    stores.  One preallocated array holds the commutator rows of every m;
-    its null space is the result, so an empty ``mats`` gives everything.
-    The rank cutoff scales with 2 max |m|_F, a bound on |x m - m x| for
-    unit x, so a system that is all rounding noise keeps its null space.
+    ``mats`` and ``span`` are stacks of D x D matrices; the default span,
+    the matrix units, gives the columns ``SubalgebraBasis`` stores.  The
+    null space of the stacked commutator rows is the result, cut against
+    2 max |m|_F, a bound on |x m - m x| for unit x, so a system that is
+    all rounding noise (or an empty ``mats``) keeps its null space.
     """
     mats = np.asarray(mats, dtype=complex)
     dim = mats.shape[-1]
@@ -391,17 +358,13 @@ def _star_commutant(mats) -> np.ndarray:
     """:func:`commutant_of` ``mats`` as row-major columns, for a
     *-closed commutant, by the route that fits the input.
 
-    Exact scalars (or no matrices) give every matrix unit unsolved, and
-    D <= ``FULL_SOLVE_DIM`` one full solve.  Otherwise each solution
-    commutes with any Hermitian probe h of ``mats`` and lies in
-    span{v_i v_j* : v_i, v_j eigenvectors of a first probe h1 in one
-    cluster}; eigenvalues within ``PROBE_MERGE_TOL`` times the spectral
-    scale share one, which only enlarges the span and keeps rounding
-    noise off the cutoff.  On that span only the commutator with a
-    second probe h2 is solved.  As {h1, h2}' contains the commutant, the
-    answer can only be too big; it is kept when max|x m - m x| <=
-    ``CERTIFY_ATOL`` for every basis element x and every m, and else the
-    span is solved against all of ``mats``.
+    Exact scalars (or no matrices) give every matrix unit, and D <=
+    ``FULL_SOLVE_DIM`` one full solve.  Otherwise a Hermitian probe h1's
+    clusters and a second probe h2's links between them build {h1, h2}'
+    (:func:`_linked_commutant`).  That contains the commutant, so it is
+    kept only if max|x m - m x| <= ``CERTIFY_ATOL`` for every basis
+    element x and every m; else, or if h2 is not of the linked form, the
+    span of h1's cluster blocks v_i v_j* is solved against all ``mats``.
     """
     mats = np.asarray(mats, dtype=complex)
     dim = mats.shape[-1]
@@ -411,35 +374,81 @@ def _star_commutant(mats) -> np.ndarray:
         return commutant_of(mats)
     rng = np.random.default_rng(PROBE_SEED)
     vecs, groups = _probe_eigenspaces(mats, rng)
-    span = np.concatenate([
-        np.einsum("pi,qj->ijpq", v, v.conj()).reshape(-1, dim, dim)
-        for v in (vecs[:, i] for i in groups)
-    ])
-    to_units = span.reshape(len(span), -1).T
-    cols = to_units @ commutant_of(hermitian_probe(mats, rng)[None], span)
-    x = cols.T.reshape(-1, dim, dim)
-    worst = max(np.abs(x @ m - m @ x).max(initial=0.0) for m in mats)
-    if worst > CERTIFY_ATOL:
-        cols = to_units @ commutant_of(mats, span=span)
-    return cols
+    cols = _linked_commutant(vecs, groups, hermitian_probe(mats, rng))
+    if cols is not None:
+        x = cols.T.reshape(-1, dim, dim)
+        worst = max(np.abs(x @ m - m @ x).max(initial=0.0) for m in mats)
+        if worst <= CERTIFY_ATOL:
+            return cols
+    span = np.concatenate([np.einsum("pi,qj->ijpq", v, v.conj()).reshape(
+        -1, dim, dim) for v in (vecs[:, g] for g in groups)])
+    return span.reshape(len(span), -1).T @ commutant_of(mats, span=span)
+
+
+def _block_sums(a, starts) -> np.ndarray:
+    """Sums of ``a`` over each pair of the contiguous runs of indices
+    that begin at ``starts``."""
+    return np.add.reduceat(np.add.reduceat(a, starts, axis=0), starts,
+                           axis=1)
+
+
+def _linked_commutant(vecs, groups, h2) -> np.ndarray | None:
+    """Row-major columns of {p_a, h2}' for the projections p_a onto the
+    runs ``groups`` of the eigenvectors ``vecs``, or None.
+
+    Clusters a, b are linked if h2's block H_ab in ``vecs`` has |H_ab|_F
+    > tol = ``CERTIFY_ATOL`` |h2|_F.  A cluster's root is the first one
+    it links, and W_b = H_b,root sqrt(n_b) / |H_b,root|_F carries the
+    root's frame to b.  If the frames are orthonormal and h2 in them is
+    C (x) 1_n on each root's component and 0 between components, within
+    tol, the answer is spanned by sum_a V_a W_a e_pq (V_a W_a)* / sqrt(k)
+    over the k clusters a of each component; else it is None.
+    """
+    h, own = vecs.conj().T @ h2 @ vecs, np.arange(len(groups))
+    tol, eye = CERTIFY_ATOL * float(np.linalg.norm(h)), np.eye(len(h))
+    sizes = np.array([len(g) for g in groups])
+    starts = np.cumsum(sizes) - sizes
+    links = _block_sums(np.abs(h) ** 2, starts)
+    root = ((links > tol * tol) | (own[:, None] == own)).argmax(axis=1)
+    if np.any(root[root] != root) or np.any(sizes[root] != sizes):
+        return None
+    norm = np.sqrt(np.where(root == own, sizes, links[own, root]) / sizes)
+    cluster = np.repeat(own, sizes)
+    offset, comp = np.arange(len(h)) - starts[cluster], root[cluster]
+    same = cluster[:, None] == cluster
+    carry = np.where(same & (comp != cluster)[:, None],
+                     h[:, starts[comp] + offset] / norm[cluster, None], eye)
+    g = carry.conj().T @ h @ carry
+    pattern = (comp[:, None] == comp) & (offset[:, None] == offset)
+    coupling = _block_sums(np.where(pattern, g, 0.0), starts) / sizes
+    want = np.where(pattern, coupling[np.ix_(cluster, cluster)], 0.0)
+    if (np.abs(carry.conj().T @ carry - eye).max() > CERTIFY_ATOL
+            or np.abs(g - want).max() > tol):
+        return None
+    # Basis element (root, p, q) in the frames: 1/sqrt(k) at (a, p, q)
+    # for each of the k clusters a of the root's component.
+    u, v = np.nonzero(same)
+    lead = np.where(root == own, sizes ** 2, 0)
+    units = np.zeros((lead.sum(), len(h), len(h)))
+    units[(np.cumsum(lead) - lead)[comp[u]] + offset[u] * sizes[cluster[u]]
+          + offset[v], u, v] = np.bincount(root)[comp[u]] ** -0.5
+    frames = vecs @ carry
+    return (frames @ units @ frames.conj().T).reshape(len(units), -1).T
 
 
 def _probe_eigenspaces(mats, rng) -> tuple:
-    """Eigenvectors of one :func:`hermitian_probe` of ``mats``, as
-    columns in ascending eigenvalue order, and the runs of their
-    indices whose eigenvalues lie within ``PROBE_MERGE_TOL`` times the
-    spectral scale of each other."""
+    """Eigenvectors of one :func:`hermitian_probe` of ``mats`` in
+    ascending eigenvalue order, and the runs of their indices whose
+    eigenvalues lie within ``PROBE_MERGE_TOL`` of the spectral scale."""
     evals, vecs = np.linalg.eigh(hermitian_probe(mats, rng))
     radius = PROBE_MERGE_TOL * max(1.0, float(np.abs(evals).max()))
     return vecs, spectral_clusters(evals, radius).groups
 
 
 def hermitian_probe(mats, rng) -> np.ndarray:
-    """A random real combination of the Hermitian and skew parts of mats.
-
-    Draws one standard normal coefficient per part from ``rng``, c_h and
-    c_s for (b + b*)/2 and (b - b*)/2i: x + x* for x = sum (c_h - i c_s)b/2.
-    """
+    """A random real combination of the Hermitian and skew parts of mats:
+    x + x* for x = sum (c_h - i c_s) b / 2, with c_h and c_s for (b + b*)/2
+    and (b - b*)/2i drawn from ``rng``, one standard normal each."""
     coeffs = rng.standard_normal(2 * len(mats)).reshape(-1, 2)
     x = np.tensordot((coeffs[:, 0] - 1j * coeffs[:, 1]) / 2, mats, axes=1)
     return x + x.conj().T
@@ -464,21 +473,18 @@ def _check_algebra(mats, cols) -> None:
 
 
 def wedderburn_decompose(span) -> tuple:
-    """Matrix block sizes of a finite-dimensional unital *-algebra A.
+    """Matrix block sizes of a finite-dimensional unital *-algebra A,
+    as a sorted tuple such as (1, 1, 2).
 
-    The input span (algebra elements or raw matrices, or a
+    The input (algebra elements, raw matrices, or a
     :class:`SubalgebraBasis`, probed on its own orthonormal columns) is
-    validated to be a unital *-closed multiplicatively closed subspace,
-    then probed with a random Hermitian element of A.  For a generic probe
-    each eigenspace projection p_a is minimal in A, so
-    links[a, b] = dim p_a A p_b = sum_i |V_a* b_i V_b|_F^2, over an
-    orthonormal basis b_i and with V_a the eigenvectors of p_a, is 1
-    within a matrix block and 0 across blocks; the block sizes are its
-    row sums.  Colliding probe eigenvalues leave links off that form
-    and trigger a retry with fresh coefficients; persistent failure
-    raises a degeneracy error.
-
-    Returns the block sizes as a sorted tuple, e.g. (1, 1, 2).
+    checked to be a unital *-algebra, then probed with a random
+    Hermitian element of A.  For a generic probe each eigenspace p_a is
+    minimal in A, so links[a, b] = dim p_a A p_b = sum_i |V_a* b_i V_b|^2
+    over an orthonormal basis b_i is 1 within a matrix block and 0
+    across blocks, and the block sizes are its row sums.  Links off that
+    form draw a fresh probe, up to ``WEDDERBURN_RETRIES`` times before
+    a degeneracy error.
     """
     if isinstance(span, SubalgebraBasis):
         cols, dim = span.columns, span.d ** span.level
@@ -501,10 +507,8 @@ def wedderburn_decompose(span) -> tuple:
         vecs, groups = _probe_eigenspaces(basis, rng)
         # The runs are contiguous: sum the compressions' weights over
         # each pair of runs.
-        starts = [int(g[0]) for g in groups]
         weight = (np.abs(vecs.conj().T @ basis @ vecs) ** 2).sum(axis=0)
-        links = np.add.reduceat(np.add.reduceat(weight, starts, axis=0),
-                                starts, axis=1)
+        links = _block_sums(weight, [int(g[0]) for g in groups])
         ones = np.rint(links)
         sizes = ones.sum(axis=1)
         if np.abs(links - ones).max() > CERTIFY_ATOL or ones.max() > 1:

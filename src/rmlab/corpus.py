@@ -77,15 +77,17 @@ def family_r3(p: complex, q: complex, r: complex) -> RMatrix:
     return verify(m, 2, label=f"r3({p:.3g},{q:.3g},{r:.3g})")
 
 
+def _family4_matrix(q: complex) -> np.ndarray:
+    """q / sqrt(2) times a pair of rotation blocks."""
+    return q / np.sqrt(2.0) * np.array(
+        [[1, 1, 0, 0], [-1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1]],
+        dtype=complex)
+
+
 def family_r4(q: complex) -> RMatrix:
     """d = 2 Pauli-type family, a rotation block pair scaled by q."""
     _check_unimodular(q=q)
-    s = q / np.sqrt(2.0)
-    m = s * np.array([[1, 1, 0, 0],
-                      [-1, 1, 0, 0],
-                      [0, 0, 1, -1],
-                      [0, 0, 1, 1]], dtype=complex)
-    return verify(m, 2, label=f"r4({q:.3g})")
+    return verify(_family4_matrix(q), 2, label=f"r4({q:.3g})")
 
 
 def uf_solution(u) -> RMatrix:

@@ -123,6 +123,11 @@ class RMatrix:
             label,
         )
 
+    def __getstate__(self):
+        # The memo is derived, may be large and may key on local
+        # functions, so a pickled solution leaves it out.
+        return {k: v for k, v in vars(self).items() if k != "_memo"}
+
 
 def memo(r: RMatrix, build, *args):
     """``build(r, *args)``, built once and kept in r's instance dict,

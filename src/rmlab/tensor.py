@@ -239,10 +239,8 @@ def is_unitary(matrix) -> bool:
 
 
 def hs_inner(a, b) -> complex:
-    """Normalized Hilbert-Schmidt inner product tau(a* b).
-
-    Conjugate-linear in the first argument.
-    """
+    """Normalized Hilbert-Schmidt inner product tau(a* b), conjugate-linear
+    in the first argument."""
     am = np.asarray(a, dtype=complex)
     bm = np.asarray(b, dtype=complex)
     if am.shape != bm.shape:

@@ -964,30 +964,29 @@ def test_a_failed_certificate_falls_back_to_every_matrix(monkeypatch, build,
                         weak_second_probe)
     monkeypatch.setattr(rmlab.commutant, "commutant_of", counted)
     got = build(r, n)
-    # A scalar probe keeps the whole span, a probe of the first matrix
-    # alone too much of it; the certificate refuses either answer, so
-    # the span is solved again against every matrix.
+    # A scalar probe links no clusters, a probe of the first matrix
+    # alone too few; either builds a commutant that is too big, with no
+    # solve.  The certificate refuses it, so the first probe's span is
+    # solved against every matrix, once.
     mats = _INPUTS[build](r, n)
-    assert solved == [1, len(mats)]
+    assert solved == [len(mats)]
     _assert_same_subspace(got, want)
 
 
-def test_scalar_up_to_rounding_blocks_solve_one_probe(monkeypatch):
+def test_scalar_up_to_rounding_blocks_make_no_solve(monkeypatch):
     rng = np.random.default_rng(5)
     r = rmlab.random_conjugate(
         rmlab.make_trivial(2, rmlab.random_unimodular(rng)), rng)
-    shapes = []
-    solve = rmlab.commutant.nullspace
 
-    def recorded(a, *args):
-        shapes.append(a.shape)
-        return solve(a, *args)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a null space was solved")
 
-    monkeypatch.setattr(rmlab.commutant, "nullspace", recorded)
-    assert fixed_subalgebra(r, 4).dimension == 256
-    # One cluster, so the span is every matrix unit, solved against the
-    # second probe alone: D^2 rows, not d^2 D^2.
-    assert shapes == [(256, 256)]
+    monkeypatch.setattr(rmlab.commutant, "nullspace", refuse)
+    # One cluster, which the second probe links to itself by a scalar:
+    # its frame gives all 256 matrix units, with no solve.
+    b = fixed_subalgebra(r, 4)
+    assert b.dimension == 256
+    _assert_same_subspace(b, np.eye(256))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1037,21 +1036,16 @@ def test_exact_scalars_make_no_probe_and_no_solve(monkeypatch, build, name,
     assert np.array_equal(b.columns, np.eye(dim))
 
 
-def test_m_solves_one_probe_reduced_system(monkeypatch):
-    solve = rmlab.commutant.nullspace
-    shapes = []
+def test_m_is_built_from_the_probe_links(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a null space was solved")
 
-    def recorded(a, *args):
-        shapes.append(a.shape)
-        return solve(a, *args)
-
-    monkeypatch.setattr(rmlab.commutant, "nullspace", recorded)
+    monkeypatch.setattr(rmlab.commutant, "nullspace", refuse)
     r = rmlab.builtin("box21")
     b = relative_commutant_M(r, 2)
-    # One system, against the second probe alone, on the span the first
-    # probe leaves: D^2 = 81 rows and fewer than 81 unknowns.
-    assert len(shapes) == 1
-    assert shapes[0][0] == 81 and shapes[0][1] < 81
+    # The second probe's links between the first probe's clusters give
+    # M at D = 9 with no null space solved.
+    monkeypatch.undo()
     _assert_same_subspace(b, commutant_of(_lambda_blocks(r, 2)))
 
 
@@ -1079,3 +1073,89 @@ def test_small_systems_make_one_full_solve(monkeypatch, build, name, n):
     b = build(r, n)
     assert spans == ([] if exact else [None])
     _assert_same_subspace(b, solve(mats))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 16))
+def test_family4_level4_fixed_points_make_no_solve(seed):
+    rng = np.random.default_rng(seed)
+    r = rmlab.random_conjugate(rmlab.random_family4(rng)[0], rng)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a null space was solved")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rmlab.commutant, "nullspace", refuse)
+        assert fixed_subalgebra(r, 4).dimension == 16
+
+
+def _span_solve(mats):
+    """The probe route's solve on the first probe's span: against the
+    second probe alone, or against every matrix if that answer fails
+    the certificate.  Both probes are drawn as the dispatcher draws."""
+    dim = mats.shape[-1]
+    rng = np.random.default_rng(rmlab.commutant.PROBE_SEED)
+    vecs, groups = rmlab.commutant._probe_eigenspaces(mats, rng)
+    h2 = rmlab.commutant.hermitian_probe(mats, rng)
+    span = np.concatenate([
+        np.einsum("pi,qj->ijpq", vecs[:, g], vecs[:, g].conj()).reshape(
+            -1, dim, dim) for g in groups])
+    to_units = span.reshape(len(span), -1).T
+    cols = to_units @ commutant_of(h2[None], span)
+    x = cols.T.reshape(-1, dim, dim)
+    worst = max(np.abs(x @ m - m @ x).max() for m in mats)
+    if worst > rmlab.commutant.CERTIFY_ATOL:
+        cols = to_units @ commutant_of(mats, span)
+    return cols
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.one_of(
+    st.tuples(st.sampled_from([2, 3, 4]), st.integers(3, 4)),
+    st.tuples(st.sampled_from(["box21", "diag3", "flip3", "simple3"]),
+              st.just(2))),
+    seed=st.integers(0, 2 ** 16))
+def test_linked_commutants_match_the_span_solve(case, seed):
+    # The commutant built from the second probe's links is the null
+    # space the span solve finds from the same two probes.
+    family, n = case
+    r = _random_draw(family, np.random.default_rng(seed))
+    for build, inputs in _INPUTS.items():
+        mats = inputs(r, n)
+        if np.array_equal(mats, mats[:, :1, :1] * np.eye(r.d ** n)):
+            continue
+        _assert_same_subspace(build(r, n), _span_solve(mats))
+
+
+def test_a_second_probe_off_the_linked_form_falls_back(monkeypatch):
+    r = rmlab.builtin("r4")
+    mats = _last_slot_blocks(r, 3)
+    rng = np.random.default_rng(rmlab.commutant.PROBE_SEED)
+    vecs, groups = rmlab.commutant._probe_eigenspaces(mats, rng)
+    # A rank-one projection inside a cluster of two or more: h2 is not
+    # scalar on that cluster in any frame.
+    v = vecs[:, next(g for g in groups if len(g) > 1)[0]]
+    draw = rmlab.commutant.hermitian_probe
+    link = rmlab.commutant._linked_commutant
+    probes, built, solved = [], [], []
+
+    def planted(mats, rng):
+        probes.append(draw(mats, rng))
+        if len(probes) == 2:
+            probes[-1] = probes[-1] + np.outer(v, v.conj())
+        return probes[-1]
+
+    def spied(*args):
+        built.append(link(*args))
+        return built[-1]
+
+    def counted(mats, span=None):
+        solved.append(len(mats))
+        return commutant_of(mats, span)
+
+    monkeypatch.setattr(rmlab.commutant, "hermitian_probe", planted)
+    monkeypatch.setattr(rmlab.commutant, "_linked_commutant", spied)
+    monkeypatch.setattr(rmlab.commutant, "commutant_of", counted)
+    got = fixed_subalgebra(r, 3)
+    assert built == [None] and solved == [len(mats)]
+    _assert_same_subspace(got, commutant_of(mats))

@@ -1,4 +1,5 @@
 import gc
+import pickle
 import weakref
 
 import numpy as np
@@ -356,3 +357,19 @@ def test_the_memo_keys_on_the_function_object_not_its_name():
         with pytest.raises(DomainError):
             memo(r, fails)
     assert len(calls) == 2  # a build that raises keeps nothing
+
+
+def test_a_pickled_solution_leaves_its_memo_behind():
+    def traced(r, n):
+        return n
+
+    r = rmlab.builtin("box21")
+    size = len(pickle.dumps(r))
+    rmlab.analyze(r)
+    assert memo(r, traced, 1) == 1
+    data = pickle.dumps(r)
+    assert len(data) == size
+    back = pickle.loads(data)
+    assert np.array_equal(back.matrix, r.matrix)
+    assert (back.d, back.label) == (r.d, r.label)
+    assert "_memo" not in vars(back) and vars(r)["_memo"]
