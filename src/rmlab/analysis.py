@@ -23,8 +23,8 @@ import numpy as np
 from .errors import (DomainError, InternalConsistencyError, NormalFormError,
                      RmlabError)
 from . import commutant
-from .commutant import (SubalgebraBasis, _probe_eigenspaces,
-                        fixed_subalgebra, profile_string,
+from .commutant import (SubalgebraBasis, _eigenspaces, fixed_subalgebra,
+                        hermitian_probe, profile_string,
                         relative_commutant_L, relative_commutant_M,
                         relative_commutant_N)
 from .corpus import _family4_matrix
@@ -353,7 +353,8 @@ def reduce_involutive(r: RMatrix) -> ReductionResult:
                 )
             return ReductionLeaf("flip", sign, d)
         # The probe's first eigenspace is a proper projection in M.
-        vecs, groups = _probe_eigenspaces([b.matrix for b in m.basis], rng)
+        vecs, groups = _eigenspaces(hermitian_probe(
+            [b.matrix for b in m.basis], rng))
         if len(groups) < 2:
             raise InternalConsistencyError(
                 "probe of a non-scalar algebra produced one spectral cluster"

@@ -21,14 +21,8 @@ import numpy as np
 
 from .errors import DomainError, InternalConsistencyError
 from .rmatrix import RMatrix, flip_conjugate, make_flip, require_dense
-from .tensor import (
-    DEFAULT_TOL,
-    AlgebraElement,
-    frobenius_norm,
-    pad_left,
-    pad_right,
-    shifted_product,
-)
+from .tensor import (DEFAULT_TOL, AlgebraElement, frobenius_norm, pad_left,
+                     pad_right, shifted_product)
 
 __all__ = [
     "BraidWord",

@@ -6,17 +6,17 @@ lambda(x) = x (x) 1 for lambda(x) = u (1 (x) x) u* and the ordered word
 u = phi^{n-1}(R) ... R; N, the largest subalgebra lambda carries into
 its own right-padded copy; and L, the algebra generated by E_n(A_m),
 the trace-preserving expectation onto F^n of the algebra A_m of the
-m-strand braid images (:func:`generated_algebra` closes both; A_m is
-closed once per R, ``rmatrix.memo``).
+m-strand braid images (built once per R, ``rmatrix.memo``).
 
-M, the fixed points and the braid-image commutants are commutants.
 With K_ab the block of u at last output slot b and first input slot a,
 sum_ab |K_ab x - x K_ab|^2 = |lambda(x) - x (x) 1|^2, so M = {K_ab}'.
 x is fixed iff x (x) 1 commutes with w = R phi(R) ... phi^(n-1)(R), so
 the fixed points are {w_ij}' for w = sum w_ij (x) e_ij over the last
-slot.  All three are *-closed, sums of blocks 1_k (x) M_n, and
-:func:`_star_commutant` builds each from two random Hermitian probes:
-probe, link, certify, and solve only at small D or if that fails.
+slot.  These, the braid-image commutants, A_m and L are B' or B'' for a
+*-algebra B, a sum of blocks M_k (x) 1_n: two random Hermitian probes
+of B give its frames, linked and certified (:func:`_probe_frames`),
+and :func:`_star_commutant` and :func:`_star_algebra` build B' and B''
+from them, solving or closing only at small D or if that fails.
 
 Null spaces and row spaces come from one rank kernel, :func:`_subspace`,
 which keeps the singular values above max(1e-9 scale, 1e-12), with
@@ -36,37 +36,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegeneracyError,
-    DomainError,
-    InternalConsistencyError,
-    ShapeError,
-)
+from .errors import (DegeneracyError, DomainError, InternalConsistencyError,
+                     ShapeError)
 from .rmatrix import RMatrix, memo, require_dense
-from .tensor import (
-    AlgebraElement,
-    as_complex_matrix,
-    embed,
-    pad_left,
-    pad_right,
-    shifted_product,
-    spectral_clusters,
-    trace_out_last,
-)
+from .tensor import (AlgebraElement, as_complex_matrix, embed, pad_left,
+                     pad_right, shifted_product, spectral_clusters,
+                     trace_out_last)
 
 __all__ = [
-    "SubalgebraBasis",
-    "apply_endo",
-    "relative_commutant_M",
-    "relative_commutant_N",
-    "relative_commutant_L",
-    "generated_algebra",
-    "fixed_subalgebra",
-    "braid_image_commutant",
-    "commutant_of",
-    "wedderburn_decompose",
-    "profile_string",
-    "nullspace",
+    "SubalgebraBasis", "apply_endo", "relative_commutant_M",
+    "relative_commutant_N", "relative_commutant_L", "generated_algebra",
+    "fixed_subalgebra", "braid_image_commutant", "commutant_of",
+    "wedderburn_decompose", "profile_string", "nullspace",
 ]
 
 #: Rank cutoff, relative to the rows' scale before cancellation.
@@ -91,8 +72,8 @@ FULL_SOLVE_DIM = 4
 #: Relative distance within which probe eigenvalues share a cluster.
 PROBE_MERGE_TOL = 1e-3
 
-#: Largest |x m - m x| entry a certified commutant basis element x
-#: (unit Frobenius norm) may leave on an input m of unit scale; also the
+#: Largest entry an input of unit scale may leave outside a certified
+#: span in its frames, and the frames' orthonormality defect; also the
 #: residual the algebra check and the block links of a profile allow.
 CERTIFY_ATOL = 1e-9
 
@@ -292,7 +273,7 @@ def _generator_images(r: RMatrix, m: int) -> np.ndarray:
 
 def _braid_algebra(r: RMatrix, m: int) -> np.ndarray:
     """The columns of A_m, the algebra of the m-strand braid images."""
-    return generated_algebra(_generator_images(r, m))
+    return _star_algebra(_generator_images(r, m))
 
 
 def relative_commutant_L(r: RMatrix, n: int,
@@ -316,7 +297,7 @@ def relative_commutant_L(r: RMatrix, n: int,
         expect = _subspace(images.reshape(len(images), -1) / rest, rows=True)
         dims.append(len(expect))
     gens = expect.reshape(-1, d ** n, d ** n) * math.sqrt(d ** n)
-    return SubalgebraBasis(d, n, generated_algebra(gens),
+    return SubalgebraBasis(d, n, _star_algebra(gens),
                            converged=len(dims) > 1 and dims[-1] == dims[-2],
                            meta={"dims": tuple(dims)})
 
@@ -356,15 +337,10 @@ def commutant_of(mats, span=None) -> np.ndarray:
 
 def _star_commutant(mats) -> np.ndarray:
     """:func:`commutant_of` ``mats`` as row-major columns, for a
-    *-closed commutant, by the route that fits the input.
-
-    Exact scalars (or no matrices) give every matrix unit, and D <=
-    ``FULL_SOLVE_DIM`` one full solve.  Otherwise a Hermitian probe h1's
-    clusters and a second probe h2's links between them build {h1, h2}'
-    (:func:`_linked_commutant`).  That contains the commutant, so it is
-    kept only if max|x m - m x| <= ``CERTIFY_ATOL`` for every basis
-    element x and every m; else, or if h2 is not of the linked form, the
-    span of h1's cluster blocks v_i v_j* is solved against all ``mats``.
+    *-closed commutant: every matrix unit for exact scalars (or no
+    matrices), one full solve at D <= ``FULL_SOLVE_DIM``, else {p_a, h}'
+    from certified frames (:func:`_probe_frames`), or if there are none
+    the span of h1's cluster blocks v_i v_j* solved against all ``mats``.
     """
     mats = np.asarray(mats, dtype=complex)
     dim = mats.shape[-1]
@@ -372,41 +348,92 @@ def _star_commutant(mats) -> np.ndarray:
         return np.eye(dim * dim, dtype=complex)
     if dim <= FULL_SOLVE_DIM:
         return commutant_of(mats)
+    vecs, groups, links = _probe_frames(mats)
+    if links is None:
+        span = np.concatenate([np.einsum("pi,qj->ijpq", v, v.conj()).reshape(
+            -1, dim, dim) for v in (vecs[:, g] for g in groups)])
+        return span.reshape(len(span), -1).T @ commutant_of(mats, span=span)
+    # Basis element (root, p, q) in the frames: 1/sqrt(k) at (a, p, q)
+    # for each of the k clusters a of the root's component.
+    frames, root, cluster, offset = links
+    sizes, comp = np.bincount(cluster), root[cluster]
+    u, v = np.nonzero(cluster[:, None] == cluster)
+    lead = np.where(root == np.arange(len(root)), sizes ** 2, 0)
+    units = np.zeros((lead.sum(), dim, dim))
+    units[(np.cumsum(lead) - lead)[comp[u]] + offset[u] * sizes[cluster[u]]
+          + offset[v], u, v] = np.bincount(root)[comp[u]] ** -0.5
+    return (frames @ units @ frames.conj().T).reshape(len(units), -1).T
+
+
+def _star_algebra(mats) -> np.ndarray:
+    """:func:`generated_algebra` of unitaries or of a *-closed set: the
+    closure for exact scalars, at D <= ``FULL_SOLVE_DIM`` or if there
+    are no certified frames (:func:`_probe_frames`), else {p_a, h}'',
+    spanned by the F_a F_b* / sqrt(n) of each component's clusters."""
+    mats = np.asarray(mats, dtype=complex)
+    dim = mats.shape[-1]
+    if (dim <= FULL_SOLVE_DIM
+            or np.array_equal(mats, mats[:, :1, :1] * np.eye(dim))
+            or (links := _probe_frames(mats)[2]) is None):
+        return generated_algebra(mats)
+    frames, root, cluster, _ = links
+    counts = np.bincount(root)
+    require_dense(dim * dim * int(counts @ counts), "the generated algebra")
+    cols, done = np.empty((counts @ counts, dim * dim), complex), 0
+    for head in np.flatnonzero(counts):
+        # The component's frames F_a, stacked, and every F_a F_b*.
+        f = frames[:, root[cluster] == head].reshape(
+            dim, counts[head], -1).transpose(1, 0, 2)
+        units = f[:, None] @ f.conj().transpose(0, 2, 1) / math.sqrt(
+            f.shape[2])
+        cols[done:done + len(f) ** 2] = units.reshape(-1, dim * dim)
+        done += len(f) ** 2
+    return cols.T
+
+
+def _probe_frames(mats) -> tuple:
+    """Two probes h1, h2 of ``mats`` drawn from ``PROBE_SEED``; h1's
+    eigenvectors and clusters (:func:`_eigenspaces`), and the frames
+    that h = h2 links between them (:func:`_linked_frames`) or None.
+    If there are none, each cluster is split by the eigenspaces of h2's
+    compression to it and linked once more by h = e^(i h2), which links
+    any two clusters that h2 joins by a path."""
     rng = np.random.default_rng(PROBE_SEED)
-    vecs, groups = _probe_eigenspaces(mats, rng)
-    cols = _linked_commutant(vecs, groups, hermitian_probe(mats, rng))
-    if cols is not None:
-        x = cols.T.reshape(-1, dim, dim)
-        worst = max(np.abs(x @ m - m @ x).max(initial=0.0) for m in mats)
-        if worst <= CERTIFY_ATOL:
-            return cols
-    span = np.concatenate([np.einsum("pi,qj->ijpq", v, v.conj()).reshape(
-        -1, dim, dim) for v in (vecs[:, g] for g in groups)])
-    return span.reshape(len(span), -1).T @ commutant_of(mats, span=span)
+    vecs, groups = _eigenspaces(hermitian_probe(mats, rng))
+    h2, sizes = hermitian_probe(mats, rng), [len(g) for g in groups]
+    links = _linked_frames(mats, vecs, sizes, h2)
+    if links is None:
+        parts = [(v, *_eigenspaces(v.conj().T @ h2 @ v))
+                 for v in (vecs[:, g] for g in groups)]
+        evals, q = np.linalg.eigh(h2)
+        links = _linked_frames(mats, np.hstack([v @ w for v, w, _ in parts]),
+                               [len(g) for *_, runs in parts for g in runs],
+                               (q * np.exp(1j * evals)) @ q.conj().T)
+    return vecs, groups, links
 
 
 def _block_sums(a, starts) -> np.ndarray:
-    """Sums of ``a`` over each pair of the contiguous runs of indices
-    that begin at ``starts``."""
-    return np.add.reduceat(np.add.reduceat(a, starts, axis=0), starts,
-                           axis=1)
+    """Sums of ``a`` (or of each matrix it stacks) over each pair of the
+    contiguous runs of indices that begin at ``starts``."""
+    return np.add.reduceat(np.add.reduceat(a, starts, axis=-2), starts,
+                           axis=-1)
 
 
-def _linked_commutant(vecs, groups, h2) -> np.ndarray | None:
-    """Row-major columns of {p_a, h2}' for the projections p_a onto the
-    runs ``groups`` of the eigenvectors ``vecs``, or None.
+def _linked_frames(mats, vecs, sizes, h) -> tuple | None:
+    """Frames F_a = V_a W_a that h links between the clusters of the
+    eigenvectors ``vecs`` (runs of ``sizes``), certified; or None.
 
-    Clusters a, b are linked if h2's block H_ab in ``vecs`` has |H_ab|_F
-    > tol = ``CERTIFY_ATOL`` |h2|_F.  A cluster's root is the first one
-    it links, and W_b = H_b,root sqrt(n_b) / |H_b,root|_F carries the
-    root's frame to b.  If the frames are orthonormal and h2 in them is
-    C (x) 1_n on each root's component and 0 between components, within
-    tol, the answer is spanned by sum_a V_a W_a e_pq (V_a W_a)* / sqrt(k)
-    over the k clusters a of each component; else it is None.
+    Clusters a, b are linked if h's block H_ab in ``vecs`` has |H_ab|_F
+    > ``CERTIFY_ATOL`` |h|_F.  A cluster's root is the first one it
+    links, and W_b = H_b,root sqrt(n_b) / |H_b,root|_F carries the
+    root's frame to b.  Orthonormal frames span {p_a, h}'' by the F_a
+    F_b* of each component, inside the algebra of ``mats``, and all of
+    it if every m lies in it within ``CERTIFY_ATOL``.  Returns the
+    frames, each cluster's root, and each column's cluster and offset.
     """
-    h, own = vecs.conj().T @ h2 @ vecs, np.arange(len(groups))
+    h, own = vecs.conj().T @ h @ vecs, np.arange(len(sizes))
     tol, eye = CERTIFY_ATOL * float(np.linalg.norm(h)), np.eye(len(h))
-    sizes = np.array([len(g) for g in groups])
+    sizes = np.array(sizes)
     starts = np.cumsum(sizes) - sizes
     links = _block_sums(np.abs(h) ** 2, starts)
     root = ((links > tol * tol) | (own[:, None] == own)).argmax(axis=1)
@@ -415,32 +442,25 @@ def _linked_commutant(vecs, groups, h2) -> np.ndarray | None:
     norm = np.sqrt(np.where(root == own, sizes, links[own, root]) / sizes)
     cluster = np.repeat(own, sizes)
     offset, comp = np.arange(len(h)) - starts[cluster], root[cluster]
-    same = cluster[:, None] == cluster
-    carry = np.where(same & (comp != cluster)[:, None],
-                     h[:, starts[comp] + offset] / norm[cluster, None], eye)
-    g = carry.conj().T @ h @ carry
+    carry = np.where((cluster[:, None] == cluster) & (comp != cluster)[
+        :, None], h[:, starts[comp] + offset] / norm[cluster, None], eye)
+    # Each m in the frames, less its part in the span: on the pattern,
+    # the mean of each block's diagonal.
+    g = (frames := vecs @ carry).conj().T @ mats @ frames
     pattern = (comp[:, None] == comp) & (offset[:, None] == offset)
-    coupling = _block_sums(np.where(pattern, g, 0.0), starts) / sizes
-    want = np.where(pattern, coupling[np.ix_(cluster, cluster)], 0.0)
-    if (np.abs(carry.conj().T @ carry - eye).max() > CERTIFY_ATOL
-            or np.abs(g - want).max() > tol):
+    mean = _block_sums(np.where(pattern, g, 0.0), starts) / sizes
+    off = g - np.where(pattern, mean[..., cluster[:, None], cluster], 0.0)
+    if max(np.abs(carry.conj().T @ carry - eye).max(),
+           np.abs(off).max(initial=0.0)) > CERTIFY_ATOL:
         return None
-    # Basis element (root, p, q) in the frames: 1/sqrt(k) at (a, p, q)
-    # for each of the k clusters a of the root's component.
-    u, v = np.nonzero(same)
-    lead = np.where(root == own, sizes ** 2, 0)
-    units = np.zeros((lead.sum(), len(h), len(h)))
-    units[(np.cumsum(lead) - lead)[comp[u]] + offset[u] * sizes[cluster[u]]
-          + offset[v], u, v] = np.bincount(root)[comp[u]] ** -0.5
-    frames = vecs @ carry
-    return (frames @ units @ frames.conj().T).reshape(len(units), -1).T
+    return frames, root, cluster, offset
 
 
-def _probe_eigenspaces(mats, rng) -> tuple:
-    """Eigenvectors of one :func:`hermitian_probe` of ``mats`` in
-    ascending eigenvalue order, and the runs of their indices whose
-    eigenvalues lie within ``PROBE_MERGE_TOL`` of the spectral scale."""
-    evals, vecs = np.linalg.eigh(hermitian_probe(mats, rng))
+def _eigenspaces(h) -> tuple:
+    """Eigenvectors of the Hermitian ``h`` in ascending eigenvalue
+    order, and the runs of their indices whose eigenvalues lie within
+    ``PROBE_MERGE_TOL`` of the spectral scale."""
+    evals, vecs = np.linalg.eigh(h)
     radius = PROBE_MERGE_TOL * max(1.0, float(np.abs(evals).max()))
     return vecs, spectral_clusters(evals, radius).groups
 
@@ -504,7 +524,7 @@ def wedderburn_decompose(span) -> tuple:
     rng = np.random.default_rng(PROBE_SEED)
     last_error = ""
     for _ in range(WEDDERBURN_RETRIES):
-        vecs, groups = _probe_eigenspaces(basis, rng)
+        vecs, groups = _eigenspaces(hermitian_probe(basis, rng))
         # The runs are contiguous: sum the compressions' weights over
         # each pair of runs.
         weight = (np.abs(vecs.conj().T @ basis @ vecs) ** 2).sum(axis=0)

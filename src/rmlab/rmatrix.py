@@ -20,24 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InternalConsistencyError,
-    ResourceError,
-    ShapeError,
-    VerificationError,
-)
-from .tensor import (
-    DEFAULT_TOL,
-    AlgebraElement,
-    as_complex_matrix,
-    embed,
-    frobenius_norm,
-    is_unitary,
-    kron,
-    shift,
-    shifted_product,
-)
+from .errors import (DomainError, InternalConsistencyError, ResourceError,
+                     ShapeError, VerificationError)
+from .tensor import (DEFAULT_TOL, AlgebraElement, as_complex_matrix, embed,
+                     frobenius_norm, is_unitary, kron, shift,
+                     shifted_product)
 
 __all__ = [
     "RMatrix",

@@ -32,18 +32,14 @@ from rmlab.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
-# diag3's level-4 L closure alone takes about 10 s.
-SLOW = {"diag3"}
-
 
 def cases() -> list:
     """(name, argv, stdout suffix, writes --out) of every case."""
     out = []
     for name in builtin_names():
-        if name not in SLOW:
-            out.append((f"analyze-{name}",
-                        ["analyze", "--builtin", name, "--format", "json"],
-                        ".json", False))
+        out.append((f"analyze-{name}",
+                    ["analyze", "--builtin", name, "--format", "json"],
+                    ".json", False))
     for name in builtin_names():
         if builtin(name).d == 2:
             out.append((f"classify2-{name}", ["classify2", "--builtin", name],

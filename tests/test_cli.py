@@ -449,21 +449,24 @@ def test_out_of_range_integers_from_the_shell_are_exit_2(argv, seed, named,
 
 
 @pytest.mark.parametrize("eps", [1e-8])
-def test_analyze_reports_a_runaway_closure_as_a_section_error(eps,
-                                                              run_python):
-    # Near-degenerate phases let rounding noise grow the L closure: a
+def test_analyze_of_near_degenerate_phases_reports_no_section_error(
+        eps, run_python):
+    # Near-degenerate phases let rounding noise grow a closure of A_4: a
     # residual of size eps, normalized, amplifies rounding by 1 / eps.
-    # At eps = 1e-8 that outgrows the cutoff under one BLAS thread and
-    # under two, whose summation orders differ.
+    # A_4 is built from the probes' frames instead, so L comes out as M
+    # does under one BLAS thread and under two, whose summation orders
+    # differ.
     for threads in (1, 2):
         proc = run_python(
             "-m", "rmlab.cli", "analyze", "--builtin", "r2", "--p",
             "arg:0.5", "--q", "arg:-1.3", "--r", f"arg:{0.5 + eps}",
             "--s", "arg:-1.3", threads=threads)
         assert proc.returncode == 0
-        assert ("* [error] commutants.L: algebra closure exceeded 256"
+        assert "[error]" not in proc.stdout
+        assert ("* level 1: M: C^2 (dim 2), N: C^2 (dim 2), L: C^2 (dim 2)"
                 in proc.stdout)
-        assert "* level 1: M:" in proc.stdout
+        assert ("* level 2: M: C^2 (+) M_2 (dim 6), N: C^2 (+) M_2 (dim 6), "
+                "L: C^2 (+) M_2 (dim 6)" in proc.stdout)
 
 
 def test_analyze_caps_at_their_lower_bounds(capsys):

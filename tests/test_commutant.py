@@ -538,33 +538,34 @@ def test_analyze_builds_L_bitwise_equal_to_standalone_calls(name):
 
 
 def test_analyze_closes_each_braid_algebra_once(monkeypatch):
+    # Each A_m is built once, by whichever route, for both levels of L.
     r = rmlab.builtin("box21")
-    close = rmlab.commutant.generated_algebra
+    build = rmlab.commutant._star_algebra
     strands = []
 
     def counted(mats):
         m = round(math.log(mats.shape[-1], r.d))
         if np.array_equal(mats, _generator_images(r, m)):
             strands.append(m)
-        return close(mats)
+        return build(mats)
 
-    monkeypatch.setattr(rmlab.commutant, "generated_algebra", counted)
+    monkeypatch.setattr(rmlab.commutant, "_star_algebra", counted)
     report = rmlab.analyze(r)
     assert not report.errors
     assert strands == [2, 3, 4]
 
 
 def test_shared_closures_are_filled_once_and_reused(monkeypatch):
-    # A_2, A_3, A_4 and L's own closure on the first call; only L's on
+    # A_2, A_3, A_4 and L's own algebra on the first call; only L's on
     # the second, which reads the A_m kept on r.
-    r, close = rmlab.builtin("r2"), rmlab.commutant.generated_algebra
+    r, build = rmlab.builtin("r2"), rmlab.commutant._star_algebra
     sizes = []
 
     def counted(mats):
         sizes.append(mats.shape[-1])
-        return close(mats)
+        return build(mats)
 
-    monkeypatch.setattr(rmlab.commutant, "generated_algebra", counted)
+    monkeypatch.setattr(rmlab.commutant, "_star_algebra", counted)
     first = relative_commutant_L(r, 1)
     assert sizes == [4, 8, 16, 2]
     second = relative_commutant_L(r, 1)
@@ -618,13 +619,14 @@ _NEAR_DEGENERATE_L = """
 import numpy as np
 import rmlab
 import rmlab.rmatrix
+from rmlab.commutant import _generator_images, generated_algebra
 from rmlab.errors import InternalConsistencyError
 rmlab.rmatrix.DENSE_ENTRY_CAP = 4 * 256 * 256
 eps = float({eps!r})
 r = rmlab.family_r2(np.exp(0.5j), np.exp(-1.3j),
                     np.exp(1j * (0.5 + eps)), np.exp(-1.3j))
 try:
-    rmlab.relative_commutant_L(r, 1)
+    generated_algebra(_generator_images(r, 4))
 except InternalConsistencyError as exc:
     print(f"InternalConsistencyError: {{exc}}")
 """
@@ -638,7 +640,8 @@ def test_closure_of_near_degenerate_generators_stops(eps, run_python):
     # BLAS thread count.  A closure of k generators in M_D never asks
     # for more than (k + 1) D^2 columns, so the cap (k = 3, D = 16 at
     # four strands) turns a runaway into a ResourceError instead of a
-    # hang; the closure must stop first.
+    # hang; the closure must stop first.  A_4 itself is built from the
+    # probes' frames (test_l_of_near_degenerate_family_two_is_c2_and_m2).
     for threads in (1, 2):
         proc = run_python("-c", _NEAR_DEGENERATE_L.format(eps=eps),
                           threads=threads)
@@ -1095,7 +1098,8 @@ def _span_solve(mats):
     the certificate.  Both probes are drawn as the dispatcher draws."""
     dim = mats.shape[-1]
     rng = np.random.default_rng(rmlab.commutant.PROBE_SEED)
-    vecs, groups = rmlab.commutant._probe_eigenspaces(mats, rng)
+    vecs, groups = rmlab.commutant._eigenspaces(
+        rmlab.commutant.hermitian_probe(mats, rng))
     h2 = rmlab.commutant.hermitian_probe(mats, rng)
     span = np.concatenate([
         np.einsum("pi,qj->ijpq", vecs[:, g], vecs[:, g].conj()).reshape(
@@ -1131,31 +1135,171 @@ def test_a_second_probe_off_the_linked_form_falls_back(monkeypatch):
     r = rmlab.builtin("r4")
     mats = _last_slot_blocks(r, 3)
     rng = np.random.default_rng(rmlab.commutant.PROBE_SEED)
-    vecs, groups = rmlab.commutant._probe_eigenspaces(mats, rng)
-    # A rank-one projection inside a cluster of two or more: h2 is not
-    # scalar on that cluster in any frame.
-    v = vecs[:, next(g for g in groups if len(g) > 1)[0]]
+    vecs, groups = rmlab.commutant._eigenspaces(
+        rmlab.commutant.hermitian_probe(mats, rng))
+    # A rank-one coupling between two clusters of two: h2's block
+    # between them, and e^(i h2)'s, is no multiple of a unitary.
+    a, b = [g[0] for g in groups if len(g) > 1][:2]
+    x = np.outer(vecs[:, a], vecs[:, b].conj())
     draw = rmlab.commutant.hermitian_probe
-    link = rmlab.commutant._linked_commutant
-    probes, built, solved = [], [], []
+    link = rmlab.commutant._linked_frames
+    probes, linked, solved = [], [], []
 
     def planted(mats, rng):
         probes.append(draw(mats, rng))
         if len(probes) == 2:
-            probes[-1] = probes[-1] + np.outer(v, v.conj())
+            probes[-1] = probes[-1] + x + x.conj().T
         return probes[-1]
 
     def spied(*args):
-        built.append(link(*args))
-        return built[-1]
+        linked.append(link(*args))
+        return linked[-1]
 
     def counted(mats, span=None):
         solved.append(len(mats))
         return commutant_of(mats, span)
 
     monkeypatch.setattr(rmlab.commutant, "hermitian_probe", planted)
-    monkeypatch.setattr(rmlab.commutant, "_linked_commutant", spied)
+    monkeypatch.setattr(rmlab.commutant, "_linked_frames", spied)
     monkeypatch.setattr(rmlab.commutant, "commutant_of", counted)
     got = fixed_subalgebra(r, 3)
-    assert built == [None] and solved == [len(mats)]
+    # The first link and the one after the split both refuse.
+    assert linked == [None, None] and solved == [len(mats)]
     _assert_same_subspace(got, commutant_of(mats))
+
+
+@pytest.mark.parametrize("build,name,n", [
+    (fixed_subalgebra, "simple3", 2),
+    (braid_image_commutant, "uf", 3),
+    (braid_image_commutant, "diag3", 3),
+])
+def test_merged_clusters_are_split_and_linked(monkeypatch, build, name, n):
+    # Each first probe merges two eigenvalues of different blocks into
+    # one cluster, which the second probe does not see as scalar; split
+    # by its compression, the clusters link, with no null space solved.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a null space was solved")
+
+    r = rmlab.builtin(name)
+    monkeypatch.setattr(rmlab.commutant, "nullspace", refuse)
+    got = build(r, n)
+    monkeypatch.undo()
+    _assert_same_subspace(got, commutant_of(_INPUTS[build](r, n)))
+
+
+def _assert_same_algebra(got, want):
+    # Orthonormal columns, as many as the reference's, whose span holds
+    # the reference's columns.
+    assert got.shape == want.shape
+    assert np.allclose(got.conj().T @ got, np.eye(got.shape[1]),
+                       atol=1e-12)
+    assert np.abs(want - got @ (got.conj().T @ want)).max() <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.one_of(
+    st.tuples(st.sampled_from([1, 2, 3, 4]), st.integers(2, 4)),
+    st.tuples(st.sampled_from(["box21", "diag3", "flip3", "simple3"]),
+              st.integers(2, 3))),
+    seed=st.integers(0, 2 ** 16))
+def test_star_algebra_matches_the_closure(case, seed):
+    # The algebra of the braid images, built from the probes' frames on
+    # both sides of FULL_SOLVE_DIM, is the closure's.
+    family, m = case
+    r = _random_draw(family, np.random.default_rng(seed))
+    gens = _generator_images(r, m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rmlab.commutant, "PROBE_SEED", seed)
+        got = rmlab.commutant._star_algebra(gens)
+    _assert_same_algebra(got, generated_algebra(gens))
+
+
+@pytest.mark.parametrize("name,m", [("diag3", 3), ("diag3", 4), ("uf", 3),
+                                    ("box21", 4), ("simple3", 4)])
+def test_braid_algebras_are_read_off_the_links(monkeypatch, name, m):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closure ran")
+
+    gens = _generator_images(rmlab.builtin(name), m)
+    monkeypatch.setattr(rmlab.commutant, "generated_algebra", refuse)
+    got = rmlab.commutant._star_algebra(gens)
+    monkeypatch.undo()
+    if name != "diag3" or m < 4:  # diag3's A_4 closure takes seconds
+        _assert_same_algebra(got, generated_algebra(gens))
+    else:
+        assert got.shape == (81 ** 2, 639)
+
+
+def test_a_failed_algebra_certificate_falls_back_to_the_closure(
+        monkeypatch):
+    # A scalar second probe links no clusters, and splits none: {h1,
+    # h2}'' is the span of h1's cluster projections, commutative, which
+    # box21's braid images leave, so the closure builds A_4.
+    gens = _generator_images(rmlab.builtin("box21"), 4)
+    want = generated_algebra(gens)
+    draw, close = rmlab.commutant.hermitian_probe, generated_algebra
+    probes, closed = [], []
+
+    def scalar_second_probe(mats, rng):
+        probes.append(np.eye(len(mats[0])) if probes else draw(mats, rng))
+        return probes[-1]
+
+    def counted(mats):
+        closed.append(len(mats))
+        return close(mats)
+
+    monkeypatch.setattr(rmlab.commutant, "hermitian_probe",
+                        scalar_second_probe)
+    monkeypatch.setattr(rmlab.commutant, "generated_algebra", counted)
+    got = rmlab.commutant._star_algebra(gens)
+    assert len(probes) == 2 and closed == [len(gens)]
+    assert np.array_equal(got, want)
+
+
+def test_star_algebra_refuses_before_its_basis(monkeypatch):
+    # box21's A_4 on the link route: 14 columns of 81^2 entries.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closure ran")
+
+    gens = _generator_images(rmlab.builtin("box21"), 4)
+    monkeypatch.setattr(rmlab.commutant, "generated_algebra", refuse)
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 14 * 81 ** 2 - 1)
+    with pytest.raises(ResourceError, match=f"needs {14 * 81 ** 2} entries"):
+        rmlab.commutant._star_algebra(gens)
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 14 * 81 ** 2)
+    assert rmlab.commutant._star_algebra(gens).shape == (81 ** 2, 14)
+
+
+# L at levels 1 and 2 along the near-degenerate family-2 line, with
+# whether it lies in M and took under a second.
+_EPS_FAMILY = """
+import time
+import numpy as np
+import rmlab
+for eps in np.logspace(-9, -2, 16):
+    r = rmlab.family_r2(np.exp(0.5j), np.exp(-1.3j),
+                        np.exp(1j * (0.5 + eps)), np.exp(-1.3j))
+    for n in (1, 2):
+        start = time.perf_counter()
+        try:
+            lb = rmlab.relative_commutant_L(r, n)
+        except rmlab.RmlabError as exc:
+            print(n, type(exc).__name__)
+            continue
+        fast = time.perf_counter() - start < 1.0
+        a, b = lb.columns, rmlab.relative_commutant_M(r, n).columns
+        print(n, lb.dimension, lb.converged,
+              np.abs(a - b @ (b.conj().T @ a)).max() <= 1e-9, fast)
+"""
+
+
+def test_l_of_near_degenerate_family_two_is_c2_and_m2(run_python):
+    # Rounding noise, amplified by 1 / eps, keeps a closure of A_4
+    # alive on parts of this line.  Built from the probes' frames, L_1
+    # is 2 and L_2 is 6 at every eps, converged and inside M, under one
+    # and two BLAS threads.
+    want = ["1 2 True True True", "2 6 True True True"] * 16
+    for threads in (1, 2):
+        proc = run_python("-c", _EPS_FAMILY, threads=threads)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == want
