@@ -667,11 +667,24 @@ def _spectrum_text(spectrum) -> str:
 def _tower(r, report, name: str) -> dict:
     """Levels 1 to ``n_cap`` of the commutant tower ``name``, filled into
     ``report.commutants`` one by one so a failing level keeps those
-    below it."""
+    below it.  N and L are then certified against M: the levels where a
+    column of M (of L) lies farther than ``CERTIFY_ATOL`` from N (from
+    M) are an error."""
     build = {"M": relative_commutant_M, "N": relative_commutant_N,
              "L": relative_commutant_L}[name]
     for n in range(1, report.n_cap + 1):
         report.commutants.setdefault(n, {})[name] = memo(r, build, n)
+    inner, outer = {"M": (None, None), "N": "MN", "L": "LM"}[name]
+    bad = []
+    for n, towers in sorted(report.commutants.items()):
+        if inner in towers and outer in towers:
+            a, b = towers[inner].columns, towers[outer].columns
+            leak = np.linalg.norm(a - b @ (b.conj().T @ a), axis=0).max()
+            if leak > commutant.CERTIFY_ATOL:
+                bad.append(f"{leak:.2g} at level {n}")
+    if bad:
+        raise InternalConsistencyError(
+            f"{inner} leaves {outer} by " + ", ".join(bad))
     return report.commutants
 
 

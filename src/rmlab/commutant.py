@@ -23,9 +23,9 @@ which keeps the singular values above max(1e-9 scale, 1e-12), with
 scale the largest row norm before any cancellation or a bound on it,
 so a residual that is all rounding noise is cut as noise.  Dense
 operators are checked against ``DENSE_ENTRY_CAP`` before they are
-built.  A block profile is read on first use from the eigenspaces of
-one probe of the algebra (:func:`wedderburn_decompose`), and is left
-unresolved, not guessed, when degenerate draws defeat detection.
+built.  A block profile is read on first use off the same frames, probed
+on the algebra's own basis (:func:`wedderburn_decompose`), and is left
+unresolved, not guessed, when the probes link no certified frames.
 """
 
 from __future__ import annotations
@@ -58,11 +58,9 @@ NULLSPACE_RTOL = 1e-9
 #: this small is rounding noise even when the whole matrix is noise.
 NULLSPACE_ATOL = 1e-12
 
-#: Probes drawn before a block profile is left unresolved.
-WEDDERBURN_RETRIES = 6
-
 #: Seed of every probe generator, read at call time.  Probes are
-#: certified or retried, so no result depends on it.
+#: certified, and a failed one falls back or leaves a profile
+#: unresolved, so no result depends on it.
 PROBE_SEED = 0
 
 #: Largest D whose commutant is solved in full, without a probe; the
@@ -73,8 +71,7 @@ FULL_SOLVE_DIM = 4
 PROBE_MERGE_TOL = 1e-3
 
 #: Largest entry an input of unit scale may leave outside a certified
-#: span in its frames, and the frames' orthonormality defect; also the
-#: residual the algebra check and the block links of a profile allow.
+#: span in its frames, and the frames' orthonormality defect.
 CERTIFY_ATOL = 1e-9
 
 
@@ -323,6 +320,7 @@ def commutant_of(mats, span=None) -> np.ndarray:
     mats = np.asarray(mats, dtype=complex)
     dim = mats.shape[-1]
     width = dim * dim if span is None else len(span)
+    require_dense(len(mats) * dim * dim * width, "the commutant rows")
     rows = np.empty((len(mats) * dim * dim, width), dtype=complex)
     for k, m in enumerate(mats):
         block = rows[k * dim * dim:(k + 1) * dim * dim]
@@ -474,37 +472,16 @@ def hermitian_probe(mats, rng) -> np.ndarray:
     return x + x.conj().T
 
 
-def _check_algebra(mats, cols) -> None:
-    """Validate a unital, *-closed, product-closed span within
-    ``CERTIFY_ATOL``; each check projects one stack: 1, adjoints, a @ mats."""
-
-    def residual(stack) -> float:
-        # The largest distance from the span over max(1, Frobenius norm).
-        v = stack.reshape(len(stack), -1)
-        far = np.linalg.norm(v - (v @ cols.conj()) @ cols.T, axis=1)
-        return float((far / np.maximum(1.0, np.linalg.norm(v, axis=1))).max())
-
-    if (eye_res := residual(np.eye(mats.shape[-1])[None])) > CERTIFY_ATOL:
-        raise DomainError(f"span is not unital (residual {eye_res:.3e})")
-    if residual(mats.conj().transpose(0, 2, 1)) > CERTIFY_ATOL:
-        raise DomainError("span is not closed under adjoints")
-    if any(residual(a @ mats) > CERTIFY_ATOL for a in mats):
-        raise DomainError("span is not closed under products")
-
-
 def wedderburn_decompose(span) -> tuple:
     """Matrix block sizes of a finite-dimensional unital *-algebra A,
     as a sorted tuple such as (1, 1, 2).
 
     The input (algebra elements, raw matrices, or a
-    :class:`SubalgebraBasis`, probed on its own orthonormal columns) is
-    checked to be a unital *-algebra, then probed with a random
-    Hermitian element of A.  For a generic probe each eigenspace p_a is
-    minimal in A, so links[a, b] = dim p_a A p_b = sum_i |V_a* b_i V_b|^2
-    over an orthonormal basis b_i is 1 within a matrix block and 0
-    across blocks, and the block sizes are its row sums.  Links off that
-    form draw a fresh probe, up to ``WEDDERBURN_RETRIES`` times before
-    a degeneracy error.
+    :class:`SubalgebraBasis`) is probed on its k orthonormal basis
+    matrices (:func:`_probe_frames`).  Certified frames put the span in
+    {h1, h2}'' = (+) M_c (x) 1_n, with c clusters per linked component,
+    so it is that unital *-algebra iff sum c^2 = k: the profile is the
+    c's.  Other counts raise a domain error, no frames a degeneracy one.
     """
     if isinstance(span, SubalgebraBasis):
         cols, dim = span.columns, span.d ** span.level
@@ -518,31 +495,11 @@ def wedderburn_decompose(span) -> tuple:
         cols = _subspace(np.stack([m.reshape(-1) for m in mats]), rows=True).T
     k = cols.shape[1]
     require_dense(k * dim * dim, "the Wedderburn probe stack")
-    basis = cols.T.reshape(k, dim, dim)
-    _check_algebra(basis, cols)
-
-    rng = np.random.default_rng(PROBE_SEED)
-    last_error = ""
-    for _ in range(WEDDERBURN_RETRIES):
-        vecs, groups = _eigenspaces(hermitian_probe(basis, rng))
-        # The runs are contiguous: sum the compressions' weights over
-        # each pair of runs.
-        weight = (np.abs(vecs.conj().T @ basis @ vecs) ** 2).sum(axis=0)
-        links = _block_sums(weight, [int(g[0]) for g in groups])
-        ones = np.rint(links)
-        sizes = ones.sum(axis=1)
-        if np.abs(links - ones).max() > CERTIFY_ATOL or ones.max() > 1:
-            last_error = f"probe compressions of dimension {links.max():.3g}"
-        elif not np.array_equal(ones @ ones, ones * sizes[:, None]):
-            last_error = "probe compressions do not form blocks"
-        elif sizes.sum() != k:
-            last_error = (f"probe compressions sum to {sizes.sum():.0f}, "
-                          f"not the dimension {k}")
-        else:
-            # One row per block: the first projection of each.
-            first = ~np.tril(ones, -1).any(axis=1)
-            return tuple(sorted(int(x) for x in sizes[first]))
-    raise DegeneracyError(
-        f"block detection failed after {WEDDERBURN_RETRIES} attempts: "
-        f"{last_error}", retries=WEDDERBURN_RETRIES,
-    )
+    links = _probe_frames(cols.T.reshape(k, dim, dim))[2]
+    if links is None:
+        raise DegeneracyError("the probes link no certified frames")
+    counts = np.bincount(links[1])
+    if counts @ counts != k:
+        raise DomainError(f"span of dimension {k} is not a unital *-algebra:"
+                          f" its probes' frames span {counts @ counts}")
+    return tuple(sorted(int(c) for c in counts[counts > 0]))

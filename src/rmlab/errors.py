@@ -53,11 +53,8 @@ class InternalConsistencyError(RmlabError):
 
 
 class DegeneracyError(RmlabError):
-    """Randomized structure detection kept hitting spectral collisions."""
-
-    def __init__(self, message, retries=0):
-        super().__init__(message)
-        self.retries = retries
+    """Randomized structure detection hit a spectral collision: its
+    probes linked no certified frames."""
 
 
 class NormalFormError(RmlabError):

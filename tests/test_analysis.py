@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -591,6 +592,34 @@ def test_a_failing_tower_keeps_the_other_towers(monkeypatch):
     assert report.irreducible is (report.commutants[1]["M"].dimension == 1)
     assert set(report.to_dict()["commutants"]["2"]) == {"M", "N"}
     assert "* [error] commutants.L: closure failed" in report.to_markdown()
+
+
+def test_analyze_reports_an_l_outside_m():
+    # The 76th interleaved family 2-4 conjugate from seed 0: its A_4 is
+    # the closure's, and L leaves M at both levels.  The other 119 of
+    # the first 120 draws, and every builtin, leak at most 1e-13.
+    rng = np.random.default_rng(0)
+    for k in range(76):
+        draw = (random_family2, random_family3, random_family4)[k % 3]
+        r = random_conjugate(draw(rng)[0], rng)
+    report = analyze(r)
+    assert list(report.errors) == ["commutants.L"]
+    assert re.fullmatch(r"L leaves M by 0\.\d+ at level 1, 0\.\d+ at level 2",
+                        report.errors["commutants.L"])
+    assert list(report.commutants[2]) == ["M", "N", "L"]
+    assert "* [error] commutants.L: L leaves M by" in report.to_markdown()
+
+
+def test_analyze_reports_an_m_outside_n(monkeypatch):
+    import rmlab.analysis
+
+    # A planted N of the scalars alone: M_1 = C^2 of r2 leaves it.
+    monkeypatch.setattr(rmlab.analysis, "relative_commutant_N",
+                        lambda r, n: fixed_subalgebra(make_flip(2), n))
+    report = analyze(rmlab.builtin("r2"), n_cap=1)
+    assert list(report.errors) == ["commutants.N"]
+    assert re.fullmatch(r"M leaves N by 0\.\d+ at level 1",
+                        report.errors["commutants.N"])
 
 
 # The Markdown line of each section, in the order of the section table.

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rmlab
@@ -24,7 +24,6 @@ from rmlab import (
     wedderburn_decompose,
 )
 from rmlab.commutant import (
-    _check_algebra,
     _generator_images,
     _subspace,
     commutant_of,
@@ -93,12 +92,11 @@ def test_wedderburn_full_matrix_algebra():
 
 def test_wedderburn_refuses_the_probe_stack_before_building(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the algebra was checked or probed")
+        raise AssertionError("the algebra was probed")
 
     units = np.eye(9, dtype=complex).reshape(9, 3, 3)
-    # The k x D x D stack of the basis and its products: 9 * 3 * 3.
+    # The k x D x D stack of the basis the probes draw from: 9 * 3 * 3.
     monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 9 * 9 - 1)
-    monkeypatch.setattr(rmlab.commutant, "_check_algebra", refuse)
     monkeypatch.setattr(rmlab.commutant, "hermitian_probe", refuse)
     with pytest.raises(ResourceError, match="needs 81 entries"):
         wedderburn_decompose(units)
@@ -107,14 +105,13 @@ def test_wedderburn_refuses_the_probe_stack_before_building(monkeypatch):
     assert wedderburn_decompose(units) == (3,)
 
 
-def test_wedderburn_leaves_a_profile_unresolved_after_its_retries(
-        monkeypatch):
-    # A scalar probe has one eigenspace, which is minimal only in C.
+def test_wedderburn_leaves_a_profile_unresolved_without_frames(monkeypatch):
+    # A scalar probe has one eigenspace, which is minimal only in C, so
+    # neither it nor the split links certified frames of M_2.
     monkeypatch.setattr(rmlab.commutant, "hermitian_probe",
                         lambda mats, rng: np.eye(len(mats[0])))
-    with pytest.raises(DegeneracyError) as info:
+    with pytest.raises(DegeneracyError, match="no certified frames"):
         wedderburn_decompose(np.eye(4, dtype=complex).reshape(4, 2, 2))
-    assert info.value.retries == 6
     r = rmlab.make_flip(2)
     assert relative_commutant_M(r, 1).block_profile is None
     report = rmlab.analyze(r, n_cap=1, fixed_cap=1)
@@ -130,16 +127,14 @@ def _fit_ten(blocks):
     return kept
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
-                min_size=1, max_size=5).map(_fit_ten),
-       st.integers(0, 2 ** 32 - 1))
-@example([(2, 2), (2, 2)], 1)
-@example([(1, 3), (1, 3), (2, 2)], 2)
-@example([(3, 1), (3, 1), (1, 4)], 3)
-def test_wedderburn_reads_planted_profiles(blocks, seed):
-    """(+) M_k (x) 1_m in a Haar-random basis: the profile is the k's."""
-    rng = np.random.default_rng(seed)
+#: Block lists (k, m) of (+) M_k (x) 1_m, of size at most 10.
+_BLOCKS = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                   min_size=1, max_size=5).map(_fit_ten)
+
+
+def _planted(blocks, rng):
+    """The matrix units of (+) M_k (x) 1_m in a Haar-random basis q, as
+    a stack, and q."""
     dim = sum(k * m for k, m in blocks)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, tri = np.linalg.qr(z)
@@ -152,8 +147,48 @@ def test_wedderburn_reads_planted_profiles(blocks, seed):
                 unit, np.eye(m))
             mats.append(q @ x @ q.conj().T)
         start += k * m
+    return np.array(mats), q
+
+
+@settings(max_examples=40, deadline=None)
+@given(_BLOCKS, st.integers(0, 2 ** 32 - 1))
+@example([(2, 2), (2, 2)], 1)
+@example([(1, 3), (1, 3), (2, 2)], 2)
+@example([(3, 1), (3, 1), (1, 4)], 3)
+def test_wedderburn_reads_planted_profiles(blocks, seed):
+    """(+) M_k (x) 1_m in a Haar-random basis: the profile is the k's."""
+    mats, _ = _planted(blocks, np.random.default_rng(seed))
     want = tuple(sorted(k for k, _ in blocks))
     assert wedderburn_decompose(mats) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(_BLOCKS.filter(lambda blocks: len(blocks) > 1 or blocks[0][1] > 1),
+       st.sampled_from(["drop", "add", "nilpotent"]),
+       st.integers(0, 2 ** 32 - 1))
+@example([(1, 2), (1, 1)], "drop", 0)
+@example([(2, 1), (1, 1)], "nilpotent", 1)
+def test_wedderburn_refuses_broken_planted_algebras(blocks, how, seed):
+    """A planted algebra less one random direction, or with one random
+    or strictly upper triangular matrix added: not a unital *-algebra.
+    A full matrix algebra would absorb any addition, so it is not
+    drawn."""
+    rng = np.random.default_rng(seed)
+    mats, q = _planted(blocks, rng)
+    assume(how != "drop" or len(mats) > 1)
+    if how == "drop":
+        c = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(
+            len(mats))
+        mats = np.tensordot(nullspace(c[None]).T, mats, axes=1)
+    else:
+        z = rng.standard_normal(q.shape) + 1j * rng.standard_normal(q.shape)
+        z = np.triu(z, 1) if how == "nilpotent" else z
+        mats = np.concatenate([mats, (q @ z @ q.conj().T)[None]])
+    cols = _subspace(mats.reshape(len(mats), -1), rows=True).T
+    with pytest.raises(DomainError):
+        _check_algebra(cols.T.reshape(-1, *q.shape), cols)
+    with pytest.raises(DomainError, match=r"is not a unital \*-algebra"):
+        wedderburn_decompose(mats)
 
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -161,17 +196,41 @@ _PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 _E01 = np.array([[0, 1], [0, 0]], dtype=complex)
 
 
-@pytest.mark.parametrize("span,message", [
-    ([np.diag([1.0, 0.0])], r"span is not unital \(residual 7\.071e-01\)"),
-    ([np.eye(2), _E01], "span is not closed under adjoints"),
-    ([np.eye(2), _PAULI_X, _PAULI_Z], "span is not closed under products"),
+def _check_algebra(mats, cols) -> None:
+    """Reference: a unital, *-closed, product-closed span within 1e-9;
+    each check projects one stack on ``cols``: 1, adjoints, a @ mats."""
+
+    def residual(stack) -> float:
+        # The largest distance from the span over max(1, Frobenius norm).
+        v = stack.reshape(len(stack), -1)
+        far = np.linalg.norm(v - (v @ cols.conj()) @ cols.T, axis=1)
+        return float((far / np.maximum(1.0, np.linalg.norm(v, axis=1))).max())
+
+    if (eye_res := residual(np.eye(mats.shape[-1])[None])) > 1e-9:
+        raise DomainError(f"span is not unital (residual {eye_res:.3e})")
+    if residual(mats.conj().transpose(0, 2, 1)) > 1e-9:
+        raise DomainError("span is not closed under adjoints")
+    if any(residual(a @ mats) > 1e-9 for a in mats):
+        raise DomainError("span is not closed under products")
+
+
+@pytest.mark.parametrize("span,message,frames", [
+    ([np.diag([1.0, 0.0])], r"span is not unital \(residual 7\.071e-01\)", 2),
+    ([np.eye(2), _E01], "span is not closed under adjoints", 4),
+    ([np.eye(2), _PAULI_X, _PAULI_Z], "span is not closed under products",
+     4),
 ], ids=["unital", "adjoints", "products"])
-def test_check_algebra_names_the_first_failing_property(span, message):
+def test_check_algebra_names_the_first_failing_property(span, message,
+                                                        frames):
+    # The reference names the property; wedderburn_decompose counts the
+    # dimension of the probes' frames against the span's.
     mats = np.array(span, dtype=complex)
     cols = _subspace(mats.reshape(len(mats), -1), rows=True).T
     with pytest.raises(DomainError, match=f"^{message}$"):
         _check_algebra(cols.T.reshape(-1, 2, 2), cols)
-    with pytest.raises(DomainError, match=f"^{message}$"):
+    with pytest.raises(DomainError, match=(
+            rf"^span of dimension {len(span)} is not a unital \*-algebra: "
+            rf"its probes' frames span {frames}$")):
         wedderburn_decompose(span)
 
 
@@ -179,13 +238,22 @@ def test_check_algebra_names_the_first_failing_property(span, message):
 def test_every_tower_span_passes_the_algebra_check(name):
     r = rmlab.builtin(name)
     for n in (1, 2):
-        towers = [relative_commutant_M(r, n), relative_commutant_N(r, n)]
-        # diag3's 639-dimensional A_4 takes seconds to close.
-        if name != "diag3":
-            towers.append(relative_commutant_L(r, n))
-        for b in towers:
-            cols = b.columns
+        for build in (relative_commutant_M, relative_commutant_N,
+                      relative_commutant_L):
+            cols = build(r, n).columns
             _check_algebra(cols.T.reshape(-1, r.d ** n, r.d ** n), cols)
+
+
+def test_commutant_of_refuses_its_rows_before_building(monkeypatch):
+    # Three 6 x 6 matrices: 3 * 36 commutator rows of 36 columns, or of
+    # one column against a span of one matrix.
+    mats = RNG.standard_normal((3, 6, 6)).astype(complex)
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 3 * 36 * 36 - 1)
+    with pytest.raises(ResourceError, match="needs 3888 entries"):
+        commutant_of(mats)
+    assert commutant_of(mats, span=np.eye(6)[None]).shape == (1, 1)
+    monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 3 * 36 * 36)
+    assert commutant_of(mats).shape == (36, 1)
 
 
 def test_commutant_of_keeps_what_commutes_up_to_rounding():
