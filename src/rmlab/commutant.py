@@ -16,7 +16,7 @@ slot.  These, the braid-image commutants, A_m and L are B' or B'' for a
 *-algebra B, a sum of blocks M_k (x) 1_n: two random Hermitian probes
 of B give its frames, linked and certified (:func:`_probe_frames`),
 and :func:`_star_commutant` and :func:`_star_algebra` build B' and B''
-from them, solving or closing only at small D or if that fails.
+from them, solving only at small D or if that fails: B'' as (B')'.
 
 Null spaces and row spaces come from one rank kernel, :func:`_subspace`,
 which keeps the singular values above max(1e-9 scale, 1e-12), with
@@ -45,9 +45,9 @@ from .tensor import (AlgebraElement, as_complex_matrix, embed, pad_left,
 
 __all__ = [
     "SubalgebraBasis", "apply_endo", "relative_commutant_M",
-    "relative_commutant_N", "relative_commutant_L", "generated_algebra",
-    "fixed_subalgebra", "braid_image_commutant", "commutant_of",
-    "wedderburn_decompose", "profile_string", "nullspace",
+    "relative_commutant_N", "relative_commutant_L", "fixed_subalgebra",
+    "braid_image_commutant", "commutant_of", "wedderburn_decompose",
+    "profile_string", "nullspace",
 ]
 
 #: Rank cutoff, relative to the rows' scale before cancellation.
@@ -230,37 +230,6 @@ def relative_commutant_N(r: RMatrix, n: int) -> SubalgebraBasis:
     return SubalgebraBasis(d, n, q)
 
 
-def generated_algebra(mats) -> np.ndarray:
-    """l2-orthonormal columns spanning the unital algebra generated by
-    ``mats``, a stack of D x D matrices; columns are row-major vectors.
-
-    Closes span{1} under right multiplication: each round multiplies the
-    frontier by every matrix in one batched matmul, projects the basis
-    (kept as rows, conjugated once a round) out twice, and keeps the
-    residual's row space, cut against the products' scale, as the next
-    frontier.  A basis wider than D^2 means rounding noise kept the
-    frontier alive (near-degenerate generators): an error.
-    """
-    mats = np.asarray(mats, dtype=complex)
-    dim = mats.shape[-1]
-    basis = frontier = np.eye(dim).reshape(1, -1) / math.sqrt(dim)
-    while len(frontier):
-        width = len(basis) + len(frontier) * len(mats)
-        require_dense(dim * dim * width, "the generated algebra")
-        prods = frontier.reshape(-1, 1, dim, dim) @ mats
-        prods = prods.reshape(-1, dim * dim)
-        scale = float(np.linalg.norm(prods, axis=1).max())
-        adjoint = basis.conj().T
-        for _ in range(2):
-            prods = prods - (prods @ adjoint) @ basis
-        frontier = _subspace(prods, scale, rows=True)
-        basis = np.concatenate([basis, frontier])
-        if len(basis) > dim * dim:
-            raise InternalConsistencyError(
-                f"algebra closure exceeded {dim * dim} dimensions")
-    return basis.T
-
-
 def _generator_images(r: RMatrix, m: int) -> np.ndarray:
     """The m-strand braid generator images at level m, as a stack."""
     size = r.d ** m
@@ -321,16 +290,15 @@ def commutant_of(mats, span=None) -> np.ndarray:
     dim = mats.shape[-1]
     width = dim * dim if span is None else len(span)
     require_dense(len(mats) * dim * dim * width, "the commutant rows")
-    rows = np.empty((len(mats) * dim * dim, width), dtype=complex)
-    for k, m in enumerate(mats):
-        block = rows[k * dim * dim:(k + 1) * dim * dim]
-        if span is None:
-            # Row-major vec(x m - m x) = (1 (x) m^T - m (x) 1) vec(x).
-            np.subtract(pad_left(m.T, dim, 1), pad_right(m, dim, 1), out=block)
-        else:
-            block[:] = (span @ m - m @ span).reshape(width, -1).T
+    if span is None:
+        # Row-major vec(x m - m x) = (1 (x) m^T - m (x) 1) vec(x).
+        rows = pad_left(mats.transpose(0, 2, 1), dim, 1)
+        rows -= pad_right(mats, dim, 1)
+    else:
+        rows = span @ mats[:, None] - mats[:, None] @ span
+        rows = rows.reshape(len(mats), width, -1).transpose(0, 2, 1)
     norm2 = max((np.vdot(m, m).real for m in mats), default=0.0)
-    return nullspace(rows, 2.0 * math.sqrt(norm2))
+    return nullspace(rows.reshape(-1, width), 2.0 * math.sqrt(norm2))
 
 
 def _star_commutant(mats) -> np.ndarray:
@@ -364,16 +332,18 @@ def _star_commutant(mats) -> np.ndarray:
 
 
 def _star_algebra(mats) -> np.ndarray:
-    """:func:`generated_algebra` of unitaries or of a *-closed set: the
-    closure for exact scalars, at D <= ``FULL_SOLVE_DIM`` or if there
-    are no certified frames (:func:`_probe_frames`), else {p_a, h}'',
-    spanned by the F_a F_b* / sqrt(n) of each component's clusters."""
+    """The unital algebra B generated by unitaries or by a *-closed set
+    ``mats``, as row-major columns: span{1} for exact scalars; above
+    ``FULL_SOLVE_DIM``, {p_a, h}'' from certified frames
+    (:func:`_probe_frames`), spanned by the F_a F_b* / sqrt(n) of each
+    component's clusters; else (B')', two :func:`_star_commutant` calls.
+    """
     mats = np.asarray(mats, dtype=complex)
     dim = mats.shape[-1]
-    if (dim <= FULL_SOLVE_DIM
-            or np.array_equal(mats, mats[:, :1, :1] * np.eye(dim))
-            or (links := _probe_frames(mats)[2]) is None):
-        return generated_algebra(mats)
+    if np.array_equal(mats, mats[:, :1, :1] * np.eye(dim)):
+        return np.eye(dim, dtype=complex).reshape(-1, 1) / math.sqrt(dim)
+    if dim <= FULL_SOLVE_DIM or (links := _probe_frames(mats)[2]) is None:
+        return _star_commutant(_star_commutant(mats).T.reshape(-1, dim, dim))
     frames, root, cluster, _ = links
     counts = np.bincount(root)
     require_dense(dim * dim * int(counts @ counts), "the generated algebra")

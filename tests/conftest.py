@@ -6,13 +6,14 @@ import sys
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "src")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 
 @pytest.fixture
 def run_python():
-    """Run ``python ARGS`` in a child process on this checkout's sources.
+    """Run ``python ARGS`` in a child process on this checkout's sources,
+    with the test helpers (``closure``) importable too.
 
     ``threads`` pins the BLAS thread count (OpenBLAS, OpenMP and MKL),
     which sets the BLAS's summation order; ``env`` adds variables.
@@ -20,7 +21,8 @@ def run_python():
     """
 
     def run(*args, threads=None, timeout=120, **env):
-        env = dict(os.environ, PYTHONPATH=SRC, **env)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, TESTS]),
+                   **env)
         if threads is not None:
             for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                          "MKL_NUM_THREADS"):

@@ -17,6 +17,7 @@ from rmlab import (
     NormalFormSpec,
     ReductionLeaf,
     ReductionSplit,
+    SubalgebraBasis,
     analyze,
     classify_dim2,
     ergodicity_necessary_check,
@@ -594,18 +595,18 @@ def test_a_failing_tower_keeps_the_other_towers(monkeypatch):
     assert "* [error] commutants.L: closure failed" in report.to_markdown()
 
 
-def test_analyze_reports_an_l_outside_m():
-    # The 76th interleaved family 2-4 conjugate from seed 0: its A_4 is
-    # the closure's, and L leaves M at both levels.  The other 119 of
-    # the first 120 draws, and every builtin, leak at most 1e-13.
-    rng = np.random.default_rng(0)
-    for k in range(76):
-        draw = (random_family2, random_family3, random_family4)[k % 3]
-        r = random_conjugate(draw(rng)[0], rng)
-    report = analyze(r)
+def test_analyze_reports_an_l_outside_m(monkeypatch):
+    import rmlab.analysis
+
+    # A planted L of all of F^n: r2's M_1 = C^2 and M_2 = C^2 (+) M_2
+    # miss a matrix unit of it.
+    monkeypatch.setattr(rmlab.analysis, "relative_commutant_L",
+                        lambda r, n: SubalgebraBasis(r.d, n, np.eye(
+                            r.d ** (2 * n), dtype=complex)))
+    report = analyze(rmlab.builtin("r2"), n_cap=2)
     assert list(report.errors) == ["commutants.L"]
-    assert re.fullmatch(r"L leaves M by 0\.\d+ at level 1, 0\.\d+ at level 2",
-                        report.errors["commutants.L"])
+    assert report.errors["commutants.L"] == (
+        "L leaves M by 1 at level 1, 1 at level 2")
     assert list(report.commutants[2]) == ["M", "N", "L"]
     assert "* [error] commutants.L: L leaves M by" in report.to_markdown()
 

@@ -27,11 +27,12 @@ from rmlab.commutant import (
     _generator_images,
     _subspace,
     commutant_of,
-    generated_algebra,
 )
 from rmlab.errors import (DegeneracyError, DomainError,
                           InternalConsistencyError, ResourceError)
 from rmlab.rmatrix import require_dense
+
+from closure import generated_algebra
 
 RNG = np.random.default_rng(31)
 
@@ -687,8 +688,9 @@ _NEAR_DEGENERATE_L = """
 import numpy as np
 import rmlab
 import rmlab.rmatrix
-from rmlab.commutant import _generator_images, generated_algebra
+from rmlab.commutant import _generator_images
 from rmlab.errors import InternalConsistencyError
+from closure import generated_algebra
 rmlab.rmatrix.DENSE_ENTRY_CAP = 4 * 256 * 256
 eps = float({eps!r})
 r = rmlab.family_r2(np.exp(0.5j), np.exp(-1.3j),
@@ -724,8 +726,9 @@ def test_closure_of_near_degenerate_generators_stops(eps, run_python):
 _L_AGAINST_M = """
 import numpy as np
 import rmlab
-from rmlab.commutant import _generator_images, generated_algebra
+from rmlab.commutant import _generator_images
 from rmlab.corpus import random_conjugate, random_family2
+from closure import generated_algebra
 {build}
 print(generated_algebra(_generator_images(r, 4)).shape[1])
 for n in (1, 2):
@@ -1286,10 +1289,10 @@ def test_star_algebra_matches_the_closure(case, seed):
                                     ("box21", 4), ("simple3", 4)])
 def test_braid_algebras_are_read_off_the_links(monkeypatch, name, m):
     def refuse(*args, **kwargs):
-        raise AssertionError("the closure ran")
+        raise AssertionError("the double commutant ran")
 
     gens = _generator_images(rmlab.builtin(name), m)
-    monkeypatch.setattr(rmlab.commutant, "generated_algebra", refuse)
+    monkeypatch.setattr(rmlab.commutant, "_star_commutant", refuse)
     got = rmlab.commutant._star_algebra(gens)
     monkeypatch.undo()
     if name != "diag3" or m < 4:  # diag3's A_4 closure takes seconds
@@ -1298,44 +1301,102 @@ def test_braid_algebras_are_read_off_the_links(monkeypatch, name, m):
         assert got.shape == (81 ** 2, 639)
 
 
-def test_a_failed_algebra_certificate_falls_back_to_the_closure(
-        monkeypatch):
-    # A scalar second probe links no clusters, and splits none: {h1,
-    # h2}'' is the span of h1's cluster projections, commutative, which
-    # box21's braid images leave, so the closure builds A_4.
-    gens = _generator_images(rmlab.builtin("box21"), 4)
-    want = generated_algebra(gens)
-    draw, close = rmlab.commutant.hermitian_probe, generated_algebra
-    probes, closed = [], []
+def _scalar_second_probes(monkeypatch) -> list:
+    """Make every second probe the identity, and list the probes: a
+    scalar second probe links no clusters, and splits none, so each
+    call of ``_probe_frames`` returns no frames."""
+    draw, probes = rmlab.commutant.hermitian_probe, []
 
-    def scalar_second_probe(mats, rng):
-        probes.append(np.eye(len(mats[0])) if probes else draw(mats, rng))
+    def probe(mats, rng):
+        probes.append(np.eye(len(mats[0])) if len(probes) % 2
+                      else draw(mats, rng))
         return probes[-1]
 
-    def counted(mats):
-        closed.append(len(mats))
-        return close(mats)
+    monkeypatch.setattr(rmlab.commutant, "hermitian_probe", probe)
+    return probes
 
-    monkeypatch.setattr(rmlab.commutant, "hermitian_probe",
-                        scalar_second_probe)
-    monkeypatch.setattr(rmlab.commutant, "generated_algebra", counted)
+
+def test_a_failed_algebra_certificate_falls_back_to_the_double_commutant(
+        monkeypatch):
+    # Without frames, box21's A_3 is (A_3')', each commutant the span
+    # of h1's cluster blocks solved against its inputs.
+    gens = _generator_images(rmlab.builtin("box21"), 3)
+    probes = _scalar_second_probes(monkeypatch)
     got = rmlab.commutant._star_algebra(gens)
-    assert len(probes) == 2 and closed == [len(gens)]
-    assert np.array_equal(got, want)
+    assert len(probes) == 6 and got.shape == (27 ** 2, 5)
+    _assert_same_algebra(got, generated_algebra(gens))
+
+
+def test_a_failed_algebra_certificate_refuses_an_oversized_solve(
+        monkeypatch):
+    # Without frames, box21's A_4' is solved on the 1,581 blocks of h1's
+    # clusters against 3 images of 81^2 entries: over the cap, refused
+    # before its rows are built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rows were solved")
+
+    gens = _generator_images(rmlab.builtin("box21"), 4)
+    _scalar_second_probes(monkeypatch)
+    monkeypatch.setattr(rmlab.commutant, "nullspace", refuse)
+    with pytest.raises(ResourceError, match="needs 31118823 entries"):
+        rmlab.commutant._star_algebra(gens)
 
 
 def test_star_algebra_refuses_before_its_basis(monkeypatch):
     # box21's A_4 on the link route: 14 columns of 81^2 entries.
     def refuse(*args, **kwargs):
-        raise AssertionError("the closure ran")
+        raise AssertionError("the double commutant ran")
 
     gens = _generator_images(rmlab.builtin("box21"), 4)
-    monkeypatch.setattr(rmlab.commutant, "generated_algebra", refuse)
+    monkeypatch.setattr(rmlab.commutant, "_star_commutant", refuse)
     monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 14 * 81 ** 2 - 1)
     with pytest.raises(ResourceError, match=f"needs {14 * 81 ** 2} entries"):
         rmlab.commutant._star_algebra(gens)
     monkeypatch.setattr(rmlab.rmatrix, "DENSE_ENTRY_CAP", 14 * 81 ** 2)
     assert rmlab.commutant._star_algebra(gens).shape == (81 ** 2, 14)
+
+
+# L at levels 1 and 2 of draw 75, counted from 0, of the family 2, 3
+# and 4 conjugates drawn in turn from seed 0: the dimensions of E_n(A_m)
+# and whether L lies in M.
+_DRAW_75 = """
+import numpy as np
+import rmlab
+rng = np.random.default_rng(0)
+for k in range(76):
+    family = (rmlab.random_family2, rmlab.random_family3,
+              rmlab.random_family4)[k % 3]
+    r = rmlab.random_conjugate(family(rng)[0], rng)
+for n in (1, 2):
+    lb, mb = rmlab.relative_commutant_L(r, n), rmlab.relative_commutant_M(r, n)
+    a, b = lb.columns, mb.columns
+    print(lb.dimension, lb.converged, lb.meta["dims"],
+          np.abs(a - b @ (b.conj().T @ a)).max() <= 1e-12)
+"""
+
+
+def test_l_of_draw_75_is_converged_and_inside_m(run_python):
+    # h1's eigenvalues of draw 75's A_4 come in near pairs, some merged
+    # into one cluster and some not, so no frames link; its double
+    # commutant is 70-dimensional, and L is C^2, then C^2 (+) M_2.
+    want = ["2 True (2, 2, 2) True", "6 True (4, 6, 6) True"]
+    for threads in (1, 2):
+        proc = run_python("-c", _DRAW_75, threads=threads)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == want
+
+
+def test_l_of_the_first_120_draws_lies_in_m():
+    rng = np.random.default_rng(0)
+    for k in range(120):
+        family = (rmlab.random_family2, rmlab.random_family3,
+                  rmlab.random_family4)[k % 3]
+        r = rmlab.random_conjugate(family(rng)[0], rng)
+        for n in (1, 2):
+            a = relative_commutant_L(r, n).columns
+            b = relative_commutant_M(r, n).columns
+            leak = float(np.abs(a - b @ (b.conj().T @ a)).max())
+            assert leak <= 1e-9, (k, n, leak)
 
 
 # L at levels 1 and 2 along the near-degenerate family-2 line, with

@@ -5,9 +5,9 @@ here as ``tests/golden/regenerate.py`` ran it, through
 ``rmlab.cli.main``, and must match its stored outputs.
 Integers, booleans, strings (profiles and family labels among them) and
 exit codes match exactly.  Floats, in JSON and in text lines, match
-within ``RTOL`` relative with an ``ATOL`` absolute floor, so rounding-
-level fields (a residual of 2.5e-15) may move with the BLAS thread
-count.  Regenerate the corpus with that script.
+within that script's ``RTOL`` relative with an ``ATOL`` absolute floor,
+so rounding-level fields (a residual of 2.5e-15) may move with the BLAS
+thread count.  Regenerate the corpus with that script.
 
 The random probes of the algebra layer all draw from the constant
 ``rmlab.commutant.PROBE_SEED``; no output may depend on its value.
@@ -16,19 +16,14 @@ The random probes of the algebra layer all draw from the constant
 import functools
 import json
 import os
-import re
 
 import numpy as np
 import pytest
 
 import rmlab
-from golden.regenerate import run_case
+from golden.regenerate import json_diffs, output_diffs, run_case, text_diffs
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-RTOL, ATOL = 1e-9, 1e-12
-
-# A decimal number, signed, with optional fraction and exponent.
-_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _cases() -> list:
@@ -39,61 +34,6 @@ def _cases() -> list:
 def _read(name: str) -> str:
     with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
         return fh.read()
-
-
-def _close(a, b) -> bool:
-    return abs(a - b) <= max(RTOL * max(abs(a), abs(b)), ATOL)
-
-
-def json_diffs(want, got, where="$") -> list:
-    """Where two parsed JSON values differ under the corpus rule."""
-    numbers = [isinstance(v, (int, float)) and not isinstance(v, bool)
-               for v in (want, got)]
-    if all(numbers):
-        same = (want == got if all(isinstance(v, int) for v in (want, got))
-                else _close(want, got))
-        return [] if same else [f"{where}: {want!r} != {got!r}"]
-    if type(want) is not type(got):
-        return [f"{where}: {want!r} != {got!r}"]
-    if isinstance(want, dict):
-        if set(want) != set(got):
-            return [f"{where}: keys {sorted(want)} != {sorted(got)}"]
-        return [d for k in sorted(want)
-                for d in json_diffs(want[k], got[k], f"{where}.{k}")]
-    if isinstance(want, list):
-        if len(want) != len(got):
-            return [f"{where}: length {len(want)} != {len(got)}"]
-        return [d for i, (a, b) in enumerate(zip(want, got))
-                for d in json_diffs(a, b, f"{where}[{i}]")]
-    return [] if want == got else [f"{where}: {want!r} != {got!r}"]
-
-
-def _line_same(want: str, got: str) -> bool:
-    """Equal text between the numbers; integers equal, floats close."""
-    if _NUMBER.split(want) != _NUMBER.split(got):
-        return False
-    return all(a == b if not re.search("[.eE]", a + b)
-               else _close(float(a), float(b))
-               for a, b in zip(_NUMBER.findall(want), _NUMBER.findall(got)))
-
-
-def text_diffs(want: str, got: str) -> list:
-    """The lines of two outputs that differ under the corpus rule."""
-    a, b = want.splitlines(), got.splitlines()
-    if len(a) != len(b):
-        return [f"{len(a)} lines != {len(b)} lines"]
-    return [f"line {i + 1}: {x!r} != {y!r}"
-            for i, (x, y) in enumerate(zip(a, b)) if not _line_same(x, y)]
-
-
-def output_diffs(name: str, want: str, got: str) -> list:
-    """Compare by file kind: JSON, JSON lines, or text."""
-    if name.endswith(".json"):
-        return json_diffs(json.loads(want), json.loads(got))
-    if name.endswith(".jsonl"):
-        return json_diffs([json.loads(x) for x in want.splitlines()],
-                          [json.loads(x) for x in got.splitlines()])
-    return text_diffs(want, got)
 
 
 @pytest.mark.parametrize("case", _cases(), ids=lambda c: c["name"])
